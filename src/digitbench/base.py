@@ -12,7 +12,12 @@ import inspect
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, ShapeError
+from .validation import check_image, check_image_batch
+
+# images per call of a stacked kernel: enough to amortise NumPy's per-call
+# overhead, few enough that a block's temporaries stay small at any batch size
+IMAGE_BLOCK = 32
 
 
 class Estimator:
@@ -47,7 +52,34 @@ class Estimator:
 
 
 class TransformerMixin:
-    """fit is a no-op for stateless transformers; adds fit_transform."""
+    """Stateless image transformer over (n, H, W) stacks.
+
+    Subclasses implement ``_transform_stack``, which maps a validated float64
+    stack to one output row per image. ``transform`` runs it on consecutive
+    blocks of IMAGE_BLOCK images, so memory stays bounded as the batch grows;
+    ``transform_one`` runs it on a stack of one. fit is a no-op.
+    """
+
+    def _transform_stack(self, stack: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def transform_one(self, img) -> np.ndarray:
+        return self._transform_stack(check_image(img)[None])[0]
+
+    def transform(self, images) -> np.ndarray:
+        """Rows in input order; a ragged list runs each image shape apart."""
+        groups = check_image_batch(images)
+        out = None
+        for rows, stack in groups:
+            for start in range(0, len(rows), IMAGE_BLOCK):
+                part = self._transform_stack(stack[start:start + IMAGE_BLOCK])
+                if out is None:
+                    n = sum(len(r) for r, _ in groups)
+                    out = np.empty((n,) + part.shape[1:])
+                out[rows[start:start + IMAGE_BLOCK]] = part
+        if out is None:
+            raise ShapeError("images: the batch is empty")
+        return out
 
     def fit(self, X, y=None):
         return self

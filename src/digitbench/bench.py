@@ -1,8 +1,9 @@
 """Benchmark grid: preprocess, extract, train, evaluate, report.
 
-One run loads a dataset, preprocesses it once, extracts every configured
-feature once, then fits every (feature, classifier) cell on the train side
-and scores it on the test side. Cells run concurrently up to the configured
+One run loads a dataset, preprocesses it once (skipped when the feature
+cache holds every configured matrix), extracts every configured feature
+once, then fits every (feature, classifier) cell on the train side and
+scores it on the test side. Cells run concurrently up to the configured
 degree; a failing cell records its cause and the grid continues. Reports
 carry no timing data in the CSV outputs, so identical configs produce
 byte-identical files at any parallelism.
@@ -10,6 +11,8 @@ byte-identical files at any parallelism.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import os
 import time
 import traceback
@@ -26,7 +29,7 @@ from .datasets import (feature_cache_path, file_digest, load_csv,
                        synthetic_squares)
 from .errors import ParameterError
 from .features import RAW as RAW_TAG
-from .features import extract_batch
+from .features import extract_batch, make_descriptor
 from .imaging import Preprocessor
 from .metrics import EvaluationReport, evaluate
 
@@ -76,19 +79,23 @@ def load_run_images(cfg: RunConfig):
                            f":seed={cfg.split.seed}"
 
 
-def _extract_matrix(pre_images, method, params, cfg, digest):
-    if method == RAW_TAG:
-        return pre_images.reshape(pre_images.shape[0], -1)
-    if cfg.cache_dir:
-        path = feature_cache_path(cfg.cache_dir, digest, method, params)
-        cached = load_feature_cache(path)
-        if cached is not None:
-            return cached[0]
-    X = extract_batch(pre_images, method, params or None, jobs=cfg.jobs)
-    if cfg.cache_dir:
-        os.makedirs(cfg.cache_dir, exist_ok=True)
-        save_feature_cache(path, X, np.zeros(X.shape[0], dtype=np.int64))
-    return X
+def feature_cache_file(cache_dir, cfg: RunConfig, source: str, method: str,
+                       params=None) -> str:
+    """Cache file for one extractor's matrix of the configured dataset.
+
+    The key covers everything that determines the matrix: the source tag,
+    the test file, the CSV schema and side, the preprocessing parameters and
+    the extractor's parameters with its defaults filled in (so ``{}`` and the
+    explicit defaults share one file).
+    """
+    inputs = {"source": source,
+              "test": file_digest(cfg.test_path) if cfg.test_path else None,
+              "schema": cfg.schema, "side": int(cfg.side),
+              "preprocess": Preprocessor(**cfg.preprocess).get_params()}
+    digest = hashlib.sha256(
+        json.dumps(inputs, sort_keys=True).encode()).hexdigest()
+    return feature_cache_path(cache_dir, digest, method,
+                              make_descriptor(method, params).get_params())
 
 
 def run_grid(cfg: RunConfig) -> GridResult:
@@ -97,34 +104,49 @@ def run_grid(cfg: RunConfig) -> GridResult:
     stage = {}
     t0 = time.perf_counter()
     images, labels, source = load_run_images(cfg)
-    stage["load"] = time.perf_counter() - t0
-
-    pre = Preprocessor(**cfg.preprocess)
-    t0 = time.perf_counter()
-    pre_images = preprocess_all(images, pre, jobs=cfg.jobs)
+    test_images = None
     if cfg.test_path is not None:
         test_images, test_labels = load_csv(cfg.test_path, cfg.schema,
                                             cfg.side)
-        test_pre = preprocess_all(test_images, pre, jobs=cfg.jobs)
         train_idx = np.arange(labels.shape[0])
         test_idx = np.arange(test_labels.shape[0]) + labels.shape[0]
-        pre_images = np.concatenate([pre_images, test_pre])
         labels = np.concatenate([labels, test_labels])
     else:
         train_idx, test_idx = split_indices(labels, cfg.split)
-    stage["preprocess"] = time.perf_counter() - t0
+    stage["load"] = time.perf_counter() - t0
 
     methods = list(cfg.features)
     if cfg.raw_baseline and RAW_TAG not in [m for m, _ in methods]:
         methods.append((RAW_TAG, {}))
-    # the full source tag (name + digest, or generator + its parameters)
-    # uniquely identifies the preprocessed content for cache keying
-    digest = source
-    t0 = time.perf_counter()
-    matrices = {}
+    matrices, paths = {}, {}
     for method, params in methods:
-        matrices[method] = _extract_matrix(pre_images, method, params, cfg,
-                                           digest)
+        if cfg.cache_dir and method != RAW_TAG:
+            paths[method] = feature_cache_file(cfg.cache_dir, cfg, source,
+                                               method, params)
+            cached = load_feature_cache(paths[method], labels)
+            if cached is not None:
+                matrices[method] = cached[0]
+
+    t0 = time.perf_counter()
+    if any(method not in matrices for method, _ in methods):
+        pre = Preprocessor(**cfg.preprocess)
+        pre_images = preprocess_all(images, pre)
+        if test_images is not None:
+            pre_images = np.concatenate(
+                [pre_images, preprocess_all(test_images, pre)])
+    stage["preprocess"] = time.perf_counter() - t0
+
+    t0 = time.perf_counter()
+    for method, params in methods:
+        if method in matrices:
+            continue
+        if method == RAW_TAG:
+            matrices[method] = pre_images.reshape(pre_images.shape[0], -1)
+            continue
+        matrices[method] = extract_batch(pre_images, method, params or None)
+        if cfg.cache_dir:
+            os.makedirs(cfg.cache_dir, exist_ok=True)
+            save_feature_cache(paths[method], matrices[method], labels)
     stage["extract"] = time.perf_counter() - t0
 
     n_classes = int(labels.max()) + 1

@@ -15,12 +15,11 @@ import sys
 import numpy as np
 
 from . import __version__
-from .bench import emit_report, load_run_images, run_grid
+from .bench import emit_report, feature_cache_file, load_run_images, run_grid
 from .classify import classifier_kind
 from .classify.io import load_model
 from .config import RunConfig, load_config
-from .datasets import (SCHEMAS, feature_cache_path, preprocess_all,
-                       save_feature_cache)
+from .datasets import SCHEMAS, preprocess_all, save_feature_cache
 from .errors import ParameterError, ParseError, ShapeError, SplitError
 from .features import METHODS, extract_batch
 from .imaging import Preprocessor
@@ -58,7 +57,8 @@ def build_parser() -> argparse.ArgumentParser:
     extract = sub.add_parser("extract", help="precompute a feature cache")
     _add_dataset_flags(extract)
     extract.add_argument("--method", choices=METHODS, default="hog")
-    extract.add_argument("--jobs", type=int, default=1)
+    extract.add_argument("--jobs", type=int, default=1,
+                         help="accepted for compatibility; has no effect")
     extract.add_argument("--out", default="cache",
                          help="cache directory")
 
@@ -119,11 +119,10 @@ def cmd_bench(args) -> int:
 def cmd_extract(args) -> int:
     cfg = _config_from_args(args)
     images, labels, source = load_run_images(cfg)
-    pre = preprocess_all(images, Preprocessor(**cfg.preprocess),
-                         jobs=args.jobs)
-    X = extract_batch(pre, args.method, jobs=args.jobs)
+    pre = preprocess_all(images, Preprocessor(**cfg.preprocess))
+    X = extract_batch(pre, args.method)
     os.makedirs(args.out, exist_ok=True)
-    path = feature_cache_path(args.out, source, args.method, {})
+    path = feature_cache_file(args.out, cfg, source, args.method)
     save_feature_cache(path, X, labels)
     print(f"cached {X.shape[0]} x {X.shape[1]} {args.method} features "
           f"at {path}")

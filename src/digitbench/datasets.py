@@ -12,20 +12,20 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ParameterError, ParseError, ShapeError, SplitError
-from .imaging import Preprocessor, _sample_bilinear, gaussian_blur
+from .base import IMAGE_BLOCK
+from .imaging import Preprocessor, _blur, _sample_bilinear
 
 LABEL_FIRST = "label_first"
 LABEL_LAST = "label_last"
 SCHEMAS = (LABEL_FIRST, LABEL_LAST)
 
 N_CLASSES = 10
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 
 
 @dataclass
@@ -147,28 +147,14 @@ def load_csv(path, schema: str = LABEL_FIRST, side: int = 28):
     return pixels.reshape(-1, side, side), labels.astype(np.int64)
 
 
-def preprocess_all(images, pre: Preprocessor | None = None,
-                   jobs: int = 1) -> np.ndarray:
+def preprocess_all(images, pre: Preprocessor | None = None) -> np.ndarray:
     """Run the imaging pipeline over a batch, order preserved.
 
-    Failures carry the image index. ``jobs`` > 1 fans out per image; the
-    result is identical at any parallelism.
+    A failure names the offending image's index.
     """
     if pre is None:
         pre = Preprocessor()
-    if int(jobs) <= 1:
-        return pre.transform(images)
-
-    def one(pair):
-        i, img = pair
-        try:
-            return pre.transform_one(np.asarray(img, dtype=np.float64))
-        except (ShapeError, ParameterError) as exc:
-            raise type(exc)(f"image {i}: {exc}") from exc
-
-    with ThreadPoolExecutor(max_workers=int(jobs)) as pool:
-        out = list(pool.map(one, enumerate(images)))
-    return np.stack(out)
+    return pre.transform(images)
 
 
 def split_indices(labels, spec: SplitSpec):
@@ -254,14 +240,16 @@ def glyph_template(digit: int, side: int = 28) -> np.ndarray:
     return img
 
 
-def _warp_affine(img: np.ndarray, mat: np.ndarray) -> np.ndarray:
-    """Inverse-map an affine transform about the image centre."""
-    h, w = img.shape
+def _warp_affine(stack: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """Inverse-map each image of a stack by its own (2, 3) affine matrix,
+    about the image centre."""
+    _, h, w = stack.shape
     cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
     yy, xx = np.meshgrid(np.arange(h) - cy, np.arange(w) - cx, indexing="ij")
-    src_y = mat[0, 0] * yy + mat[0, 1] * xx + mat[0, 2] + cy
-    src_x = mat[1, 0] * yy + mat[1, 1] * xx + mat[1, 2] + cx
-    return _sample_bilinear(img, src_y, src_x, fill=0.0)
+    m = mats[:, :, :, None, None]
+    src_y = m[:, 0, 0] * yy + m[:, 0, 1] * xx + m[:, 0, 2] + cy
+    src_x = m[:, 1, 0] * yy + m[:, 1, 1] * xx + m[:, 1, 2] + cx
+    return _sample_bilinear(stack, src_y, src_x, fill=0.0)
 
 
 def synthetic_glyphs(n_samples: int = 2000, seed: int = 0, side: int = 28,
@@ -275,25 +263,30 @@ def synthetic_glyphs(n_samples: int = 2000, seed: int = 0, side: int = 28,
     if int(n_samples) < 1:
         raise ParameterError(f"n_samples must be >= 1, got {n_samples}")
     rng = np.random.default_rng(int(seed))
-    templates = [glyph_template(d, side) for d in range(N_CLASSES)]
+    templates = np.stack([glyph_template(d, side) for d in range(N_CLASSES)])
     labels = np.arange(int(n_samples)) % N_CLASSES
     images = np.empty((int(n_samples), side, side))
-    for i, digit in enumerate(labels):
-        angle = rng.uniform(-0.18, 0.18)
-        shear = rng.uniform(-0.18, 0.18)
-        sy, sx = rng.uniform(0.85, 1.15, size=2)
-        ty, tx = rng.uniform(-2.0, 2.0, size=2)
-        cos, sin = np.cos(angle), np.sin(angle)
-        # inverse map: rotation+shear composed with per-axis scale, then shift
-        mat = np.array([[cos / sy, -sin / sy, ty],
-                        [(sin + shear * cos) / sx,
-                         (cos - shear * sin) / sx, tx]])
-        img = _warp_affine(templates[digit], mat)
-        img = gaussian_blur(img, 0.6)
-        contrast = rng.uniform(0.55, 1.0)
-        brightness = rng.uniform(0.0, 0.15)
-        img = contrast * img + brightness + rng.normal(0.0, noise, img.shape)
-        images[i] = np.clip(img, 0.0, 1.0)
+    for start in range(0, len(labels), IMAGE_BLOCK):
+        digits = labels[start:start + IMAGE_BLOCK]
+        mats, exposure, pixel_noise = [], [], []
+        # draws stay in per-image order, so every seed keeps its images
+        for _ in digits:
+            angle = rng.uniform(-0.18, 0.18)
+            shear = rng.uniform(-0.18, 0.18)
+            sy, sx = rng.uniform(0.85, 1.15, size=2)
+            ty, tx = rng.uniform(-2.0, 2.0, size=2)
+            cos, sin = np.cos(angle), np.sin(angle)
+            # inverse map: rotation+shear composed with per-axis scale,
+            # then shift
+            mats.append([[cos / sy, -sin / sy, ty],
+                         [(sin + shear * cos) / sx,
+                          (cos - shear * sin) / sx, tx]])
+            exposure.append((rng.uniform(0.55, 1.0), rng.uniform(0.0, 0.15)))
+            pixel_noise.append(rng.normal(0.0, noise, (side, side)))
+        block = _blur(_warp_affine(templates[digits], np.array(mats)), 0.6)
+        contrast, brightness = np.array(exposure).T[:, :, None, None]
+        images[start:start + IMAGE_BLOCK] = np.clip(
+            contrast * block + brightness + np.array(pixel_noise), 0.0, 1.0)
     return images, labels.astype(np.int64)
 
 
@@ -335,11 +328,14 @@ def save_feature_cache(path, features: np.ndarray, labels: np.ndarray):
              labels=labels)
 
 
-def load_feature_cache(path):
-    """(features, labels) or None when absent or from another version."""
+def load_feature_cache(path, labels=None):
+    """(features, labels), or None when absent, from another version, or,
+    given ``labels``, stored for a different row count or labelling."""
     if not os.path.exists(path):
         return None
     with np.load(path, allow_pickle=False) as data:
         if "version" not in data or int(data["version"]) != CACHE_VERSION:
+            return None
+        if labels is not None and not np.array_equal(data["labels"], labels):
             return None
         return data["features"], data["labels"]

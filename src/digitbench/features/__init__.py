@@ -1,20 +1,19 @@
 """Feature descriptors: HOG, LBP, Gabor, and raw pixels.
 
 ``extract`` dispatches one image through a named extractor and tags the
-result; ``extract_batch`` fans a batch out across worker threads (each image
-is processed independently, so the output is the same at any parallelism).
+result; ``extract_batch`` runs a whole batch through it. Every extractor
+works on (n, H, W) image stacks, a block of images at a time, and each image
+is processed independently, so a row never depends on the rest of the batch.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..base import Estimator, TransformerMixin
 from ..errors import ParameterError, ShapeError
-from ..validation import check_image_batch
 from .gabor import GaborDescriptor, bandwidth_sigma, convolve2d_reflect, gabor_kernel
 from .hog import HogDescriptor, image_gradients
 from .lbp import LbpDescriptor, ring_offsets
@@ -30,12 +29,8 @@ METHODS = (HOG, LBP, GABOR, RAW)
 class RawDescriptor(Estimator, TransformerMixin):
     """Identity feature: each image flattened to a pixel vector."""
 
-    def transform_one(self, img) -> np.ndarray:
-        return np.asarray(img, dtype=np.float64).ravel()
-
-    def transform(self, X) -> np.ndarray:
-        images = check_image_batch(X)
-        return np.stack([img.ravel() for img in images])
+    def _transform_stack(self, stack: np.ndarray) -> np.ndarray:
+        return stack.reshape(len(stack), -1)
 
 
 _DESCRIPTORS = {
@@ -91,17 +86,9 @@ def extract(img, method: str, params=None) -> FeatureVector:
     return FeatureVector(desc.transform_one(img), method)
 
 
-def extract_batch(images, method: str, params=None, jobs: int = 1) -> np.ndarray:
-    """Feature matrix (n_images, dim) for a batch, optionally multithreaded."""
-    desc = make_descriptor(method, params)
-    images = check_image_batch(images)
-    if jobs is None or jobs < 1:
-        raise ParameterError(f"jobs must be >= 1, got {jobs}")
-    if jobs == 1 or len(images) <= 1:
-        return np.stack([desc.transform_one(img) for img in images])
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        rows = list(pool.map(desc.transform_one, images))
-    return np.stack(rows)
+def extract_batch(images, method: str, params=None) -> np.ndarray:
+    """Feature matrix (n_images, dim) for a batch."""
+    return make_descriptor(method, params).transform(images)
 
 
 __all__ = [

@@ -13,7 +13,7 @@ import numpy as np
 
 from ..base import Estimator, TransformerMixin
 from ..errors import ParameterError
-from ..validation import check_image, check_image_batch
+from ..validation import check_image
 
 
 def bandwidth_sigma(frequency: float, bandwidth: float) -> float:
@@ -42,18 +42,22 @@ def gabor_kernel(frequency: float = 0.9, theta: float = 0.0,
 
 
 def convolve2d_reflect(img: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """Same-size 2-D convolution with reflect padding."""
+    """Same-size 2-D convolution with reflect padding.
+
+    Convolves one (H, W) image or every image of a stack (..., H, W).
+    """
     kh, kw = kernel.shape
     ry, rx = kh // 2, kw // 2
-    padded = np.pad(img, ((ry, ry), (rx, rx)), mode="reflect")
+    lead = ((0, 0),) * (img.ndim - 2)
+    padded = np.pad(img, lead + ((ry, ry), (rx, rx)), mode="reflect")
     flipped = kernel[::-1, ::-1]
-    h, w = img.shape
-    out = np.zeros((h, w), dtype=np.float64)
+    h, w = img.shape[-2:]
+    out = np.zeros(img.shape, dtype=np.float64)
     for i in range(kh):
         for j in range(kw):
             weight = flipped[i, j]
             if weight != 0.0:
-                out += weight * padded[i:i + h, j:j + w]
+                out += weight * padded[..., i:i + h, j:j + w]
     return out
 
 
@@ -84,9 +88,6 @@ class GaborDescriptor(Estimator, TransformerMixin):
         img = check_image(img)
         return convolve2d_reflect(img, self.kernel().real)
 
-    def transform_one(self, img) -> np.ndarray:
-        return self.response(img).ravel()
-
-    def transform(self, X) -> np.ndarray:
-        images = check_image_batch(X)
-        return np.stack([self.transform_one(img) for img in images])
+    def _transform_stack(self, stack: np.ndarray) -> np.ndarray:
+        return convolve2d_reflect(stack, self.kernel().real).reshape(
+            len(stack), -1)

@@ -12,25 +12,28 @@ import numpy as np
 
 from ..base import Estimator, TransformerMixin
 from ..errors import ParameterError
-from ..validation import check_image, check_image_batch
+from ..validation import check_image
 
 L2_HYS_CLIP = 0.2
 _NORM_EPS = 1e-12
 
 
 def image_gradients(img: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Centered-difference gradients (gx, gy) with replicate borders."""
-    h, w = img.shape
+    """Centered-difference gradients (gx, gy) with replicate borders.
+
+    Works on one (H, W) image or on any stack of them (..., H, W).
+    """
+    h, w = img.shape[-2:]
     gx = np.zeros_like(img)
     gy = np.zeros_like(img)
     if w >= 2:
-        gx[:, 1:-1] = img[:, 2:] - img[:, :-2]
-        gx[:, 0] = img[:, 1] - img[:, 0]
-        gx[:, -1] = img[:, -1] - img[:, -2]
+        gx[..., 1:-1] = img[..., 2:] - img[..., :-2]
+        gx[..., 0] = img[..., 1] - img[..., 0]
+        gx[..., -1] = img[..., -1] - img[..., -2]
     if h >= 2:
-        gy[1:-1, :] = img[2:, :] - img[:-2, :]
-        gy[0, :] = img[1, :] - img[0, :]
-        gy[-1, :] = img[-1, :] - img[-2, :]
+        gy[..., 1:-1, :] = img[..., 2:, :] - img[..., :-2, :]
+        gy[..., 0, :] = img[..., 1, :] - img[..., 0, :]
+        gy[..., -1, :] = img[..., -1, :] - img[..., -2, :]
     return gx, gy
 
 
@@ -87,13 +90,15 @@ class HogDescriptor(Estimator, TransformerMixin):
 
         Returns a (cells_y, cells_x, n_bins) array of magnitude-weighted votes.
         """
-        img = check_image(img)
-        h, w = img.shape
+        return self._cell_histograms(check_image(img)[None])[0]
+
+    def _cell_histograms(self, stack: np.ndarray) -> np.ndarray:
+        n, h, w = stack.shape
         cells_y, cells_x = self._check_geometry(h, w)
         cs = int(self.cell_side)
         n_bins = int(self.n_bins)
 
-        gx, gy = image_gradients(img)
+        gx, gy = image_gradients(stack)
         mag = np.hypot(gx, gy)
         period = 2.0 * np.pi if self.signed_gradients else np.pi
         ang = np.mod(np.arctan2(gy, gx), period)
@@ -106,42 +111,44 @@ class HogDescriptor(Estimator, TransformerMixin):
         lo_bin = lower.astype(np.int64) % n_bins
         hi_bin = (lo_bin + 1) % n_bins
 
+        # one bincount for the whole stack: image i owns slots from i * n_slots
         ys, xs = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
-        cell_idx = (ys // cs) * cells_x + (xs // cs)
         n_slots = cells_y * cells_x * n_bins
-        hist = np.bincount((cell_idx * n_bins + lo_bin).ravel(),
-                           weights=(mag * (1.0 - frac)).ravel(), minlength=n_slots)
-        hist += np.bincount((cell_idx * n_bins + hi_bin).ravel(),
-                            weights=(mag * frac).ravel(), minlength=n_slots)
-        return hist.reshape(cells_y, cells_x, n_bins)
+        slot = ((ys // cs) * cells_x + (xs // cs)) * n_bins \
+            + np.arange(n).reshape(n, 1, 1) * n_slots
+        hist = np.bincount((slot + lo_bin).ravel(),
+                           weights=(mag * (1.0 - frac)).ravel(),
+                           minlength=n * n_slots)
+        hist += np.bincount((slot + hi_bin).ravel(),
+                            weights=(mag * frac).ravel(), minlength=n * n_slots)
+        return hist.reshape(n, cells_y, cells_x, n_bins)
 
-    def transform_one(self, img) -> np.ndarray:
-        hist = self.cell_histograms(img)
-        cells_y, cells_x, n_bins = hist.shape
+    def _transform_stack(self, stack: np.ndarray) -> np.ndarray:
+        hist = self._cell_histograms(stack)
+        n, cells_y, cells_x, n_bins = hist.shape
         bs = int(self.block_side)
         stride = int(self.block_stride)
-        blocks_y = (cells_y - bs) // stride + 1
-        blocks_x = (cells_x - bs) // stride + 1
-        out = np.empty(blocks_y * blocks_x * bs * bs * n_bins)
-        size = bs * bs * n_bins
-        pos = 0
-        for by in range(blocks_y):
-            for bx in range(blocks_x):
-                block = hist[by * stride:by * stride + bs,
-                             bx * stride:bx * stride + bs, :].ravel()
-                out[pos:pos + size] = _l2_hys(block)
-                pos += size
-        return out
-
-    def transform(self, X) -> np.ndarray:
-        images = check_image_batch(X)
-        return np.stack([self.transform_one(img) for img in images])
+        first_y = np.arange((cells_y - bs) // stride + 1) * stride
+        first_x = np.arange((cells_x - bs) // stride + 1) * stride
+        cell = np.arange(bs)
+        # (n, blocks_y, blocks_x, bs, bs, n_bins): each block's cells in order
+        blocks = hist[:, (first_y[:, None] + cell)[:, None, :, None],
+                      (first_x[:, None] + cell)[None, :, None, :], :]
+        return _l2_hys(blocks.reshape(-1, bs * bs * n_bins)).reshape(n, -1)
 
 
-def _l2_hys(v: np.ndarray) -> np.ndarray:
-    norm = np.linalg.norm(v)
-    if norm < _NORM_EPS:
-        return np.zeros_like(v)
-    v = v / norm
-    np.minimum(v, L2_HYS_CLIP, out=v)
-    return v / np.linalg.norm(v)
+def _norms(rows: np.ndarray) -> np.ndarray:
+    # one dot per row, the same reduction np.linalg.norm makes for a vector;
+    # a batched einsum or sum sums in another order and changes the last bit
+    return np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0])
+
+
+def _l2_hys(rows: np.ndarray) -> np.ndarray:
+    """L2-Hys of each row: normalize, clip at L2_HYS_CLIP, renormalize."""
+    norm = _norms(rows)
+    blank = norm < _NORM_EPS
+    rows = rows / np.where(blank, 1.0, norm)[:, None]
+    np.minimum(rows, L2_HYS_CLIP, out=rows)
+    rows /= np.where(blank, 1.0, _norms(rows))[:, None]
+    rows[blank] = 0.0
+    return rows

@@ -12,7 +12,7 @@ import numpy as np
 from ..base import Estimator, TransformerMixin
 from ..errors import ParameterError
 from ..imaging import _sample_bilinear
-from ..validation import check_image, check_image_batch
+from ..validation import check_image
 
 MODES = ("flat", "histogram")
 
@@ -53,37 +53,40 @@ class LbpDescriptor(Estimator, TransformerMixin):
 
     def code_image(self, img) -> np.ndarray:
         """Integer code per pixel, shape (h, w); border pixels get 0."""
-        img = check_image(img)
+        return self._codes(check_image(img)[None])[0]
+
+    def _codes(self, stack: np.ndarray) -> np.ndarray:
         p, r = self._check_params()
-        h, w = img.shape
+        _, h, w = stack.shape
         if 2.0 * r >= min(h, w):
             raise ParameterError(
                 f"radius {r} too large for a {h}x{w} image (needs 2*radius < side)")
         dy, dx = ring_offsets(p, r)
 
-        ys, xs = np.meshgrid(np.arange(h, dtype=np.float64),
-                             np.arange(w, dtype=np.float64), indexing="ij")
-        codes = np.zeros((h, w), dtype=np.int64)
-        for k in range(p):
-            sample = _sample_bilinear(img, ys + dy[k], xs + dx[k])
-            codes |= (sample >= img).astype(np.int64) << k
-
-        # ring leaves the image outside the interior band: emit 0 there
+        # only the interior band keeps its ring inside the image; every
+        # other pixel gets code 0, so only the interior is sampled
         lo = int(np.ceil(r))
-        interior = np.zeros((h, w), dtype=bool)
-        interior[lo:h - lo, lo:w - lo] = True
-        codes[~interior] = 0
+        ys, xs = np.meshgrid(np.arange(lo, h - lo, dtype=np.float64),
+                             np.arange(lo, w - lo, dtype=np.float64),
+                             indexing="ij")
+        center = stack[:, lo:h - lo, lo:w - lo]
+        inner = np.zeros(center.shape, dtype=np.int64)
+        for k in range(p):
+            sample = _sample_bilinear(stack, ys + dy[k], xs + dx[k])
+            inner |= (sample >= center).astype(np.int64) << k
+        codes = np.zeros(stack.shape, dtype=np.int64)
+        codes[:, lo:h - lo, lo:w - lo] = inner
         return codes
 
-    def transform_one(self, img) -> np.ndarray:
+    def _transform_stack(self, stack: np.ndarray) -> np.ndarray:
         p, _ = self._check_params()
-        codes = self.code_image(img)
+        codes = self._codes(stack).reshape(len(stack), -1)
         n_codes = 1 << p
         if self.mode == "histogram":
-            hist = np.bincount(codes.ravel(), minlength=n_codes).astype(np.float64)
-            return hist / codes.size
-        return codes.ravel().astype(np.float64) / (n_codes - 1)
-
-    def transform(self, X) -> np.ndarray:
-        images = check_image_batch(X)
-        return np.stack([self.transform_one(img) for img in images])
+            # one bincount for the stack: image i owns bins from i * n_codes
+            offsets = np.arange(len(stack))[:, None] * n_codes
+            hist = np.bincount((codes + offsets).ravel(),
+                               minlength=len(stack) * n_codes)
+            return hist.reshape(len(stack), n_codes).astype(np.float64) \
+                / codes.shape[1]
+        return codes.astype(np.float64) / (n_codes - 1)

@@ -1,6 +1,8 @@
 """Grayscale image preprocessing: conversion, resize, denoise, deskew.
 
-All functions take and return 2-D float64 arrays with intensities in [0, 1].
+The public functions take and return 2-D float64 arrays with intensities in
+[0, 1]; each is a call of the matching stacked kernel on a stack of one, and
+``Preprocessor.transform`` runs those kernels over (n, H, W) image blocks.
 8-bit inputs are expected to be divided by 255 at ingestion (see datasets).
 """
 
@@ -12,7 +14,7 @@ import numpy as np
 
 from .base import Estimator, TransformerMixin
 from .errors import ParameterError, ShapeError
-from .validation import check_image, check_image_batch, check_positive
+from .validation import check_image, check_positive
 
 GRAY_WEIGHTS = (0.299, 0.587, 0.114)  # ITU-R BT.601 luma
 
@@ -35,45 +37,57 @@ def to_grayscale(rgb) -> np.ndarray:
 
 def _sample_bilinear(img: np.ndarray, ys: np.ndarray, xs: np.ndarray,
                      fill: float | None = None) -> np.ndarray:
-    """Sample img at fractional (ys, xs).
+    """Sample every image of an (n, H, W) stack at fractional (ys, xs).
 
-    With fill=None coordinates are clamped to the borders; otherwise samples
-    whose 2x2 support exits the image blend toward ``fill``. The incremental
-    form (base + fraction * difference) is exact for constant neighborhoods.
+    A 2-D image is a stack of one. The coordinate arrays broadcast against
+    the (n, h, w) output: an (h, w) grid is shared by every image, an
+    (n, h, w) one is per image. With fill=None coordinates are clamped to the
+    borders; otherwise samples whose 2x2 support exits the image blend toward
+    ``fill``. The incremental form (base + fraction * difference) is exact
+    for constant neighborhoods.
     """
-    h, w = img.shape
+    if img.ndim == 2:
+        return _sample_bilinear(img[None], ys, xs, fill)[0]
+    n, h, w = img.shape
     if fill is None:
         ys = np.clip(ys, 0.0, h - 1.0)
         xs = np.clip(xs, 0.0, w - 1.0)
-        y0 = np.floor(ys).astype(np.intp)
-        x0 = np.floor(xs).astype(np.intp)
+    y0 = np.floor(ys).astype(np.intp)
+    x0 = np.floor(xs).astype(np.intp)
+    fy = ys - y0
+    fx = xs - x0
+    if fill is None:
         y1 = np.minimum(y0 + 1, h - 1)
         x1 = np.minimum(x0 + 1, w - 1)
-        fy = ys - y0
-        fx = xs - x0
-        v00 = img[y0, x0]
-        v01 = img[y0, x1]
-        v10 = img[y1, x0]
-        v11 = img[y1, x1]
     else:
-        y0 = np.floor(ys).astype(np.intp)
-        x0 = np.floor(xs).astype(np.intp)
-        fy = ys - y0
-        fx = xs - x0
+        # a one-pixel border of fill: every index outside the image clips
+        # onto it, so no mask is needed
+        img = np.pad(img, ((0, 0), (1, 1), (1, 1)), constant_values=fill)
+        y0, x0, y1, x1 = (np.clip(v, 0, lim) for v, lim in (
+            (y0 + 1, h + 1), (x0 + 1, w + 1), (y0 + 2, h + 1),
+            (x0 + 2, w + 1)))
+        h, w = h + 2, w + 2
+    flat = img.reshape(n, h * w)
+    rows = np.arange(n).reshape(n, 1, 1) * (h * w)
 
-        def at(yy, xx):
-            inside = (yy >= 0) & (yy < h) & (xx >= 0) & (xx < w)
-            vals = np.full(yy.shape, fill, dtype=np.float64)
-            vals[inside] = img[yy[inside], xx[inside]]
-            return vals
+    def at(yy, xx):
+        idx = yy * w + xx
+        if idx.ndim == 2:  # one grid for every image
+            return flat[:, idx]
+        return flat.ravel().take(idx + rows)
 
-        v00 = at(y0, x0)
-        v01 = at(y0, x0 + 1)
-        v10 = at(y0 + 1, x0)
-        v11 = at(y0 + 1, x0 + 1)
+    v00, v01, v10, v11 = at(y0, x0), at(y0, x1), at(y1, x0), at(y1, x1)
     top = v00 + fx * (v01 - v00)
     bot = v10 + fx * (v11 - v10)
     return top + fy * (bot - top)
+
+
+def _resize(stack: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
+    _, h, w = stack.shape
+    ys = (np.arange(out_h, dtype=np.float64) + 0.5) * (h / out_h) - 0.5
+    xs = (np.arange(out_w, dtype=np.float64) + 0.5) * (w / out_w) - 0.5
+    yy, xx = np.meshgrid(ys, xs, indexing="ij")
+    return np.clip(_sample_bilinear(stack, yy, xx), 0.0, 1.0)
 
 
 def resize_bilinear(img, out_h: int, out_w: int) -> np.ndarray:
@@ -85,12 +99,7 @@ def resize_bilinear(img, out_h: int, out_w: int) -> np.ndarray:
     img = check_image(img)
     if out_h < 1 or out_w < 1:
         raise ShapeError(f"target dimensions must be >= 1, got {out_h}x{out_w}")
-    h, w = img.shape
-    ys = (np.arange(out_h, dtype=np.float64) + 0.5) * (h / out_h) - 0.5
-    xs = (np.arange(out_w, dtype=np.float64) + 0.5) * (w / out_w) - 0.5
-    yy, xx = np.meshgrid(ys, xs, indexing="ij")
-    out = _sample_bilinear(img, yy, xx, fill=None)
-    return np.clip(out, 0.0, 1.0)
+    return _resize(img[None], out_h, out_w)[0]
 
 
 def gaussian_kernel_1d(sigma: float) -> np.ndarray:
@@ -102,39 +111,62 @@ def gaussian_kernel_1d(sigma: float) -> np.ndarray:
     return kernel / kernel.sum()
 
 
-def gaussian_blur(img, sigma: float) -> np.ndarray:
-    """Separable Gaussian convolution with reflect padding; shape is preserved."""
-    img = check_image(img)
+def _blur(stack: np.ndarray, sigma: float) -> np.ndarray:
     kernel = gaussian_kernel_1d(sigma)
     radius = (len(kernel) - 1) // 2
-    padded = np.pad(img, radius, mode="reflect")
-    h, w = img.shape
+    padded = np.pad(stack, ((0, 0), (radius, radius), (radius, radius)),
+                    mode="reflect")
+    n, h, w = stack.shape
     # columns then rows; a normalized separable kernel keeps constants exact
-    tmp = np.zeros((h + 2 * radius, w), dtype=np.float64)
+    tmp = np.zeros((n, h + 2 * radius, w), dtype=np.float64)
     for k, wk in enumerate(kernel):
-        tmp += wk * padded[:, k:k + w]
-    out = np.zeros((h, w), dtype=np.float64)
+        tmp += wk * padded[:, :, k:k + w]
+    out = np.zeros((n, h, w), dtype=np.float64)
     for k, wk in enumerate(kernel):
-        out += wk * tmp[k:k + h, :]
+        out += wk * tmp[:, k:k + h, :]
     return np.clip(out, 0.0, 1.0)
+
+
+def gaussian_blur(img, sigma: float) -> np.ndarray:
+    """Separable Gaussian convolution with reflect padding; shape is preserved."""
+    return _blur(check_image(img)[None], sigma)[0]
+
+
+def _skew(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-image (mu11/mu02 skew, intensity centroid row) of a stack.
+
+    The skew is 0 for a blank image and for one with no vertical spread.
+    """
+    _, h, w = stack.shape
+    ys = np.arange(h, dtype=np.float64)[:, None]
+    xs = np.arange(w, dtype=np.float64)[None, :]
+    total = stack.sum(axis=(1, 2))
+    inked = total > 1e-12
+    total = np.where(inked, total, 1.0)
+    cy = ((ys * stack).sum(axis=(1, 2)) / total)[:, None, None]
+    cx = ((xs * stack).sum(axis=(1, 2)) / total)[:, None, None]
+    mu11 = ((xs - cx) * (ys - cy) * stack).sum(axis=(1, 2))
+    mu02 = (((ys - cy) ** 2) * stack).sum(axis=(1, 2))
+    spread = inked & (mu02 >= 1e-12)
+    skew = np.where(spread, mu11 / np.where(spread, mu02, 1.0), 0.0)
+    return skew, cy[:, 0, 0]
 
 
 def intensity_skew(img) -> float:
     """Second-order moment skew mu11/mu02 of the intensity distribution."""
-    img = check_image(img)
-    total = img.sum()
-    if total <= 1e-12:
-        return 0.0
-    h, w = img.shape
-    ys = np.arange(h, dtype=np.float64)[:, None]
-    xs = np.arange(w, dtype=np.float64)[None, :]
-    cy = (ys * img).sum() / total
-    cx = (xs * img).sum() / total
-    mu11 = ((xs - cx) * (ys - cy) * img).sum()
-    mu02 = (((ys - cy) ** 2) * img).sum()
-    if mu02 < 1e-12:
-        return 0.0
-    return float(mu11 / mu02)
+    return float(_skew(check_image(img)[None])[0][0])
+
+
+def _deskew(stack: np.ndarray) -> np.ndarray:
+    skew, cy = _skew(stack)
+    _, h, w = stack.shape
+    yy, xx = np.meshgrid(np.arange(h, dtype=np.float64),
+                         np.arange(w, dtype=np.float64), indexing="ij")
+    src_x = xx + skew[:, None, None] * (yy - cy[:, None, None])
+    out = np.clip(_sample_bilinear(stack, yy, src_x, fill=0.0), 0.0, 1.0)
+    unskewed = skew == 0.0
+    out[unskewed] = stack[unskewed]
+    return out
 
 
 def deskew(img) -> np.ndarray:
@@ -144,19 +176,7 @@ def deskew(img) -> np.ndarray:
     positive skew shears columns one way, negative the other. Resampling is
     bilinear with zero fill; an all-zero image passes through unchanged.
     """
-    img = check_image(img)
-    skew = intensity_skew(img)
-    if skew == 0.0:
-        return img.copy()
-    h, w = img.shape
-    total = img.sum()
-    ys = np.arange(h, dtype=np.float64)[:, None]
-    cy = (ys * img).sum() / total
-    yy, xx = np.meshgrid(np.arange(h, dtype=np.float64),
-                         np.arange(w, dtype=np.float64), indexing="ij")
-    src_x = xx + skew * (yy - cy)
-    out = _sample_bilinear(img, yy, src_x, fill=0.0)
-    return np.clip(out, 0.0, 1.0)
+    return _deskew(check_image(img)[None])[0]
 
 
 class Preprocessor(Estimator, TransformerMixin):
@@ -177,22 +197,8 @@ class Preprocessor(Estimator, TransformerMixin):
             raise ParameterError(f"target_side must be >= 8, got {self.target_side}")
         check_positive(self.gaussian_sigma, "gaussian_sigma")
 
-    def transform_one(self, img) -> np.ndarray:
+    def _transform_stack(self, stack: np.ndarray) -> np.ndarray:
         self._check_params()
         side = int(self.target_side)
-        out = resize_bilinear(img, side, side)
-        out = gaussian_blur(out, self.gaussian_sigma)
-        if self.deskew_enabled:
-            out = deskew(out)
-        return out
-
-    def transform(self, images) -> np.ndarray:
-        self._check_params()
-        batch = check_image_batch(images)
-        out = np.empty((len(batch), int(self.target_side), int(self.target_side)))
-        for i, img in enumerate(batch):
-            try:
-                out[i] = self.transform_one(img)
-            except (ShapeError, ParameterError) as exc:
-                raise type(exc)(f"image {i}: {exc}") from exc
-        return out
+        out = _blur(_resize(stack, side, side), self.gaussian_sigma)
+        return _deskew(out) if self.deskew_enabled else out

@@ -26,13 +26,38 @@ def check_image(img, name: str = "image") -> np.ndarray:
     return arr
 
 
-def check_image_batch(images, name: str = "images") -> list[np.ndarray]:
-    """Validate a batch given as an (n, H, W) array or a sequence of 2-D arrays."""
-    if isinstance(images, np.ndarray) and images.ndim == 3:
-        return [check_image(images[i], f"{name}[{i}]") for i in range(images.shape[0])]
+def check_image_batch(images, name: str = "images"):
+    """Validate a batch given as an (n, H, W) array or a sequence of 2-D arrays.
+
+    Returns ``(rows, stack)`` pairs, one per distinct image shape in order of
+    first appearance: ``stack`` holds the float64 images at input positions
+    ``rows``. Finiteness and the [0, 1] range are checked once per stack; the
+    offending image is only looked for when that check fails.
+    """
     if isinstance(images, np.ndarray):
-        raise ShapeError(f"{name} array must be 3-D (n, H, W), got shape {images.shape}")
-    return [check_image(img, f"{name}[{i}]") for i, img in enumerate(images)]
+        if images.ndim != 3:
+            raise ShapeError(
+                f"{name} array must be 3-D (n, H, W), got shape {images.shape}")
+        groups = [(np.arange(images.shape[0]), images)]
+    else:
+        images = [np.asarray(img, dtype=np.float64) for img in images]
+        by_shape: dict = {}
+        for i, img in enumerate(images):
+            by_shape.setdefault(img.shape, []).append(i)
+        groups = [(np.array(rows), np.stack([images[i] for i in rows]))
+                  for rows in by_shape.values()]
+    checked = []
+    for rows, stack in groups:
+        if not len(rows):
+            continue
+        stack = np.asarray(stack, dtype=np.float64)
+        # a NaN makes min and max NaN and fails both comparisons
+        if stack.ndim != 3 or 0 in stack.shape[1:] \
+                or not (stack.min() >= 0.0 and stack.max() <= 1.0):
+            for row, img in zip(rows, stack):
+                check_image(img, f"{name}[{row}]")
+        checked.append((rows, stack))
+    return checked
 
 
 def check_matrix(X, name: str = "X", expected_cols: int | None = None) -> np.ndarray:

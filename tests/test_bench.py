@@ -8,7 +8,10 @@ from digitbench.bench import (best_cells, emit_report, format_cells_csv,
                               format_markdown, format_plot_csv, run_grid)
 from digitbench.config import (RunConfig, coerce_scalar, config_from_mapping,
                                load_config, parse_config_text)
-from digitbench.datasets import SplitSpec, synthetic_glyphs
+from digitbench.datasets import (SplitSpec, load_feature_cache,
+                                 preprocess_all, synthetic_glyphs)
+from digitbench.features import extract_batch
+from digitbench.imaging import Preprocessor
 
 
 def small_cfg(**overrides):
@@ -169,6 +172,24 @@ class TestRunGrid:
                                     classifiers=[("knn", {"k": 1})]))
         assert sorted(os.listdir(cache)) == files
         assert (format_cells_csv(first) == format_cells_csv(second))
+
+    def test_cache_keyed_on_preprocessing(self, tmp_path):
+        # a shared cache must not hand deskewed features to a run that
+        # turned deskewing off
+        cache = tmp_path / "cache"
+        for deskew in (True, False):
+            run_grid(small_cfg(synthetic="glyphs", samples=40,
+                               cache_dir=str(cache), features=[("hog", {})],
+                               classifiers=[("knn", {"k": 1})],
+                               preprocess={"deskew_enabled": deskew}))
+        files = sorted(os.listdir(cache))
+        assert len(files) == 2
+        on, off = (load_feature_cache(cache / f)[0] for f in files)
+        assert not np.array_equal(on, off)
+        images, _ = synthetic_glyphs(40, seed=0)
+        expect = extract_batch(
+            preprocess_all(images, Preprocessor(deskew_enabled=False)), "hog")
+        assert any(np.array_equal(X, expect) for X in (on, off))
 
 
 class TestReports:

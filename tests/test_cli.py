@@ -3,6 +3,7 @@ import os
 import numpy as np
 import pytest
 
+from digitbench import bench
 from digitbench.classify import make_classifier
 from digitbench.classify.io import save_model
 from digitbench.cli import main
@@ -98,6 +99,26 @@ class TestOtherVerbs:
                      "--method", "lbp", "--out", str(out_dir)]) == 0
         assert "cached 20 x 784 lbp features" in capsys.readouterr().out
         assert len(os.listdir(out_dir)) == 1
+
+    def test_extract_then_bench_hits_cache(self, tmp_path, monkeypatch):
+        # the extract verb's defaults and a bench run with default hog
+        # parameters share one cache file, so the bench needs no images
+        cache = tmp_path / "cache"
+        assert main(["extract", "--synthetic", "glyphs", "--samples", "40",
+                     "--method", "hog", "--out", str(cache)]) == 0
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("dataset.synthetic = glyphs\ndataset.samples = 40\n"
+                       "features = hog\nclassifiers = knn\n"
+                       f"output.dir = {tmp_path / 'out'}\n"
+                       f"output.cache_dir = {cache}\n")
+
+        def no_preprocessing(*args, **kwargs):
+            raise AssertionError("preprocessed despite a warm cache")
+
+        monkeypatch.setattr(bench, "preprocess_all", no_preprocessing)
+        monkeypatch.setattr(bench, "extract_batch", no_preprocessing)
+        assert main(["bench", "--config", str(cfg)]) == 0
+        assert len(os.listdir(cache)) == 1
 
     def test_inspect_model(self, tmp_path, capsys):
         rng = np.random.default_rng(0)

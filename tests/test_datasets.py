@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from digitbench import ParameterError, ParseError, ShapeError, SplitError
+from digitbench.base import IMAGE_BLOCK
 from digitbench.datasets import (LABEL_FIRST, LABEL_LAST, LabeledDataset,
                                  SplitSpec, feature_cache_path, file_digest,
                                  glyph_template, load_csv,
@@ -192,17 +193,25 @@ class TestPreprocessAll:
         out = preprocess_all(images, pre)
         assert out == pytest.approx(images, abs=1e-12)
 
-    def test_jobs_do_not_change_output(self):
+    def test_blocks_do_not_change_output(self):
+        # more images than one processing block; every row must equal its
+        # image run alone, wherever the block boundaries fall
         rng = np.random.default_rng(3)
-        images = rng.random((8, 30, 30))
-        a = preprocess_all(images, jobs=1)
-        b = preprocess_all(images, jobs=4)
-        assert a.tobytes() == b.tobytes()
+        images = rng.random((IMAGE_BLOCK + 9, 30, 30))
+        pre = Preprocessor()
+        out = preprocess_all(images, pre)
+        for i in range(len(images)):
+            assert out[i].tobytes() == pre.transform_one(images[i]).tobytes()
+        assert out[5:].tobytes() == preprocess_all(images[5:], pre).tobytes()
 
     def test_error_names_image_index(self):
-        images = [np.zeros((10, 10)), np.full((10, 10), 2.0)]
-        with pytest.raises(ShapeError, match="image 1"):
-            preprocess_all(images, jobs=2)
+        images = [np.zeros((10, 10))] * (IMAGE_BLOCK + 3)
+        images[IMAGE_BLOCK + 1] = np.full((10, 10), 2.0)
+        with pytest.raises(ShapeError, match=rf"images\[{IMAGE_BLOCK + 1}\]"):
+            preprocess_all(images)
+        images[IMAGE_BLOCK + 1] = np.full((10, 10), np.nan)
+        with pytest.raises(ShapeError, match="non-finite"):
+            preprocess_all(np.stack(images))
 
 
 class TestSynthetic:
@@ -255,6 +264,14 @@ class TestFeatureCache:
         assert feature_cache_path(tmp_path, "d1", "hog",
                                   {"cell_side": 7}) != base
         assert feature_cache_path(tmp_path, "d1", "hog", {}) == base
+
+    def test_other_labels_miss(self, tmp_path):
+        path = tmp_path / "c.npz"
+        y = np.arange(6) % 3
+        save_feature_cache(path, np.zeros((6, 2)), y)
+        assert load_feature_cache(path, y) is not None
+        assert load_feature_cache(path, y[::-1]) is None
+        assert load_feature_cache(path, y[:5]) is None
 
     def test_missing_or_foreign_version(self, tmp_path):
         assert load_feature_cache(tmp_path / "absent.npz") is None

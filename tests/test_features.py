@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from digitbench import ParameterError, ShapeError
+from digitbench.base import IMAGE_BLOCK
 from digitbench.features import (
     FeatureVector,
     GaborDescriptor,
@@ -346,15 +347,16 @@ class TestDispatch:
         fv = extract(img, "hog", {"cell_side": 7})
         assert fv.dim == HogDescriptor(cell_side=7).output_dim(28, 28)
 
-    def test_batch_matches_single_any_jobs(self):
+    def test_batch_matches_single_across_blocks(self):
+        # more images than one processing block: each row equals the image
+        # run alone, so no row depends on where the block boundaries fall
         rng = np.random.default_rng(22)
-        imgs = rng.random((6, 28, 28))
-        one = extract_batch(imgs, "hog", jobs=1)
-        four = extract_batch(imgs, "hog", jobs=4)
-        assert one.shape == (6, 1296)
-        assert one.tobytes() == four.tobytes()
-        for i in range(6):
-            assert np.array_equal(one[i], HogDescriptor().transform_one(imgs[i]))
+        imgs = rng.random((IMAGE_BLOCK + 6, 28, 28))
+        for method in ("hog", "lbp", "gabor", "raw"):
+            X = extract_batch(imgs, method)
+            desc = make_descriptor(method)
+            for i in range(len(imgs)):
+                assert X[i].tobytes() == desc.transform_one(imgs[i]).tobytes()
 
     def test_feature_vector_rejects_nonfinite(self):
         with pytest.raises(ShapeError):
