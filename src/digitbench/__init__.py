@@ -20,7 +20,6 @@ from .imaging import (
     gaussian_kernel_1d,
     intensity_skew,
     resize_bilinear,
-    to_grayscale,
 )
 
 __version__ = "0.1.0"
@@ -29,6 +28,5 @@ __all__ = [
     "ClassifierMixin", "Estimator", "TransformerMixin",
     "ParameterError", "ParseError", "ShapeError", "SplitError", "StateError",
     "Preprocessor", "deskew", "gaussian_blur", "gaussian_kernel_1d",
-    "intensity_skew", "resize_bilinear", "to_grayscale",
-    "__version__",
+    "intensity_skew", "resize_bilinear", "__version__",
 ]

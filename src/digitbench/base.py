@@ -2,8 +2,8 @@
 
 Hyperparameters are the __init__ arguments, stored verbatim; fitted state
 lives in trailing-underscore attributes. ``get_params``/``set_params`` follow
-the scikit-learn contract so estimators compose with ecosystem tooling
-(pipelines, cloning, grid search) without depending on it.
+the scikit-learn contract. Feature cache keys and saved model files are
+built from ``get_params()``.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ class TransformerMixin:
     Subclasses implement ``_transform_stack``, which maps a validated float64
     stack to one output row per image. ``transform`` runs it on consecutive
     blocks of IMAGE_BLOCK images, so memory stays bounded as the batch grows;
-    ``transform_one`` runs it on a stack of one. fit is a no-op.
+    ``transform_one`` runs it on a stack of one.
     """
 
     def _transform_stack(self, stack: np.ndarray) -> np.ndarray:
@@ -80,12 +80,6 @@ class TransformerMixin:
         if out is None:
             raise ShapeError("images: the batch is empty")
         return out
-
-    def fit(self, X, y=None):
-        return self
-
-    def fit_transform(self, X, y=None):
-        return self.fit(X, y).transform(X)
 
 
 class ClassifierMixin:

@@ -2,10 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
-
 from ..errors import ParameterError
 from .boosting import GradientBoostingClassifier
 from .forest import RandomForestClassifier
@@ -27,14 +23,6 @@ _CLASSIFIERS = {
 }
 
 
-@dataclass
-class Prediction:
-    """Label plus the per-class score vector that produced it."""
-
-    label: int
-    scores: np.ndarray
-
-
 def make_classifier(kind: str, **params):
     """Build a classifier by kind name with keyword overrides."""
     try:
@@ -52,21 +40,11 @@ def classifier_kind(clf) -> str:
     raise ParameterError(f"unrecognized classifier type {type(clf).__name__}")
 
 
-def predict_one(clf, x) -> Prediction:
-    """Single-sample prediction bundling the label with its score vector."""
-    x = np.asarray(x, dtype=np.float64).reshape(1, -1)
-    scores = clf.predict_scores(x)[0]
-    label = int(clf.classes_[int(np.argmax(scores))])
-    return Prediction(label=label, scores=scores)
-
-
 from .io import load_model, save_model  # noqa: E402  (needs _CLASSIFIERS)
-from .search import expand_grid, grid_search  # noqa: E402
 
 __all__ = [
     "GBDT", "KINDS", "KNN", "RF", "SVM",
-    "GradientBoostingClassifier", "KnnClassifier", "Prediction",
-    "RandomForestClassifier", "SvmClassifier", "classifier_kind",
-    "expand_grid", "grid_search", "load_model", "make_classifier",
-    "predict_one", "save_model",
+    "GradientBoostingClassifier", "KnnClassifier", "RandomForestClassifier",
+    "SvmClassifier", "classifier_kind", "load_model", "make_classifier",
+    "save_model",
 ]

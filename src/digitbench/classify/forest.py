@@ -53,8 +53,10 @@ def best_gini_split(X_cols: np.ndarray, y: np.ndarray, n_classes: int):
     return best
 
 
-def _grow_tree(X: np.ndarray, y: np.ndarray, n_classes: int, max_depth: int,
-               n_candidate_features: int, rng: np.random.Generator) -> Tree:
+def _grow_tree(X: np.ndarray, y: np.ndarray, rows: np.ndarray,
+               n_classes: int, max_depth: int, n_candidate_features: int,
+               rng: np.random.Generator) -> Tree:
+    """One tree grown on the sample ``rows`` of (X, y); repeats allowed."""
     n_features = X.shape[1]
     builder = TreeBuilder(value_dim=n_classes)
 
@@ -79,7 +81,7 @@ def _grow_tree(X: np.ndarray, y: np.ndarray, n_classes: int, max_depth: int,
         builder.set_children(node, left, right)
         return node
 
-    grow(np.arange(X.shape[0]), 0)
+    grow(rows, 0)
     return builder.freeze()
 
 
@@ -130,12 +132,8 @@ class RandomForestClassifier(Estimator, ClassifierMixin):
         trees = []
         for t in range(int(self.n_trees)):
             rng = np.random.default_rng([int(self.seed), t])
-            if self.bootstrap:
-                rows = rng.integers(0, n, n)
-                sample_X, sample_y = X[rows], y_idx[rows]
-            else:
-                sample_X, sample_y = X, y_idx
-            trees.append(_grow_tree(sample_X, sample_y, n_classes,
+            rows = rng.integers(0, n, n) if self.bootstrap else np.arange(n)
+            trees.append(_grow_tree(X, y_idx, rows, n_classes,
                                     int(self.max_depth), n_candidates, rng))
         self.trees_ = trees
         return self

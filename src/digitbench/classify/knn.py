@@ -72,17 +72,17 @@ class KnnClassifier(Estimator, ClassifierMixin):
         ranked = self._neighbor_order(Q)
         n_classes = self.classes_.shape[0]
         labels = self._y_idx[ranked]  # (nq, k)
-        scores = np.zeros((Q.shape[0], n_classes))
-        for i in range(Q.shape[0]):
-            votes = np.bincount(labels[i], minlength=n_classes).astype(np.float64)
-            # the bonus is < 1, so it only separates classes with equal votes;
-            # a class's best (lowest) rank is unique, making the argmax the
-            # tied class with the closest nearest member
-            for rank in range(k - 1, -1, -1):
-                votes[labels[i, rank]] = np.floor(votes[labels[i, rank]]) \
-                    + (k - rank) / (k + 1.0)
-            scores[i] = votes
-        return scores
+        rows = np.arange(Q.shape[0])
+        votes = np.zeros((Q.shape[0], n_classes))
+        bonus = np.zeros_like(votes)
+        # the bonus is < 1, so it only separates classes with equal votes;
+        # walking ranks from last to first leaves each class the bonus of its
+        # best (lowest, unique) rank, making the argmax the tied class with
+        # the closest nearest member
+        for rank in range(k - 1, -1, -1):
+            votes[rows, labels[:, rank]] += 1.0
+            bonus[rows, labels[:, rank]] = (k - rank) / (k + 1.0)
+        return votes + bonus
 
     def predict(self, X) -> np.ndarray:
         scores = self.predict_scores(X)

@@ -27,15 +27,6 @@ from .features import METHODS
 
 SYNTHETIC_SETS = ("glyphs", "squares")
 
-_TOP_KEYS = ("features", "classifiers", "jobs", "raw_baseline")
-_SECTIONS = ("dataset", "preprocess", "split", "feature", "classifier",
-             "output")
-_DATASET_KEYS = ("path", "test_path", "schema", "side", "synthetic",
-                 "samples")
-_PREPROCESS_KEYS = ("target_side", "gaussian_sigma", "deskew")
-_SPLIT_KEYS = ("train_fraction", "seed", "stratified")
-_OUTPUT_KEYS = ("dir", "cache_dir")
-
 
 @dataclass
 class RunConfig:
@@ -128,88 +119,76 @@ def parse_config_text(text: str) -> dict:
     return out
 
 
-def _as_list(value) -> list:
-    return list(value) if isinstance(value, list) else [value]
+def _names(value) -> list:
+    """A feature or classifier list: names in order, no parameters yet."""
+    return [(str(v), {}) for v in (value if isinstance(value, list)
+                                   else [value])]
+
+
+def _attr(name: str, convert):
+    return lambda cfg, value: setattr(cfg, name, convert(value))
+
+
+def _preprocess(name: str):
+    return lambda cfg, value: cfg.preprocess.update({name: value})
+
+
+def _split(name: str, convert=lambda value: value):
+    return lambda cfg, value: setattr(cfg.split, name, convert(value))
+
+
+# every fixed key and where its value goes; besides these, only
+# feature.<method>.<param> and classifier.<kind>.<param> are accepted
+_KEYS = {
+    "features": _attr("features", _names),
+    "classifiers": _attr("classifiers", _names),
+    "jobs": _attr("jobs", int),
+    "raw_baseline": _attr("raw_baseline", bool),
+    "dataset.path": _attr("dataset_path", str),
+    "dataset.test_path": _attr("test_path", str),
+    "dataset.schema": _attr("schema", str),
+    "dataset.side": _attr("side", int),
+    "dataset.synthetic": _attr("synthetic", str),
+    "dataset.samples": _attr("samples", int),
+    "preprocess.target_side": _preprocess("target_side"),
+    "preprocess.gaussian_sigma": _preprocess("gaussian_sigma"),
+    "preprocess.deskew": _preprocess("deskew_enabled"),
+    "split.train_fraction": _split("train_fraction"),
+    "split.seed": _split("seed"),
+    "split.stratified": _split("stratified", bool),
+    "output.dir": _attr("out_dir", str),
+    "output.cache_dir": _attr("cache_dir", str),
+}
 
 
 def config_from_mapping(pairs: dict) -> RunConfig:
     """Build and validate a RunConfig from parsed dotted keys."""
     cfg = RunConfig()
-    feature_params: dict[str, dict] = {}
-    classifier_params: dict[str, dict] = {}
-    feature_order = [m for m, _ in cfg.features]
-    classifier_order = [k for k, _ in cfg.classifiers]
+    params: dict[str, dict[str, dict]] = {"feature": {}, "classifier": {}}
 
     for key, value in pairs.items():
         parts = key.split(".")
-        head = parts[0]
-        if head not in _TOP_KEYS and head not in _SECTIONS:
+        if key in _KEYS:
+            _KEYS[key](cfg, value)
+        elif len(parts) == 3 and parts[0] in params:
+            params[parts[0]].setdefault(parts[1], {})[parts[2]] = value
+        else:
             raise ParseError(f"unknown config key {key!r}")
-        if head == "features":
-            feature_order = [str(v) for v in _as_list(value)]
-        elif head == "classifiers":
-            classifier_order = [str(v) for v in _as_list(value)]
-        elif head == "jobs":
-            cfg.jobs = int(value)
-        elif head == "raw_baseline":
-            cfg.raw_baseline = bool(value)
-        elif head == "dataset":
-            if len(parts) != 2 or parts[1] not in _DATASET_KEYS:
-                raise ParseError(f"unknown config key {key!r}")
-            name = parts[1]
-            if name == "path":
-                cfg.dataset_path = str(value)
-            elif name == "test_path":
-                cfg.test_path = str(value)
-            elif name == "schema":
-                cfg.schema = str(value)
-            elif name == "side":
-                cfg.side = int(value)
-            elif name == "synthetic":
-                cfg.synthetic = str(value)
-            elif name == "samples":
-                cfg.samples = int(value)
-        elif head == "preprocess":
-            if len(parts) != 2 or parts[1] not in _PREPROCESS_KEYS:
-                raise ParseError(f"unknown config key {key!r}")
-            name = "deskew_enabled" if parts[1] == "deskew" else parts[1]
-            cfg.preprocess[name] = value
-        elif head == "split":
-            if len(parts) != 2 or parts[1] not in _SPLIT_KEYS:
-                raise ParseError(f"unknown config key {key!r}")
-            setattr(cfg.split, parts[1],
-                    bool(value) if parts[1] == "stratified" else value)
-        elif head == "feature":
-            if len(parts) != 3:
-                raise ParseError(f"unknown config key {key!r}")
-            feature_params.setdefault(parts[1], {})[parts[2]] = value
-        elif head == "classifier":
-            if len(parts) != 3:
-                raise ParseError(f"unknown config key {key!r}")
-            classifier_params.setdefault(parts[1], {})[parts[2]] = value
-        elif head == "output":
-            if len(parts) != 2 or parts[1] not in _OUTPUT_KEYS:
-                raise ParseError(f"unknown config key {key!r}")
-            if parts[1] == "dir":
-                cfg.out_dir = str(value)
-            else:
-                cfg.cache_dir = str(value)
 
-    for name in feature_params:
-        if name not in feature_order:
-            raise ParseError(
-                f"feature.{name} configured but {name!r} is not in the "
-                f"feature list")
-    for name in classifier_params:
-        if name not in classifier_order:
-            raise ParseError(
-                f"classifier.{name} configured but {name!r} is not in the "
-                f"classifier list")
+    order = {"feature": [m for m, _ in cfg.features],
+             "classifier": [k for k, _ in cfg.classifiers]}
+    for section, names in params.items():
+        for name in names:
+            if name not in order[section]:
+                raise ParseError(
+                    f"{section}.{name} configured but {name!r} is not in "
+                    f"the {section} list")
     cfg.split = SplitSpec(cfg.split.train_fraction, cfg.split.seed,
                           cfg.split.stratified)
-    cfg.features = [(m, feature_params.get(m, {})) for m in feature_order]
-    cfg.classifiers = [(k, classifier_params.get(k, {}))
-                       for k in classifier_order]
+    cfg.features = [(m, params["feature"].get(m, {}))
+                    for m in order["feature"]]
+    cfg.classifiers = [(k, params["classifier"].get(k, {}))
+                       for k in order["classifier"]]
     return cfg.validate()
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, ParseError, ShapeError, SplitError
+from .errors import ParameterError, ParseError, SplitError
 from .base import IMAGE_BLOCK
 from .imaging import Preprocessor, _blur, _sample_bilinear
 
@@ -26,34 +26,6 @@ SCHEMAS = (LABEL_FIRST, LABEL_LAST)
 
 N_CLASSES = 10
 CACHE_VERSION = 2
-
-
-@dataclass
-class LabeledDataset:
-    """Feature matrix plus aligned labels and provenance tags."""
-
-    features: np.ndarray
-    labels: np.ndarray
-    source: str = "unknown"
-    feature_method: str = "raw"
-
-    def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
-        if self.features.ndim != 2:
-            raise ShapeError(
-                f"features must be 2-D, got shape {self.features.shape}")
-        if self.labels.ndim != 1 or self.labels.shape[0] != self.features.shape[0]:
-            raise ShapeError(
-                f"labels must align with feature rows: {self.labels.shape} "
-                f"vs {self.features.shape}")
-        if self.labels.size and not (0 <= self.labels.min()
-                                     and self.labels.max() < N_CLASSES):
-            raise ShapeError(f"labels must lie in [0, {N_CLASSES})")
-
-    @property
-    def n_samples(self) -> int:
-        return self.features.shape[0]
 
 
 @dataclass
@@ -186,18 +158,6 @@ def split_indices(labels, spec: SplitSpec):
         test_parts.append(perm[n_train:])
     return (np.sort(np.concatenate(train_parts)),
             np.sort(np.concatenate(test_parts)))
-
-
-def split(ds: LabeledDataset, spec: SplitSpec):
-    """Partition a dataset into (train, test) per the split spec."""
-    train_idx, test_idx = split_indices(ds.labels, spec)
-
-    def take(idx):
-        return LabeledDataset(ds.features[idx], ds.labels[idx],
-                              source=ds.source,
-                              feature_method=ds.feature_method)
-
-    return take(train_idx), take(test_idx)
 
 
 # seven-segment layout: (row_start, row_stop, col_start, col_stop) on a

@@ -1,4 +1,4 @@
-"""Grayscale image preprocessing: conversion, resize, denoise, deskew.
+"""Grayscale image preprocessing: resize, denoise, deskew.
 
 The public functions take and return 2-D float64 arrays with intensities in
 [0, 1]; each is a call of the matching stacked kernel on a stack of one, and
@@ -15,24 +15,6 @@ import numpy as np
 from .base import Estimator, TransformerMixin
 from .errors import ParameterError, ShapeError
 from .validation import check_image, check_positive
-
-GRAY_WEIGHTS = (0.299, 0.587, 0.114)  # ITU-R BT.601 luma
-
-
-def to_grayscale(rgb) -> np.ndarray:
-    """Convert an (H, W, 3) array with channels in [0, 1] to grayscale luminance."""
-    arr = np.asarray(rgb, dtype=np.float64)
-    if arr.ndim != 3 or arr.shape[2] != 3:
-        raise ShapeError(f"expected an (H, W, 3) array, got shape {arr.shape}")
-    if arr.shape[0] < 1 or arr.shape[1] < 1:
-        raise ShapeError("image must have at least one pixel")
-    if arr.min() < 0.0 or arr.max() > 1.0:
-        raise ShapeError("channel values must lie in [0, 1]")
-    r, g, b = GRAY_WEIGHTS
-    # summed in the one association order where the weights total exactly 1.0,
-    # so pure white maps to 1.0 with no rounding residue
-    out = r * arr[:, :, 0] + b * arr[:, :, 2] + g * arr[:, :, 1]
-    return np.clip(out, 0.0, 1.0)
 
 
 def _sample_bilinear(img: np.ndarray, ys: np.ndarray, xs: np.ndarray,

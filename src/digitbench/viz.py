@@ -13,8 +13,8 @@ import os
 
 import numpy as np
 
-from .errors import ParseError, ShapeError
-from .features import GABOR, HOG, LBP, RAW, make_descriptor
+from .errors import ParseError
+from .features import GABOR, HOG, LBP, make_descriptor
 from .imaging import Preprocessor
 from .validation import check_image
 

@@ -66,6 +66,13 @@ class TestConfigFormat:
             config_from_mapping({"dataset.url": "x"})
         with pytest.raises(ParseError, match="unknown config key"):
             config_from_mapping({"split.ratio": 0.5})
+        # top-level keys take no dotted suffix
+        for key, value in [("features.extra", "lbp"), ("jobs.max", 3),
+                           ("classifiers.typo", "svm"),
+                           ("raw_baseline.on", True)]:
+            with pytest.raises(ParseError, match="unknown config key"):
+                config_from_mapping({"dataset.synthetic": "glyphs",
+                                     key: value})
 
     def test_params_for_unlisted_entries_rejected(self):
         with pytest.raises(ParseError, match="not in the feature list"):

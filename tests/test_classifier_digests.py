@@ -1,0 +1,67 @@
+"""Frozen outputs of the random forest and KNN classifiers.
+
+The SHA-256 digests below were recorded on x86-64 with NumPy 2.4, before the
+forest stopped copying its bootstrap sample and KNN stopped voting one query
+at a time. They pin every tree array and every score bit for bit: forests
+with and without bootstrap and at several ``max_features`` values, and KNN on
+an integer grid, where tied distances decide neighbours and votes, for
+p = 1, 2, 3.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from digitbench.classify import KnnClassifier, RandomForestClassifier
+
+
+def sha(*arrays):
+    h = hashlib.sha256()
+    for arr in arrays:
+        h.update(np.ascontiguousarray(arr).tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("params, tree_digest, score_digest", [
+    ({},
+     "71663a7c8d0d213f7d2aed296a6709c111715243d67318670cc83b3062531c3e",
+     "3fc5b90a6fdbfe2fea05a6f3251ddcbd8ba101b80983d37bd0d19acb32e2301a"),
+    ({"bootstrap": False, "max_features": None},
+     "3c163c9f443a7e7cd5a8770052f9258475effe7701cafdb1105bd6afa840df68",
+     "4007d72d5514e05515da0aa0de17d419fa0c944ecf5aff8a179291b99e172863"),
+    ({"max_features": 5},
+     "b30f02a823958004ee5b318f566817c63407091f70cf0b1add78322731a0d7c2",
+     "68befc33377c0f34eb02aedc328b97eba8648416f89c3e25e2a0c4e28267b25e"),
+    ({"bootstrap": False, "max_features": 5},
+     "b39b940c6687ea468dca29fe7e16a882c65399efb159de81a673c45ea27b60b9",
+     "8874e127a7c6ec863273e6ba47b69c9e9b8f9e6f0fbaa4e4c3013d5dcb2ce011"),
+])
+def test_forest_unchanged(params, tree_digest, score_digest):
+    # four columns of repeated values give tied sort keys and thresholds
+    rng = np.random.default_rng(5)
+    X = rng.random((120, 12))
+    X[:, :4] = np.round(X[:, :4] * 4)
+    y = rng.integers(0, 4, 120) * 3
+    Q = rng.random((60, 12))
+    Q[:, :4] = np.round(Q[:, :4] * 4)
+    clf = RandomForestClassifier(n_trees=4, max_depth=6, seed=3,
+                                 **params).fit(X, y)
+    assert sha(*(arr for t in clf.trees_ for arr in
+                 (t.feature, t.threshold, t.left, t.right, t.value))) \
+        == tree_digest
+    assert sha(clf.predict_scores(Q)) == score_digest
+
+
+@pytest.mark.parametrize("p, digest", [
+    (1, "dfcc113dda0661c04f15f041d5a1815368595afae1cf3ecf6af164ea8f6d1130"),
+    (2, "287c8ab4f7f0890d788fca5854969e661a8d6310304893ceb20291a944984be0"),
+    (3, "228253f699fbc81601f64afd18c34112a6eaa43b0d73a434930e4192936c55d4"),
+])
+def test_knn_scores_unchanged(p, digest):
+    rng = np.random.default_rng(6)
+    X = rng.integers(0, 6, (40, 3)).astype(float)
+    y = rng.integers(0, 5, 40)
+    Q = rng.integers(0, 6, (60, 3)).astype(float)
+    clf = KnnClassifier(k=7, minkowski_p=p).fit(X, y)
+    assert sha(clf.predict_scores(Q)) == digest

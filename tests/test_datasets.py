@@ -3,11 +3,11 @@ import pytest
 
 from digitbench import ParameterError, ParseError, ShapeError, SplitError
 from digitbench.base import IMAGE_BLOCK
-from digitbench.datasets import (LABEL_FIRST, LABEL_LAST, LabeledDataset,
-                                 SplitSpec, feature_cache_path, file_digest,
+from digitbench.datasets import (LABEL_FIRST, LABEL_LAST, SplitSpec,
+                                 feature_cache_path, file_digest,
                                  glyph_template, load_csv,
                                  load_feature_cache, preprocess_all,
-                                 save_feature_cache, split, split_indices,
+                                 save_feature_cache, split_indices,
                                  synthetic_glyphs, synthetic_squares)
 from digitbench.imaging import Preprocessor
 
@@ -154,28 +154,11 @@ class TestSplit:
                                                  stratified=False))
         assert train.size + test.size == 3
 
-    def test_dataset_split_carries_tags(self):
-        X = np.random.default_rng(1).random((40, 5))
-        y = np.tile(np.arange(4), 10)
-        ds = LabeledDataset(X, y, source="unit:abc", feature_method="hog")
-        train, test = split(ds, SplitSpec(0.8, seed=1))
-        assert train.source == test.source == "unit:abc"
-        assert train.feature_method == "hog"
-        assert train.n_samples + test.n_samples == 40
-
     def test_fraction_validation(self):
         with pytest.raises(ParameterError):
             SplitSpec(train_fraction=1.0)
         with pytest.raises(ParameterError):
             SplitSpec(train_fraction=0.0)
-
-    def test_labeled_dataset_validation(self):
-        with pytest.raises(ShapeError):
-            LabeledDataset(np.zeros((3, 2)), np.zeros(4, dtype=int))
-        with pytest.raises(ShapeError):
-            LabeledDataset(np.zeros((2, 2)), np.array([0, 11]))
-        with pytest.raises(ShapeError):
-            LabeledDataset(np.zeros(4), np.zeros(4, dtype=int))
 
 
 class TestPreprocessAll:

@@ -3,17 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from digitbench import ParameterError, ShapeError
+from digitbench import ParameterError
 from digitbench.base import IMAGE_BLOCK
 from digitbench.features import (
-    FeatureVector,
     GaborDescriptor,
     HogDescriptor,
     LbpDescriptor,
     RawDescriptor,
     bandwidth_sigma,
     convolve2d_reflect,
-    extract,
     extract_batch,
     gabor_kernel,
     image_gradients,
@@ -314,38 +312,31 @@ class TestGabor:
 
 
 class TestDispatch:
-    def test_extract_tags_method(self):
-        img = np.random.default_rng(18).random((28, 28))
-        fv = extract(img, "hog")
-        assert isinstance(fv, FeatureVector)
-        assert fv.method == "hog"
-        assert fv.dim == 1296
-        assert np.array_equal(fv.values, HogDescriptor().transform_one(img))
-
     def test_extract_each_method(self):
         img = np.random.default_rng(19).random((28, 28))
         for method, dim in [("hog", 1296), ("lbp", 784), ("gabor", 784),
                             ("raw", 784)]:
-            assert extract(img, method).dim == dim
+            X = extract_batch(img[None], method)
+            assert X.shape == (1, dim)
+            assert np.array_equal(X[0], make_descriptor(method)
+                                  .transform_one(img))
 
     def test_unknown_method(self):
         with pytest.raises(ParameterError):
-            extract(np.ones((28, 28)), "sift")
+            extract_batch(np.ones((1, 28, 28)), "sift")
 
     def test_mismatched_descriptor_kind(self):
-        img = np.ones((28, 28))
+        # params are None or a dict; a descriptor instance is rejected
+        img = np.ones((1, 28, 28))
         with pytest.raises(ParameterError):
-            extract(img, "hog", LbpDescriptor())
-
-    def test_descriptor_instance_passthrough(self):
-        img = np.random.default_rng(20).random((28, 28))
-        fv = extract(img, "lbp", LbpDescriptor(mode="histogram"))
-        assert fv.dim == 1024
+            extract_batch(img, "hog", LbpDescriptor())
+        with pytest.raises(ParameterError):
+            extract_batch(img, "lbp", LbpDescriptor())
 
     def test_params_dict(self):
-        img = np.random.default_rng(21).random((28, 28))
-        fv = extract(img, "hog", {"cell_side": 7})
-        assert fv.dim == HogDescriptor(cell_side=7).output_dim(28, 28)
+        img = np.random.default_rng(21).random((1, 28, 28))
+        X = extract_batch(img, "hog", {"cell_side": 7})
+        assert X.shape == (1, HogDescriptor(cell_side=7).output_dim(28, 28))
 
     def test_batch_matches_single_across_blocks(self):
         # more images than one processing block: each row equals the image
@@ -357,10 +348,6 @@ class TestDispatch:
             desc = make_descriptor(method)
             for i in range(len(imgs)):
                 assert X[i].tobytes() == desc.transform_one(imgs[i]).tobytes()
-
-    def test_feature_vector_rejects_nonfinite(self):
-        with pytest.raises(ShapeError):
-            FeatureVector(np.array([1.0, np.nan]), "raw")
 
     def test_raw_roundtrip(self):
         rng = np.random.default_rng(23)

@@ -10,7 +10,6 @@ from digitbench import (
     gaussian_kernel_1d,
     intensity_skew,
     resize_bilinear,
-    to_grayscale,
 )
 from digitbench.imaging import _sample_bilinear
 
@@ -37,29 +36,6 @@ def shear_image(img, s):
     yy, xx = np.meshgrid(np.arange(h, dtype=float), np.arange(w, dtype=float),
                          indexing="ij")
     return _sample_bilinear(img, yy, xx + s * (yy - cy), fill=0.0)
-
-
-class TestToGrayscale:
-    def test_unit_weights(self):
-        out = to_grayscale(np.ones((1, 1, 3)))
-        assert out.shape == (1, 1)
-        assert out[0, 0] == 1.0
-
-    def test_black(self):
-        assert to_grayscale(np.zeros((1, 1, 3)))[0, 0] == 0.0
-
-    def test_pure_red(self):
-        px = np.zeros((1, 1, 3))
-        px[0, 0, 0] = 1.0
-        assert to_grayscale(px)[0, 0] == pytest.approx(0.299, abs=1e-15)
-
-    def test_rejects_2d(self):
-        with pytest.raises(ShapeError):
-            to_grayscale(np.ones((4, 4)))
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ShapeError):
-            to_grayscale(np.full((2, 2, 3), 1.5))
 
 
 class TestResize:

@@ -53,6 +53,23 @@ class TestKnnBasics:
         # integer part of each row's scores must total k
         assert np.all(np.floor(scores).sum(axis=1) == 5)
 
+    def test_smoothing_beats_memorizing_near_mislabeled_point(self):
+        # one mislabeled training point sits next to a validation query:
+        # its single nearest neighbor answers wrong, a 5-vote answers right
+        X_train = np.array([
+            [0.0, 0.0], [0.2, 0.0], [0.0, 0.2], [-0.2, 0.0], [0.0, -0.2],
+            [1.0, 1.0],
+            [10.0, 10.0], [10.2, 10.0], [10.0, 10.2], [9.8, 10.0],
+            [10.0, 9.8],
+        ])
+        y_train = np.array([0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1])
+        X_valid = np.array([[0.9, 0.9], [0.0, 0.1], [10.1, 10.1]])
+        y_valid = np.array([0, 0, 1])
+        accs = {k: KnnClassifier(k=k).fit(X_train, y_train)
+                .score(X_valid, y_valid) for k in (1, 5)}
+        assert accs[1] == pytest.approx(2.0 / 3.0)
+        assert accs[5] == 1.0
+
 
 class TestKnnOracle:
     def test_matches_bruteforce_50_points(self):

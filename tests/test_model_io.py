@@ -4,11 +4,9 @@ import numpy as np
 import pytest
 
 from digitbench import ParameterError, ParseError
-from digitbench.classify import (GBDT, KINDS, KNN, RF, SVM, Prediction,
-                                 classifier_kind, make_classifier,
-                                 predict_one)
+from digitbench.classify import (GBDT, KINDS, KNN, RF, SVM, classifier_kind,
+                                 make_classifier)
 from digitbench.classify.io import FORMAT_VERSION, load_model, save_model
-from digitbench.classify.search import expand_grid, grid_search
 
 
 def three_clusters(seed=0, n_per=12):
@@ -114,15 +112,6 @@ class TestFactory:
         for kind in KINDS:
             assert classifier_kind(make_classifier(kind)) == kind
 
-    def test_predict_one(self):
-        X, y = three_clusters()
-        clf = make_classifier(KNN, k=1).fit(X, y)
-        pred = predict_one(clf, X[0])
-        assert isinstance(pred, Prediction)
-        assert pred.scores.shape == (3,)
-        assert pred.label == clf.classes_[np.argmax(pred.scores)]
-        assert pred.label == 2
-
 
 class TestCrossCutting:
     @pytest.mark.parametrize("kind,params", [
@@ -138,55 +127,3 @@ class TestCrossCutting:
         clf = make_classifier(kind, **params).fit(X, y)
         assert clf.score(X, y) == 1.0
 
-
-class TestGridSearch:
-    def test_expand_grid_insertion_order(self):
-        grid = {"a": [1, 2], "b": ["x", "y"]}
-        assert expand_grid(grid) == [{"a": 1, "b": "x"}, {"a": 1, "b": "y"},
-                                     {"a": 2, "b": "x"}, {"a": 2, "b": "y"}]
-
-    def test_empty_grid_rejected(self):
-        with pytest.raises(ParameterError):
-            expand_grid({})
-        with pytest.raises(ParameterError):
-            expand_grid({"k": []})
-
-    def test_singleton_grid(self):
-        X, y = three_clusters()
-        best, table = grid_search(KNN, {"k": [3]}, X, y, X, y)
-        assert best == {"k": 3}
-        assert len(table) == 1
-        assert table[0] == ({"k": 3}, 1.0)
-
-    def test_smoothing_beats_memorizing_near_mislabeled_point(self):
-        # one mislabeled training point sits next to a validation query:
-        # its single nearest neighbor answers wrong, a 5-vote answers right
-        X_train = np.array([
-            [0.0, 0.0], [0.2, 0.0], [0.0, 0.2], [-0.2, 0.0], [0.0, -0.2],
-            [1.0, 1.0],
-            [10.0, 10.0], [10.2, 10.0], [10.0, 10.2], [9.8, 10.0],
-            [10.0, 9.8],
-        ])
-        y_train = np.array([0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1])
-        X_valid = np.array([[0.9, 0.9], [0.0, 0.1], [10.1, 10.1]])
-        y_valid = np.array([0, 0, 1])
-        best, table = grid_search(KNN, {"k": [1, 5]}, X_train, y_train,
-                                  X_valid, y_valid)
-        assert best == {"k": 5}
-        accs = dict((row[0]["k"], row[1]) for row in table)
-        assert accs[1] == pytest.approx(2.0 / 3.0)
-        assert accs[5] == 1.0
-
-    def test_tie_keeps_earliest_row(self):
-        X, y = three_clusters()
-        best, table = grid_search(KNN, {"minkowski_p": [2, 3]}, X, y, X, y)
-        assert [row[1] for row in table] == [1.0, 1.0]
-        assert best == {"minkowski_p": 2}
-
-    def test_table_covers_full_product(self):
-        X, y = three_clusters(n_per=6)
-        _, table = grid_search(RF, {"n_trees": [2, 4], "seed": [0, 1, 2]},
-                               X, y, X, y)
-        assert len(table) == 6
-        assert [row[0] for row in table] == expand_grid(
-            {"n_trees": [2, 4], "seed": [0, 1, 2]})
