@@ -312,6 +312,14 @@ class TestGabor:
 
 
 class TestDispatch:
+    def test_extract_tags_method(self):
+        # the method name picks the descriptor that produces the features
+        img = np.random.default_rng(18).random((28, 28))
+        assert type(make_descriptor("hog")) is HogDescriptor
+        X = extract_batch(img[None], "hog")
+        assert X.shape == (1, 1296)
+        assert np.array_equal(X[0], HogDescriptor().transform_one(img))
+
     def test_extract_each_method(self):
         img = np.random.default_rng(19).random((28, 28))
         for method, dim in [("hog", 1296), ("lbp", 784), ("gabor", 784),
