@@ -1,14 +1,21 @@
 """Array-backed decision trees shared by the forest and boosting learners.
 
 A tree is stored as parallel node arrays. Internal nodes route a sample left
-when ``x[feature] < threshold`` and right otherwise; leaves carry a payload
-row (class counts for classification trees, a single value for regression
-stumps in the boosting ensemble).
+when ``x[feature] < threshold`` and right otherwise; every node carries a
+payload row (class counts for the forest's classification trees, a single
+leaf value for the boosting ensemble's regression trees).
+
+Both learners grow their trees with ``grow_tree``, which owns the recursion,
+the depth and two-row stops and the preorder node numbering. A learner
+supplies only its payload and its split search: Gini over midpoints between
+a node's own adjacent values for the forest, second-order gain over global
+pre-binned cuts for boosting.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -54,42 +61,39 @@ class Tree:
         return deepest
 
 
-class TreeBuilder:
-    """Accumulates nodes during growth, then freezes into a Tree."""
+def grow_tree(rows: np.ndarray, max_depth: int,
+              node_value: Callable[[np.ndarray], object],
+              find_split: Callable[[np.ndarray], tuple | None]) -> Tree:
+    """Grow one tree over the sample ``rows`` (indices a learner understands).
 
-    def __init__(self, value_dim: int):
-        self.value_dim = value_dim
-        self.feature: list[int] = []
-        self.threshold: list[float] = []
-        self.left: list[int] = []
-        self.right: list[int] = []
-        self.value: list[np.ndarray] = []
+    Every node stores ``node_value(rows)`` as its payload row. A node becomes
+    a leaf at ``max_depth``, with fewer than two rows, or when
+    ``find_split(rows)`` returns None; otherwise the returned
+    ``(feature, threshold, go_left)`` splits it, ``go_left`` being a boolean
+    mask over ``rows``. Nodes are numbered in preorder, so children follow
+    their parent and the left subtree precedes the right one.
+    """
+    nodes: list[list] = []  # [feature, threshold, left, right] per node
+    values: list[np.ndarray] = []
 
-    def add_leaf(self, value) -> int:
-        return self._add(LEAF, 0.0, value)
-
-    def add_split(self, feature: int, threshold: float, value) -> int:
-        return self._add(int(feature), float(threshold), value)
-
-    def _add(self, feature: int, threshold: float, value) -> int:
-        node = len(self.feature)
-        self.feature.append(feature)
-        self.threshold.append(threshold)
-        self.left.append(LEAF)
-        self.right.append(LEAF)
-        self.value.append(np.asarray(value, dtype=np.float64).reshape(self.value_dim))
+    def grow(rows: np.ndarray, depth: int) -> int:
+        node = len(nodes)
+        nodes.append([LEAF, 0.0, LEAF, LEAF])
+        values.append(np.asarray(node_value(rows), dtype=np.float64))
+        split = None if depth >= max_depth or rows.shape[0] < 2 \
+            else find_split(rows)
+        if split is not None:
+            feature, threshold, go_left = split
+            # list items evaluate left to right: the left subtree comes first
+            nodes[node] = [int(feature), float(threshold),
+                           grow(rows[go_left], depth + 1),
+                           grow(rows[~go_left], depth + 1)]
         return node
 
-    def set_children(self, node: int, left: int, right: int) -> None:
-        self.left[node] = left
-        self.right[node] = right
-
-    def freeze(self) -> Tree:
-        return Tree(
-            feature=np.asarray(self.feature, dtype=np.int32),
-            threshold=np.asarray(self.threshold, dtype=np.float64),
-            left=np.asarray(self.left, dtype=np.int32),
-            right=np.asarray(self.right, dtype=np.int32),
-            value=np.stack(self.value) if self.value else
-            np.zeros((0, self.value_dim)),
-        )
+    grow(rows, 0)
+    feature, threshold, left, right = zip(*nodes)
+    return Tree(feature=np.asarray(feature, dtype=np.int32),
+                threshold=np.asarray(threshold, dtype=np.float64),
+                left=np.asarray(left, dtype=np.int32),
+                right=np.asarray(right, dtype=np.int32),
+                value=np.stack(values))

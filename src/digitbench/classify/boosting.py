@@ -17,7 +17,7 @@ import numpy as np
 from ..base import ClassifierMixin, Estimator
 from ..errors import ParameterError, StateError
 from ..validation import check_is_fitted, check_matrix, check_X_y
-from ._tree import Tree, TreeBuilder
+from ._tree import Tree, grow_tree
 
 _PROB_FLOOR = 1e-12
 
@@ -61,31 +61,20 @@ def _grow_boost_tree(binned: np.ndarray, cuts: list[np.ndarray],
     g/h are aligned with ``rows``. Thresholds are stored against original
     column ids so the tree predicts from raw feature matrices.
     """
-    builder = TreeBuilder(value_dim=1)
     n_cols = cols.shape[0]
     offsets = np.arange(n_cols, dtype=np.int64) * max_bins
     sub = binned[np.ix_(rows, cols)] + offsets[None, :]
 
-    def grow(member: np.ndarray, depth: int) -> int:
-        g_node = g[member]
-        h_node = h[member]
-        g_total = g_node.sum()
-        h_total = h_node.sum()
-        leaf_value = -g_total / (h_total + lam)
+    def find_split(member: np.ndarray):
+        g_node, h_node = g[member], h[member]
+        g_total, h_total = g_node.sum(), h_node.sum()
         m = member.shape[0]
-        if depth >= max_depth or m < 2:
-            return builder.add_leaf([leaf_value])
-
         flat = sub[member].ravel()
-        rep_g = np.repeat(g_node, n_cols)
-        rep_h = np.repeat(h_node, n_cols)
         size = n_cols * max_bins
-        hist_g = np.bincount(flat, weights=rep_g, minlength=size)
-        hist_h = np.bincount(flat, weights=rep_h, minlength=size)
-        hist_n = np.bincount(flat, minlength=size)
-        gl = hist_g.reshape(n_cols, max_bins).cumsum(axis=1)[:, :-1]
-        hl = hist_h.reshape(n_cols, max_bins).cumsum(axis=1)[:, :-1]
-        nl = hist_n.reshape(n_cols, max_bins).cumsum(axis=1)[:, :-1]
+        gl, hl, nl = (np.bincount(flat, weights=w, minlength=size)
+                      .reshape(n_cols, max_bins).cumsum(axis=1)[:, :-1]
+                      for w in (np.repeat(g_node, n_cols),
+                                np.repeat(h_node, n_cols), None))
         gr = g_total - gl
         hr = h_total - hl
         nr = m - nl
@@ -96,18 +85,13 @@ def _grow_boost_tree(binned: np.ndarray, cuts: list[np.ndarray],
         at = int(np.argmax(gain))
         col_pos, cut_idx = divmod(at, max_bins - 1)
         if not gain[col_pos, cut_idx] > 0.0:
-            return builder.add_leaf([leaf_value])
+            return None
         column = int(cols[col_pos])
-        threshold = float(cuts[column][cut_idx])
-        node = builder.add_split(column, threshold, [leaf_value])
         go_left = sub[member, col_pos] - offsets[col_pos] <= cut_idx
-        left = grow(member[go_left], depth + 1)
-        right = grow(member[~go_left], depth + 1)
-        builder.set_children(node, left, right)
-        return node
+        return column, cuts[column][cut_idx], go_left
 
-    grow(np.arange(rows.shape[0]), 0)
-    return builder.freeze()
+    return grow_tree(np.arange(rows.shape[0]), max_depth, lambda member: [
+        -g[member].sum() / (h[member].sum() + lam)], find_split)
 
 
 class GradientBoostingClassifier(Estimator, ClassifierMixin):

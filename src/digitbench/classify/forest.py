@@ -16,41 +16,38 @@ import numpy as np
 from ..base import ClassifierMixin, Estimator
 from ..errors import ParameterError, StateError
 from ..validation import check_is_fitted, check_matrix, check_X_y
-from ._tree import Tree, TreeBuilder
+from ._tree import Tree, grow_tree
 
 
-def best_gini_split(X_cols: np.ndarray, y: np.ndarray, n_classes: int):
+def best_gini_split(X_cols: np.ndarray, y: np.ndarray):
     """Lowest weighted child Gini over midpoint candidates.
 
     X_cols holds the candidate feature columns in ascending feature order.
-    Returns (column_position, threshold, weighted_gini) or None when no
-    candidate separates the node.
+    Returns (column_position, threshold) or None when no candidate separates
+    the node. Ties go to the lowest column, then the lowest threshold.
     """
-    m, n_cols = X_cols.shape
-    best = None
-    order = np.argsort(X_cols, axis=0, kind="stable")
-    onehot = np.zeros((m, n_classes))
-    for pos in range(n_cols):
-        idx = order[:, pos]
-        vals = X_cols[idx, pos]
-        thr = (vals[:-1] + vals[1:]) / 2.0
-        valid = (thr > vals[:-1]) & (thr < vals[1:])
-        if not valid.any():
-            continue
-        onehot[:] = 0.0
-        onehot[np.arange(m), y[idx]] = 1.0
-        left_counts = np.cumsum(onehot, axis=0)[:-1]  # counts left of each gap
-        total = left_counts[-1] + onehot[-1]
-        nl = np.arange(1, m, dtype=np.float64)
-        nr = m - nl
-        sl = (left_counts ** 2).sum(axis=1)
-        sr = ((total[None, :] - left_counts) ** 2).sum(axis=1)
-        weighted = ((nl - sl / nl) + (nr - sr / nr)) / m
-        weighted[~valid] = np.inf
-        at = int(np.argmin(weighted))  # first minimum: lowest threshold wins
-        if best is None or weighted[at] < best[2]:
-            best = (pos, float(thr[at]), float(weighted[at]))
-    return best
+    m = X_cols.shape[0]
+    order = np.argsort(X_cols.T, axis=1, kind="stable")  # (columns, rows)
+    vals = np.take_along_axis(X_cols.T, order, axis=1)
+    thr = (vals[:, :-1] + vals[:, 1:]) / 2.0              # (columns, gaps)
+    valid = (thr > vals[:, :-1]) & (thr < vals[:, 1:])
+    if not valid.any():
+        return None
+    # squared class counts left and right of each gap, one class at a time;
+    # integer counts keep the sums exact
+    ranked = y[order[:, :-1]]
+    sl = np.zeros(thr.shape, dtype=np.int64)
+    sr = np.zeros(thr.shape, dtype=np.int64)
+    for k, total in zip(*np.unique(y, return_counts=True)):
+        left = np.cumsum(ranked == k, axis=1)
+        sl += left ** 2
+        sr += (total - left) ** 2
+    nl = np.arange(1, m, dtype=np.float64)
+    nr = m - nl
+    weighted = ((nl - sl / nl) + (nr - sr / nr)) / m
+    weighted[~valid] = np.inf
+    pos, gap = divmod(int(np.argmin(weighted)), m - 1)  # row-major minimum
+    return pos, float(thr[pos, gap])
 
 
 def _grow_tree(X: np.ndarray, y: np.ndarray, rows: np.ndarray,
@@ -58,31 +55,23 @@ def _grow_tree(X: np.ndarray, y: np.ndarray, rows: np.ndarray,
                rng: np.random.Generator) -> Tree:
     """One tree grown on the sample ``rows`` of (X, y); repeats allowed."""
     n_features = X.shape[1]
-    builder = TreeBuilder(value_dim=n_classes)
 
-    def grow(rows: np.ndarray, depth: int) -> int:
-        counts = np.bincount(y[rows], minlength=n_classes).astype(np.float64)
-        if depth >= max_depth or rows.shape[0] < 2 or counts.max() == rows.shape[0]:
-            return builder.add_leaf(counts)
+    def find_split(rows: np.ndarray):
+        if (y[rows] == y[rows[0]]).all():  # pure node: no draw from rng
+            return None
         if n_candidate_features >= n_features:
             feats = np.arange(n_features)
         else:
             feats = np.sort(rng.choice(n_features, n_candidate_features,
                                        replace=False))
-        found = best_gini_split(X[np.ix_(rows, feats)], y[rows], n_classes)
+        found = best_gini_split(X[np.ix_(rows, feats)], y[rows])
         if found is None:
-            return builder.add_leaf(counts)
-        pos, threshold, _ = found
-        feature = int(feats[pos])
-        node = builder.add_split(feature, threshold, counts)
-        go_left = X[rows, feature] < threshold
-        left = grow(rows[go_left], depth + 1)
-        right = grow(rows[~go_left], depth + 1)
-        builder.set_children(node, left, right)
-        return node
+            return None
+        pos, threshold = found
+        return feats[pos], threshold, X[rows, feats[pos]] < threshold
 
-    grow(rows, 0)
-    return builder.freeze()
+    return grow_tree(rows, max_depth, lambda rows: np.bincount(
+        y[rows], minlength=n_classes).astype(np.float64), find_split)
 
 
 class RandomForestClassifier(Estimator, ClassifierMixin):

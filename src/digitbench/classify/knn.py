@@ -51,12 +51,7 @@ class KnnClassifier(Estimator, ClassifierMixin):
             diff = np.abs(chunk[:, None, :] - self._X[None, :, :])
             # ranking is monotone in the p-th power, so the root is skipped;
             # summing over the last axis keeps reductions bit-reproducible
-            if p == 2.0:
-                dist = (diff * diff).sum(axis=2)
-            elif p == 1.0:
-                dist = diff.sum(axis=2)
-            else:
-                dist = (diff ** p).sum(axis=2)
+            dist = (diff ** p).sum(axis=2)
             # stable sort: equal distances keep lower training index first
             order = np.argsort(dist, axis=1, kind="stable")
             out[start:start + chunk.shape[0]] = order[:, :k]

@@ -13,7 +13,9 @@ when they parse as one, and comma-separated values form a list. Example::
     jobs = 2
 
 Unknown keys are rejected so typos fail loudly instead of silently running
-a default.
+a default, and a fixed key whose value has the wrong type (a fraction for an
+integer, anything but a true/false token for a flag) is a ``ParseError``
+naming the key.
 """
 
 from __future__ import annotations
@@ -125,37 +127,57 @@ def _names(value) -> list:
                                    else [value])]
 
 
+def _integer(value) -> int:
+    if type(value) is int or type(value) is float and value.is_integer():
+        return int(value)
+    raise ValueError("an integer")
+
+
+def _number(value) -> float:
+    if type(value) in (int, float):
+        return float(value)
+    raise ValueError("a number")
+
+
+def _boolean(value) -> bool:
+    """Only the tokens that ``coerce_scalar`` reads as True or False."""
+    if isinstance(flag := coerce_scalar(str(value)), bool):
+        return flag
+    raise ValueError("true/false, yes/no or on/off")
+
+
 def _attr(name: str, convert):
     return lambda cfg, value: setattr(cfg, name, convert(value))
 
 
-def _preprocess(name: str):
-    return lambda cfg, value: cfg.preprocess.update({name: value})
+def _preprocess(name: str, convert):
+    return lambda cfg, value: cfg.preprocess.update({name: convert(value)})
 
 
-def _split(name: str, convert=lambda value: value):
+def _split(name: str, convert):
     return lambda cfg, value: setattr(cfg.split, name, convert(value))
 
 
-# every fixed key and where its value goes; besides these, only
-# feature.<method>.<param> and classifier.<kind>.<param> are accepted
+# every fixed key, how its value is checked and where it goes; besides
+# these, only feature.<method>.<param> and classifier.<kind>.<param> are
+# accepted
 _KEYS = {
     "features": _attr("features", _names),
     "classifiers": _attr("classifiers", _names),
-    "jobs": _attr("jobs", int),
-    "raw_baseline": _attr("raw_baseline", bool),
+    "jobs": _attr("jobs", _integer),
+    "raw_baseline": _attr("raw_baseline", _boolean),
     "dataset.path": _attr("dataset_path", str),
     "dataset.test_path": _attr("test_path", str),
     "dataset.schema": _attr("schema", str),
-    "dataset.side": _attr("side", int),
+    "dataset.side": _attr("side", _integer),
     "dataset.synthetic": _attr("synthetic", str),
-    "dataset.samples": _attr("samples", int),
-    "preprocess.target_side": _preprocess("target_side"),
-    "preprocess.gaussian_sigma": _preprocess("gaussian_sigma"),
-    "preprocess.deskew": _preprocess("deskew_enabled"),
-    "split.train_fraction": _split("train_fraction"),
-    "split.seed": _split("seed"),
-    "split.stratified": _split("stratified", bool),
+    "dataset.samples": _attr("samples", _integer),
+    "preprocess.target_side": _preprocess("target_side", _integer),
+    "preprocess.gaussian_sigma": _preprocess("gaussian_sigma", _number),
+    "preprocess.deskew": _preprocess("deskew_enabled", _boolean),
+    "split.train_fraction": _split("train_fraction", _number),
+    "split.seed": _split("seed", _integer),
+    "split.stratified": _split("stratified", _boolean),
     "output.dir": _attr("out_dir", str),
     "output.cache_dir": _attr("cache_dir", str),
 }
@@ -169,7 +191,11 @@ def config_from_mapping(pairs: dict) -> RunConfig:
     for key, value in pairs.items():
         parts = key.split(".")
         if key in _KEYS:
-            _KEYS[key](cfg, value)
+            try:
+                _KEYS[key](cfg, value)
+            except ValueError as exc:
+                raise ParseError(
+                    f"config key {key!r} needs {exc}, got {value!r}") from None
         elif len(parts) == 3 and parts[0] in params:
             params[parts[0]].setdefault(parts[1], {})[parts[2]] = value
         else:

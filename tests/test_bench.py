@@ -99,6 +99,37 @@ class TestConfigFormat:
         assert cfg.features == [("hog", {})]
         assert cfg.classifiers == [("knn", {})]
 
+    def test_wrong_typed_values_name_the_key(self):
+        for key, value in [("dataset.samples", "x"),
+                           ("split.train_fraction", "abc"),
+                           ("preprocess.gaussian_sigma", True)]:
+            with pytest.raises(ParseError, match=f"config key '{key}'"):
+                config_from_mapping({"dataset.synthetic": "glyphs",
+                                     key: value})
+
+    def test_integer_keys_take_only_integral_numbers(self):
+        for key in ("jobs", "dataset.side", "dataset.samples",
+                    "preprocess.target_side", "split.seed"):
+            for value in (1.5, "3", True):
+                with pytest.raises(ParseError, match="needs an integer"):
+                    config_from_mapping({"dataset.synthetic": "glyphs",
+                                         key: value})
+        cfg = config_from_mapping({"dataset.synthetic": "glyphs",
+                                   "split.seed": 4.0})
+        assert cfg.split.seed == 4 and type(cfg.split.seed) is int
+
+    def test_boolean_keys_take_only_boolean_tokens(self):
+        for key in ("raw_baseline", "split.stratified", "preprocess.deskew"):
+            for value in ("nope", 2, 0, 1.0):
+                with pytest.raises(ParseError, match="needs true/false"):
+                    config_from_mapping({"dataset.synthetic": "glyphs",
+                                         key: value})
+        cfg = config_from_mapping(parse_config_text(
+            "dataset.synthetic = glyphs\nraw_baseline = off\n"
+            "split.stratified = no\npreprocess.deskew = yes\n"))
+        assert cfg.raw_baseline is False and cfg.split.stratified is False
+        assert cfg.preprocess == {"deskew_enabled": True}
+
     def test_validation_errors(self):
         with pytest.raises(ParameterError, match="dataset"):
             RunConfig().validate()

@@ -1,10 +1,13 @@
-"""Frozen outputs of the random forest and KNN classifiers.
+"""Frozen outputs of the random forest, gradient boosting and KNN classifiers.
 
-The SHA-256 digests below were recorded on x86-64 with NumPy 2.4, before the
-forest stopped copying its bootstrap sample and KNN stopped voting one query
-at a time. They pin every tree array and every score bit for bit: forests
-with and without bootstrap and at several ``max_features`` values, and KNN on
-an integer grid, where tied distances decide neighbours and votes, for
+The SHA-256 digests below were recorded on x86-64 with NumPy 2.4: the forest
+and KNN ones before the forest stopped copying its bootstrap sample and KNN
+stopped voting one query at a time, the boosting ones before both tree
+learners moved onto one grower. They pin every tree array and every score
+bit for bit: forests with and without bootstrap and at several
+``max_features`` values; boosting with default subsampling, without
+subsampling and with quantile cuts, plus its loss trace; and KNN on an
+integer grid, where tied distances decide neighbours and votes, for
 p = 1, 2, 3.
 """
 
@@ -13,7 +16,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from digitbench.classify import KnnClassifier, RandomForestClassifier
+from digitbench.classify import (GradientBoostingClassifier, KnnClassifier,
+                                 RandomForestClassifier)
 
 
 def sha(*arrays):
@@ -21,6 +25,23 @@ def sha(*arrays):
     for arr in arrays:
         h.update(np.ascontiguousarray(arr).tobytes())
     return h.hexdigest()
+
+
+def tied_data():
+    """Train and query sets; four columns of repeated values give tied sort
+    keys and thresholds."""
+    rng = np.random.default_rng(5)
+    X = rng.random((120, 12))
+    X[:, :4] = np.round(X[:, :4] * 4)
+    y = rng.integers(0, 4, 120) * 3
+    Q = rng.random((60, 12))
+    Q[:, :4] = np.round(Q[:, :4] * 4)
+    return X, y, Q
+
+
+def tree_arrays(trees):
+    return (arr for t in trees
+            for arr in (t.feature, t.threshold, t.left, t.right, t.value))
 
 
 @pytest.mark.parametrize("params, tree_digest, score_digest", [
@@ -38,19 +59,37 @@ def sha(*arrays):
      "8874e127a7c6ec863273e6ba47b69c9e9b8f9e6f0fbaa4e4c3013d5dcb2ce011"),
 ])
 def test_forest_unchanged(params, tree_digest, score_digest):
-    # four columns of repeated values give tied sort keys and thresholds
-    rng = np.random.default_rng(5)
-    X = rng.random((120, 12))
-    X[:, :4] = np.round(X[:, :4] * 4)
-    y = rng.integers(0, 4, 120) * 3
-    Q = rng.random((60, 12))
-    Q[:, :4] = np.round(Q[:, :4] * 4)
+    X, y, Q = tied_data()
     clf = RandomForestClassifier(n_trees=4, max_depth=6, seed=3,
                                  **params).fit(X, y)
-    assert sha(*(arr for t in clf.trees_ for arr in
-                 (t.feature, t.threshold, t.left, t.right, t.value))) \
+    assert sha(*tree_arrays(clf.trees_)) == tree_digest
+    assert sha(clf.predict_scores(Q)) == score_digest
+
+
+# max_bins=16 is below the ~120 distinct values of the eight untied columns,
+# so those columns split on quantile cuts
+@pytest.mark.parametrize("params, tree_digest, score_digest, loss_digest", [
+    ({},
+     "6c22be6ce42d86c06e115410c7213cfe7e391d79da65ed6ddd7d86abfc8cbf69",
+     "49e86cfc00a3cfaf568d93ef10f513d44f5a9662ad8b295710064d5343fe8145",
+     "13c39d22f89f23cdaba43e475e2b659d2ceda0649cc8f75814f676c602b65a39"),
+    ({"row_subsample": 1.0, "col_subsample": 1.0},
+     "7a0d8008b6b87398718a57b43332bf3b5ef0a7dd6bdb1d069d8a675d3cbc6529",
+     "9cf5744c2b820574fba3592a7e62bdf98184c76ce982f666d53ac05bb29b3e93",
+     "e4d070b30260f952b1c883e07e158043be75c0c2640d93d83ab9ceebf5e6550f"),
+    ({"max_bins": 16},
+     "6ba351c7a08df70df367f168320cbcc8120b536922b5d9238148e5859e31128a",
+     "f1be8f930236441f384594dd88c11799d10a3370b23458833a12a11b039c4085",
+     "a3b9457a5ef2ec55d23875374e8c0f949bc8df239290ad51725154ecac863eab"),
+])
+def test_boosting_unchanged(params, tree_digest, score_digest, loss_digest):
+    X, y, Q = tied_data()
+    clf = GradientBoostingClassifier(n_rounds=3, max_depth=3, seed=3,
+                                     **params).fit(X, y)
+    assert sha(*tree_arrays(t for rnd in clf.trees_ for t in rnd)) \
         == tree_digest
     assert sha(clf.predict_scores(Q)) == score_digest
+    assert sha(clf.loss_trace_) == loss_digest
 
 
 @pytest.mark.parametrize("p, digest", [

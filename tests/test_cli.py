@@ -77,6 +77,12 @@ class TestBenchVerb:
         assert main(["bench", "--config", str(cfg)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_wrong_typed_value_exit_two(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("dataset.synthetic = glyphs\ndataset.samples = x\n")
+        assert main(["bench", "--config", str(cfg)]) == 2
+        assert "error: config key 'dataset.samples'" in capsys.readouterr().err
+
 
 class TestOtherVerbs:
     def test_visualize_three_files(self, tmp_path, capsys):

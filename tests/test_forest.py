@@ -4,7 +4,7 @@ from oracles import cart_oracle
 
 from digitbench import ParameterError, StateError
 from digitbench.classify import RandomForestClassifier
-from digitbench.classify._tree import LEAF, Tree, TreeBuilder
+from digitbench.classify._tree import LEAF, Tree
 
 
 def single_cart_tree(X, y, max_depth):
@@ -129,23 +129,21 @@ class TestForestBehavior:
 
 class TestTreePlumbing:
     def test_apply_routing(self):
-        builder = TreeBuilder(value_dim=2)
-        root = builder.add_split(0, 0.5, [0, 0])
-        left = builder.add_leaf([3, 0])
-        right = builder.add_leaf([0, 2])
-        builder.set_children(root, left, right)
-        tree = builder.freeze()
+        # node 0 splits on x[0] < 0.5 into leaves 1 and 2
+        tree = Tree(feature=np.array([0, LEAF, LEAF], dtype=np.int32),
+                    threshold=np.array([0.5, 0.0, 0.0]),
+                    left=np.array([1, LEAF, LEAF], dtype=np.int32),
+                    right=np.array([2, LEAF, LEAF], dtype=np.int32),
+                    value=np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 2.0]]))
         X = np.array([[0.2], [0.5], [0.9]])
         assert np.array_equal(tree.apply(X), [1, 2, 2])  # x < thr goes left
         assert np.array_equal(tree.leaf_values(X)[0], [3, 0])
 
     def test_max_depth_computation(self):
-        builder = TreeBuilder(value_dim=1)
-        root = builder.add_split(0, 0.5, [0])
-        l1 = builder.add_split(0, 0.25, [0])
-        r1 = builder.add_leaf([1])
-        builder.set_children(root, l1, r1)
-        l2 = builder.add_leaf([2])
-        r2 = builder.add_leaf([3])
-        builder.set_children(l1, l2, r2)
-        assert builder.freeze().max_depth() == 2
+        # root 0 -> (1, 2); node 1 -> (3, 4); 2, 3 and 4 are leaves
+        tree = Tree(feature=np.array([0, 0, LEAF, LEAF, LEAF], dtype=np.int32),
+                    threshold=np.array([0.5, 0.25, 0.0, 0.0, 0.0]),
+                    left=np.array([1, 3, LEAF, LEAF, LEAF], dtype=np.int32),
+                    right=np.array([2, 4, LEAF, LEAF, LEAF], dtype=np.int32),
+                    value=np.array([[0.0], [0.0], [1.0], [2.0], [3.0]]))
+        assert tree.max_depth() == 2
