@@ -83,7 +83,13 @@ class TransformerMixin:
 
 
 class ClassifierMixin:
-    """Adds accuracy scoring on top of predict."""
+    """Adds predict and accuracy scoring on top of ``predict_scores``."""
+
+    def predict(self, X) -> np.ndarray:
+        """The class with the highest score, the first of tied ones."""
+        # scores first: they raise StateError on an unfitted model
+        scores = self.predict_scores(X)
+        return self.classes_[np.argmax(scores, axis=1)]
 
     def score(self, X, y) -> float:
         y = np.asarray(y)

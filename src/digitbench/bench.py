@@ -23,7 +23,7 @@ import numpy as np
 
 from .classify import make_classifier
 from .config import RunConfig
-from .datasets import (feature_cache_path, file_digest, load_csv,
+from .datasets import (CACHE_VERSION, file_digest, load_csv,
                        load_feature_cache, preprocess_all,
                        save_feature_cache, split_indices, synthetic_glyphs,
                        synthetic_squares)
@@ -83,71 +83,76 @@ def feature_cache_file(cache_dir, cfg: RunConfig, source: str, method: str,
                        params=None) -> str:
     """Cache file for one extractor's matrix of the configured dataset.
 
-    The key covers everything that determines the matrix: the source tag,
-    the test file, the CSV schema and side, the preprocessing parameters and
-    the extractor's parameters with its defaults filled in (so ``{}`` and the
-    explicit defaults share one file).
+    The name is one SHA-256 over everything that determines the matrix: the
+    source tag, the test file, the CSV schema and side, the preprocessing
+    parameters, the method and its parameters with defaults filled in (so
+    ``{}`` and the explicit defaults share one file) and ``CACHE_VERSION``.
     """
     inputs = {"source": source,
               "test": file_digest(cfg.test_path) if cfg.test_path else None,
               "schema": cfg.schema, "side": int(cfg.side),
-              "preprocess": Preprocessor(**cfg.preprocess).get_params()}
+              "preprocess": Preprocessor(**cfg.preprocess).get_params(),
+              "method": method,
+              "params": make_descriptor(method, params).get_params(),
+              "version": CACHE_VERSION}
     digest = hashlib.sha256(
         json.dumps(inputs, sort_keys=True).encode()).hexdigest()
-    return feature_cache_path(cache_dir, digest, method,
-                              make_descriptor(method, params).get_params())
+    return os.path.join(cache_dir, f"features-{method}-{digest[:16]}.npz")
+
+
+def feature_matrices(cfg: RunConfig, methods, stage: dict):
+    """({method: matrix}, labels, source tag, dataset row count).
+
+    Rows of ``cfg.test_path`` follow the dataset's own rows. A valid matrix
+    in ``cfg.cache_dir`` is read; the rest are extracted from images
+    preprocessed once (only when some matrix is missing) and cached. The
+    images are freed on return. ``stage`` receives the step timings.
+    """
+    t0 = time.perf_counter()
+    images, labels, source = load_run_images(cfg)
+    n_first = labels.shape[0]
+    if cfg.test_path is not None:
+        test_images, test_labels = load_csv(cfg.test_path, cfg.schema,
+                                            cfg.side)
+        images = np.concatenate([images, test_images])
+        labels = np.concatenate([labels, test_labels])
+    stage["load"] = time.perf_counter() - t0
+
+    paths = {m: feature_cache_file(cfg.cache_dir, cfg, source, m, p)
+             for m, p in methods} if cfg.cache_dir else {}
+    cached = {m: load_feature_cache(path, labels)
+              for m, path in paths.items()}
+    matrices = {m: hit[0] for m, hit in cached.items() if hit is not None}
+
+    t0 = time.perf_counter()
+    missing = [(m, p) for m, p in methods if m not in matrices]
+    if missing:
+        images = preprocess_all(images, Preprocessor(**cfg.preprocess))
+    stage["preprocess"] = time.perf_counter() - t0
+
+    t0 = time.perf_counter()
+    for method, params in missing:
+        matrices[method] = extract_batch(images, method, params or None)
+        if paths:
+            os.makedirs(cfg.cache_dir, exist_ok=True)
+            save_feature_cache(paths[method], matrices[method], labels)
+    stage["extract"] = time.perf_counter() - t0
+    return matrices, labels, source, n_first
 
 
 def run_grid(cfg: RunConfig) -> GridResult:
     """Execute the full feature-by-classifier benchmark grid."""
     cfg.validate()
-    stage = {}
-    t0 = time.perf_counter()
-    images, labels, source = load_run_images(cfg)
-    test_images = None
-    if cfg.test_path is not None:
-        test_images, test_labels = load_csv(cfg.test_path, cfg.schema,
-                                            cfg.side)
-        train_idx = np.arange(labels.shape[0])
-        test_idx = np.arange(test_labels.shape[0]) + labels.shape[0]
-        labels = np.concatenate([labels, test_labels])
-    else:
-        train_idx, test_idx = split_indices(labels, cfg.split)
-    stage["load"] = time.perf_counter() - t0
-
     methods = list(cfg.features)
     if cfg.raw_baseline and RAW_TAG not in [m for m, _ in methods]:
         methods.append((RAW_TAG, {}))
-    matrices, paths = {}, {}
-    for method, params in methods:
-        if cfg.cache_dir and method != RAW_TAG:
-            paths[method] = feature_cache_file(cfg.cache_dir, cfg, source,
-                                               method, params)
-            cached = load_feature_cache(paths[method], labels)
-            if cached is not None:
-                matrices[method] = cached[0]
-
-    t0 = time.perf_counter()
-    if any(method not in matrices for method, _ in methods):
-        pre = Preprocessor(**cfg.preprocess)
-        pre_images = preprocess_all(images, pre)
-        if test_images is not None:
-            pre_images = np.concatenate(
-                [pre_images, preprocess_all(test_images, pre)])
-    stage["preprocess"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    for method, params in methods:
-        if method in matrices:
-            continue
-        if method == RAW_TAG:
-            matrices[method] = pre_images.reshape(pre_images.shape[0], -1)
-            continue
-        matrices[method] = extract_batch(pre_images, method, params or None)
-        if cfg.cache_dir:
-            os.makedirs(cfg.cache_dir, exist_ok=True)
-            save_feature_cache(paths[method], matrices[method], labels)
-    stage["extract"] = time.perf_counter() - t0
+    stage = {}
+    matrices, labels, source, n_first = feature_matrices(cfg, methods, stage)
+    if cfg.test_path is not None:
+        train_idx = np.arange(n_first)
+        test_idx = np.arange(n_first, labels.shape[0])
+    else:
+        train_idx, test_idx = split_indices(labels, cfg.split)
 
     n_classes = int(labels.max()) + 1
 
@@ -300,23 +305,18 @@ def format_plot_csv(res: GridResult) -> str:
     return "\n".join(rows) + "\n"
 
 
-def emit_report(res: GridResult, out_dir=None, formats=("markdown", "csv")):
-    """Write report files; returns the written paths."""
+def emit_report(res: GridResult, out_dir=None):
+    """Write tables.md, cells.csv and plot_accuracy.csv; returns the paths."""
     if not res.cells:
         raise ParameterError("grid result has no cells to report")
     out_dir = str(out_dir if out_dir is not None else res.config.out_dir)
     os.makedirs(out_dir, exist_ok=True)
     written = []
-    if "markdown" in formats:
-        path = os.path.join(out_dir, "tables.md")
+    for name, text in (("tables.md", format_markdown(res)),
+                       ("cells.csv", format_cells_csv(res)),
+                       ("plot_accuracy.csv", format_plot_csv(res))):
+        path = os.path.join(out_dir, name)
         with open(path, "w") as fh:
-            fh.write(format_markdown(res))
+            fh.write(text)
         written.append(path)
-    if "csv" in formats:
-        for name, text in (("cells.csv", format_cells_csv(res)),
-                           ("plot_accuracy.csv", format_plot_csv(res))):
-            path = os.path.join(out_dir, name)
-            with open(path, "w") as fh:
-                fh.write(text)
-            written.append(path)
     return written

@@ -55,14 +55,15 @@ def softmax(scores: np.ndarray) -> np.ndarray:
 def _grow_boost_tree(binned: np.ndarray, cuts: list[np.ndarray],
                      cols: np.ndarray, rows: np.ndarray, g: np.ndarray,
                      h: np.ndarray, max_depth: int, lam: float,
-                     max_bins: int) -> Tree:
+                     width: int) -> Tree:
     """Regression tree on (rows x cols) of the pre-binned matrix.
 
-    g/h are aligned with ``rows``. Thresholds are stored against original
-    column ids so the tree predicts from raw feature matrices.
+    g/h are aligned with ``rows``; ``width`` exceeds every bin id. Thresholds
+    are stored against original column ids so the tree predicts from raw
+    feature matrices.
     """
     n_cols = cols.shape[0]
-    offsets = np.arange(n_cols, dtype=np.int64) * max_bins
+    offsets = np.arange(n_cols, dtype=np.int64) * width
     sub = binned[np.ix_(rows, cols)] + offsets[None, :]
 
     def find_split(member: np.ndarray):
@@ -70,9 +71,9 @@ def _grow_boost_tree(binned: np.ndarray, cuts: list[np.ndarray],
         g_total, h_total = g_node.sum(), h_node.sum()
         m = member.shape[0]
         flat = sub[member].ravel()
-        size = n_cols * max_bins
+        size = n_cols * width
         gl, hl, nl = (np.bincount(flat, weights=w, minlength=size)
-                      .reshape(n_cols, max_bins).cumsum(axis=1)[:, :-1]
+                      .reshape(n_cols, width).cumsum(axis=1)[:, :-1]
                       for w in (np.repeat(g_node, n_cols),
                                 np.repeat(h_node, n_cols), None))
         gr = g_total - gl
@@ -83,7 +84,7 @@ def _grow_boost_tree(binned: np.ndarray, cuts: list[np.ndarray],
         gain[(nl < 1) | (nr < 1)] = -np.inf
         # row-major argmax: ties go to the lowest column, then lowest cut
         at = int(np.argmax(gain))
-        col_pos, cut_idx = divmod(at, max_bins - 1)
+        col_pos, cut_idx = divmod(at, width - 1)
         if not gain[col_pos, cut_idx] > 0.0:
             return None
         column = int(cols[col_pos])
@@ -148,7 +149,6 @@ class GradientBoostingClassifier(Estimator, ClassifierMixin):
         rounds = int(self.n_rounds)
         lr = float(self.learning_rate)
         lam = float(self.reg_lambda)
-        max_bins = int(self.max_bins)
 
         priors = np.bincount(y_idx, minlength=n_classes) / n
         self.init_scores_ = np.log(np.maximum(priors, _PROB_FLOOR))
@@ -157,7 +157,10 @@ class GradientBoostingClassifier(Estimator, ClassifierMixin):
             self.loss_trace_ = np.zeros(rounds + 1)
             return self
 
-        binned, cuts = prebin_features(X, max_bins)
+        binned, cuts = prebin_features(X, int(self.max_bins))
+        # histograms as wide as the most-cut column; at least one cut slot,
+        # so a split search on all-constant columns finds nothing
+        width = max(2, 1 + max(c.shape[0] for c in cuts))
         scores = np.tile(self.init_scores_, (n, 1))
         onehot = np.zeros((n, n_classes))
         onehot[np.arange(n), y_idx] = 1.0
@@ -184,7 +187,7 @@ class GradientBoostingClassifier(Estimator, ClassifierMixin):
                 h = p[:, c] * (1.0 - p[:, c])
                 tree = _grow_boost_tree(binned, cuts, cols, rows, g[rows],
                                         h[rows], int(self.max_depth), lam,
-                                        max_bins)
+                                        width)
                 scores[:, c] += lr * tree.leaf_values(X)[:, 0]
                 round_trees.append(tree)
             trees.append(round_trees)
@@ -210,7 +213,3 @@ class GradientBoostingClassifier(Estimator, ClassifierMixin):
             for c, tree in enumerate(round_trees):
                 scores[:, c] += lr * tree.leaf_values(X)[:, 0]
         return scores
-
-    def predict(self, X) -> np.ndarray:
-        scores = self.predict_scores(X)
-        return self.classes_[np.argmax(scores, axis=1)]

@@ -138,7 +138,3 @@ class RandomForestClassifier(Estimator, ClassifierMixin):
             labels = np.argmax(tree.leaf_values(X), axis=1)
             votes[rows, labels] += 1.0
         return votes
-
-    def predict(self, X) -> np.ndarray:
-        scores = self.predict_scores(X)
-        return self.classes_[np.argmax(scores, axis=1)]

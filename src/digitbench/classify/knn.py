@@ -78,7 +78,3 @@ class KnnClassifier(Estimator, ClassifierMixin):
             votes[rows, labels[:, rank]] += 1.0
             bonus[rows, labels[:, rank]] = (k - rank) / (k + 1.0)
         return votes + bonus
-
-    def predict(self, X) -> np.ndarray:
-        scores = self.predict_scores(X)
-        return self.classes_[np.argmax(scores, axis=1)]

@@ -176,7 +176,3 @@ class SvmClassifier(Estimator, ClassifierMixin):
 
     def predict_scores(self, X) -> np.ndarray:
         return self.decision_function(X)
-
-    def predict(self, X) -> np.ndarray:
-        scores = self.decision_function(X)
-        return self.classes_[np.argmax(scores, axis=1)]

@@ -9,29 +9,29 @@ Exit status is 0 only when everything asked for succeeded.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 import numpy as np
 
 from . import __version__
-from .bench import emit_report, feature_cache_file, load_run_images, run_grid
+from .bench import emit_report, feature_matrices, load_run_images, run_grid
 from .classify import classifier_kind
 from .classify.io import load_model
-from .config import RunConfig, load_config
-from .datasets import SCHEMAS, preprocess_all, save_feature_cache
+from .config import RunConfig, config_from_mapping, parse_config_text
+from .datasets import SCHEMAS
 from .errors import ParameterError, ParseError, ShapeError, SplitError
-from .features import METHODS, extract_batch
+from .features import METHODS
 from .imaging import Preprocessor
 from .viz import visualize
 
 
 def _add_dataset_flags(parser):
-    parser.add_argument("--dataset", help="digit CSV path")
+    source = parser.add_mutually_exclusive_group()
+    source.add_argument("--dataset", help="digit CSV path")
+    source.add_argument("--synthetic", choices=("glyphs", "squares"),
+                        help="use a built-in generated dataset")
     parser.add_argument("--schema", choices=SCHEMAS,
                         help="CSV label position")
-    parser.add_argument("--synthetic", choices=("glyphs", "squares"),
-                        help="use a built-in generated dataset")
     parser.add_argument("--samples", type=int,
                         help="synthetic dataset size")
     parser.add_argument("--side", type=int, help="image side length in the "
@@ -51,7 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--seed", type=int, help="split seed override")
     bench.add_argument("--jobs", type=int, help="parallel cell count")
     bench.add_argument("--out", help="report directory")
-    bench.add_argument("--raw-baseline", action="store_true",
+    bench.add_argument("--raw-baseline", action="store_true", default=None,
                        help="also run classifiers on raw pixels")
 
     extract = sub.add_parser("extract", help="precompute a feature cache")
@@ -59,8 +59,8 @@ def build_parser() -> argparse.ArgumentParser:
     extract.add_argument("--method", choices=METHODS, default="hog")
     extract.add_argument("--jobs", type=int, default=1,
                          help="accepted for compatibility; has no effect")
-    extract.add_argument("--out", default="cache",
-                         help="cache directory")
+    extract.add_argument("--out", dest="cache_dir", default="cache",
+                         metavar="DIR", help="cache directory")
 
     viz = sub.add_parser("visualize",
                          help="render pipeline stages for one digit")
@@ -76,30 +76,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# argparse dest -> config key; a flag that is not given keeps the value
+# from --config or the default
+_FLAG_KEYS = {"dataset": "dataset.path", "synthetic": "dataset.synthetic",
+              "schema": "dataset.schema", "samples": "dataset.samples",
+              "side": "dataset.side", "seed": "split.seed", "jobs": "jobs",
+              "out": "output.dir", "cache_dir": "output.cache_dir",
+              "raw_baseline": "raw_baseline"}
+
+
 def _config_from_args(args) -> RunConfig:
-    config_path = getattr(args, "config", None)
-    cfg = load_config(config_path) if config_path else RunConfig()
-    if getattr(args, "dataset", None) is not None:
-        cfg.dataset_path = args.dataset
-        cfg.synthetic = None
-    if getattr(args, "synthetic", None) is not None:
-        cfg.synthetic = args.synthetic
-        cfg.dataset_path = None
-    if getattr(args, "samples", None) is not None:
-        cfg.samples = args.samples
-    if getattr(args, "schema", None) is not None:
-        cfg.schema = args.schema
-    if getattr(args, "side", None) is not None:
-        cfg.side = args.side
-    if getattr(args, "seed", None) is not None:
-        cfg.split.seed = args.seed
-    if getattr(args, "jobs", None) is not None:
-        cfg.jobs = args.jobs
-    if getattr(args, "out", None) is not None:
-        cfg.out_dir = args.out
-    if getattr(args, "raw_baseline", False):
-        cfg.raw_baseline = True
-    return cfg.validate()
+    pairs = {}
+    if getattr(args, "config", None):
+        with open(args.config) as fh:
+            pairs = parse_config_text(fh.read())
+    flags = {key: getattr(args, dest) for dest, key in _FLAG_KEYS.items()
+             if getattr(args, dest, None) is not None}
+    if "dataset.path" in flags or "dataset.synthetic" in flags:
+        # a dataset flag replaces the file's dataset, of either kind
+        pairs.pop("dataset.path", None)
+        pairs.pop("dataset.synthetic", None)
+    return config_from_mapping({**pairs, **flags})
 
 
 def cmd_bench(args) -> int:
@@ -118,14 +115,9 @@ def cmd_bench(args) -> int:
 
 def cmd_extract(args) -> int:
     cfg = _config_from_args(args)
-    images, labels, source = load_run_images(cfg)
-    pre = preprocess_all(images, Preprocessor(**cfg.preprocess))
-    X = extract_batch(pre, args.method)
-    os.makedirs(args.out, exist_ok=True)
-    path = feature_cache_file(args.out, cfg, source, args.method)
-    save_feature_cache(path, X, labels)
+    X = feature_matrices(cfg, [(args.method, {})], {})[0][args.method]
     print(f"cached {X.shape[0]} x {X.shape[1]} {args.method} features "
-          f"at {path}")
+          f"in {cfg.cache_dir}")
     return 0
 
 

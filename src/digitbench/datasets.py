@@ -10,7 +10,6 @@ generators stand in for real digit scans where none are available.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 from dataclasses import dataclass
 
@@ -108,7 +107,7 @@ def load_csv(path, schema: str = LABEL_FIRST, side: int = 28):
         raise ParseError(
             f"row {linenos[at]}: label {labels[at]:g} "
             f"outside [0, {N_CLASSES - 1}]")
-    bad = (pixels < 0) | (pixels > 255)
+    bad = ~((pixels >= 0) & (pixels <= 255))  # NaN fails both
     if np.any(bad):
         at = np.argwhere(bad)[0]
         raise ParseError(
@@ -272,15 +271,6 @@ def synthetic_squares(n_samples: int = 200, seed: int = 0, side: int = 28):
         images[i] = np.clip(
             images[i] + rng.normal(0.0, 0.02, (side, side)), 0.0, 1.0)
     return images, labels.astype(np.int64)
-
-
-def feature_cache_path(cache_dir, digest: str, method: str, params: dict):
-    """Deterministic cache file name for one (dataset, extractor) pairing."""
-    key = json.dumps({"digest": digest, "method": method,
-                      "params": params, "version": CACHE_VERSION},
-                     sort_keys=True)
-    tag = hashlib.sha256(key.encode()).hexdigest()[:16]
-    return os.path.join(cache_dir, f"features-{method}-{tag}.npz")
 
 
 def save_feature_cache(path, features: np.ndarray, labels: np.ndarray):

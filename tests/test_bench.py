@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from digitbench import ParameterError, ParseError
-from digitbench.bench import (best_cells, emit_report, format_cells_csv,
-                              format_markdown, format_plot_csv, run_grid)
+from digitbench.bench import (best_cells, emit_report, feature_cache_file,
+                              format_cells_csv, format_markdown,
+                              format_plot_csv, run_grid)
 from digitbench.config import (RunConfig, coerce_scalar, config_from_mapping,
                                load_config, parse_config_text)
 from digitbench.datasets import (SplitSpec, load_feature_cache,
                                  preprocess_all, synthetic_glyphs)
-from digitbench.features import extract_batch
+from digitbench.features import extract_batch, make_descriptor
 from digitbench.imaging import Preprocessor
 
 
@@ -228,6 +229,24 @@ class TestRunGrid:
         expect = extract_batch(
             preprocess_all(images, Preprocessor(deskew_enabled=False)), "hog")
         assert any(np.array_equal(X, expect) for X in (on, off))
+
+
+class TestFeatureCacheFile:
+    def test_key_depends_on_inputs(self, tmp_path):
+        cfg = small_cfg()
+        base = feature_cache_file(tmp_path, cfg, "s1", "hog", {})
+        assert os.path.basename(base).startswith("features-hog-")
+        assert feature_cache_file(tmp_path, cfg, "s2", "hog", {}) != base
+        assert feature_cache_file(
+            tmp_path, small_cfg(preprocess={"deskew_enabled": False}), "s1",
+            "hog", {}) != base
+        assert feature_cache_file(tmp_path, cfg, "s1", "lbp", {}) != base
+        assert feature_cache_file(tmp_path, cfg, "s1", "hog",
+                                  {"cell_side": 7}) != base
+        defaults = make_descriptor("hog").get_params()
+        assert feature_cache_file(tmp_path, cfg, "s1", "hog",
+                                  defaults) == base
+        assert feature_cache_file(tmp_path, cfg, "s1", "hog", {}) == base
 
 
 class TestReports:

@@ -140,6 +140,15 @@ class TestBoostingBehavior:
         assert np.all(clf.loss_trace_ == 0.0)
         assert np.all(clf.predict(X) == 3)
 
+    def test_constant_columns_grow_leaves(self):
+        # no column has a cut, so every tree is a single leaf
+        X = np.zeros((10, 3))
+        y = np.arange(10) % 2
+        clf = GradientBoostingClassifier(n_rounds=3,
+                                         row_subsample=1.0).fit(X, y)
+        assert all(t.n_nodes == 1 for row in clf.trees_ for t in row)
+        assert np.all(clf.predict(X) == 0)
+
     def test_init_scores_are_log_priors(self):
         X = np.random.default_rng(8).random((8, 2))
         y = np.array([0, 0, 0, 0, 0, 0, 1, 1])

@@ -7,6 +7,7 @@ from digitbench import bench
 from digitbench.classify import make_classifier
 from digitbench.classify.io import save_model
 from digitbench.cli import main
+from digitbench.imaging import Preprocessor
 
 
 def write_cfg(path, extra=""):
@@ -105,6 +106,28 @@ class TestOtherVerbs:
                      "--method", "lbp", "--out", str(out_dir)]) == 0
         assert "cached 20 x 784 lbp features" in capsys.readouterr().out
         assert len(os.listdir(out_dir)) == 1
+
+    def test_extract_reuses_warm_cache(self, tmp_path, monkeypatch, capsys):
+        argv = ["extract", "--synthetic", "squares", "--samples", "20",
+                "--method", "hog", "--out", str(tmp_path / "cache")]
+        assert main(argv) == 0
+        files = os.listdir(tmp_path / "cache")
+
+        def no_preprocessing(*args, **kwargs):
+            raise AssertionError("preprocessed despite a warm cache")
+
+        # the method every preprocessing path ends in
+        monkeypatch.setattr(Preprocessor, "transform", no_preprocessing)
+        assert main(argv) == 0
+        assert os.listdir(tmp_path / "cache") == files
+        assert capsys.readouterr().out.count("cached 20 x ") == 2
+
+    def test_dataset_and_synthetic_exclusive(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["extract", "--dataset", str(tmp_path / "d.csv"),
+                  "--synthetic", "squares", "--out", str(tmp_path)])
+        assert info.value.code == 2
+        assert "not allowed with" in capsys.readouterr().err
 
     def test_extract_then_bench_hits_cache(self, tmp_path, monkeypatch):
         # the extract verb's defaults and a bench run with default hog

@@ -4,8 +4,7 @@ import pytest
 from digitbench import ParameterError, ParseError, ShapeError, SplitError
 from digitbench.base import IMAGE_BLOCK
 from digitbench.datasets import (LABEL_FIRST, LABEL_LAST, SplitSpec,
-                                 feature_cache_path, file_digest,
-                                 glyph_template, load_csv,
+                                 file_digest, glyph_template, load_csv,
                                  load_feature_cache, preprocess_all,
                                  save_feature_cache, split_indices,
                                  synthetic_glyphs, synthetic_squares)
@@ -84,6 +83,13 @@ class TestLoadCsv:
         p = tmp_path / "d.csv"
         write_csv(p, [[1] + [300] + [0] * 8])
         with pytest.raises(ParseError, match="row 1"):
+            load_csv(p, LABEL_FIRST, side=3)
+
+    def test_nan_pixel_names_row(self, tmp_path):
+        # NaN passes "< 0" and "> 255" alike; it must not reach preprocessing
+        p = tmp_path / "d.csv"
+        write_csv(p, [[1] + [0] * 9, [2] + [7] * 4 + ["nan"] + [7] * 4])
+        with pytest.raises(ParseError, match="row 2: pixel value nan"):
             load_csv(p, LABEL_FIRST, side=3)
 
     def test_empty_file_rejected(self, tmp_path):
@@ -232,21 +238,12 @@ class TestFeatureCache:
     def test_round_trip(self, tmp_path):
         X = np.random.default_rng(0).random((6, 9))
         y = np.arange(6) % 3
-        path = feature_cache_path(tmp_path, "digest123", "hog",
-                                  {"cell_side": 4})
+        path = tmp_path / "c.npz"
         save_feature_cache(path, X, y)
         loaded = load_feature_cache(path)
         assert loaded is not None
         assert np.array_equal(loaded[0], X)
         assert np.array_equal(loaded[1], y)
-
-    def test_key_depends_on_inputs(self, tmp_path):
-        base = feature_cache_path(tmp_path, "d1", "hog", {})
-        assert feature_cache_path(tmp_path, "d2", "hog", {}) != base
-        assert feature_cache_path(tmp_path, "d1", "lbp", {}) != base
-        assert feature_cache_path(tmp_path, "d1", "hog",
-                                  {"cell_side": 7}) != base
-        assert feature_cache_path(tmp_path, "d1", "hog", {}) == base
 
     def test_other_labels_miss(self, tmp_path):
         path = tmp_path / "c.npz"
