@@ -13,20 +13,12 @@ from .errors import (
     SplitError,
     StateError,
 )
-from .imaging import (
-    Preprocessor,
-    deskew,
-    gaussian_blur,
-    gaussian_kernel_1d,
-    intensity_skew,
-    resize_bilinear,
-)
+from .imaging import Preprocessor, gaussian_kernel_1d
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ClassifierMixin", "Estimator", "TransformerMixin",
     "ParameterError", "ParseError", "ShapeError", "SplitError", "StateError",
-    "Preprocessor", "deskew", "gaussian_blur", "gaussian_kernel_1d",
-    "intensity_skew", "resize_bilinear", "__version__",
+    "Preprocessor", "gaussian_kernel_1d", "__version__",
 ]

@@ -12,7 +12,7 @@ import inspect
 
 import numpy as np
 
-from .errors import ParameterError, ShapeError
+from .errors import ParameterError
 from .validation import check_image, check_image_batch
 
 # images per call of a stacked kernel: enough to amortise NumPy's per-call
@@ -56,8 +56,8 @@ class TransformerMixin:
 
     Subclasses implement ``_transform_stack``, which maps a validated float64
     stack to one output row per image. ``transform`` runs it on consecutive
-    blocks of IMAGE_BLOCK images, so memory stays bounded as the batch grows;
-    ``transform_one`` runs it on a stack of one.
+    IMAGE_BLOCK-image blocks of one (n, H, W) stack, so memory stays bounded
+    as the batch grows; ``transform_one`` runs it on a stack of one.
     """
 
     def _transform_stack(self, stack: np.ndarray) -> np.ndarray:
@@ -67,18 +67,14 @@ class TransformerMixin:
         return self._transform_stack(check_image(img)[None])[0]
 
     def transform(self, images) -> np.ndarray:
-        """Rows in input order; a ragged list runs each image shape apart."""
-        groups = check_image_batch(images)
+        """One output row per image of an (n, H, W) stack, in input order."""
+        stack = check_image_batch(images)
         out = None
-        for rows, stack in groups:
-            for start in range(0, len(rows), IMAGE_BLOCK):
-                part = self._transform_stack(stack[start:start + IMAGE_BLOCK])
-                if out is None:
-                    n = sum(len(r) for r, _ in groups)
-                    out = np.empty((n,) + part.shape[1:])
-                out[rows[start:start + IMAGE_BLOCK]] = part
-        if out is None:
-            raise ShapeError("images: the batch is empty")
+        for start in range(0, len(stack), IMAGE_BLOCK):
+            part = self._transform_stack(stack[start:start + IMAGE_BLOCK])
+            if out is None:
+                out = np.empty((len(stack),) + part.shape[1:])
+            out[start:start + IMAGE_BLOCK] = part
         return out
 
 

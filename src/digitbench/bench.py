@@ -79,17 +79,19 @@ def load_run_images(cfg: RunConfig):
                            f":seed={cfg.split.seed}"
 
 
-def feature_cache_file(cache_dir, cfg: RunConfig, source: str, method: str,
+def feature_cache_file(cache_dir, cfg: RunConfig, source: str,
+                       test_digest: str | None, method: str,
                        params=None) -> str:
     """Cache file for one extractor's matrix of the configured dataset.
 
     The name is one SHA-256 over everything that determines the matrix: the
-    source tag, the test file, the CSV schema and side, the preprocessing
-    parameters, the method and its parameters with defaults filled in (so
-    ``{}`` and the explicit defaults share one file) and ``CACHE_VERSION``.
+    source tag, the test file's digest (None without one), the CSV schema
+    and side, the preprocessing parameters, the method and its parameters
+    with defaults filled in (so ``{}`` and the explicit defaults share one
+    file) and ``CACHE_VERSION``.
     """
     inputs = {"source": source,
-              "test": file_digest(cfg.test_path) if cfg.test_path else None,
+              "test": test_digest,
               "schema": cfg.schema, "side": int(cfg.side),
               "preprocess": Preprocessor(**cfg.preprocess).get_params(),
               "method": method,
@@ -118,8 +120,11 @@ def feature_matrices(cfg: RunConfig, methods, stage: dict):
         labels = np.concatenate([labels, test_labels])
     stage["load"] = time.perf_counter() - t0
 
-    paths = {m: feature_cache_file(cfg.cache_dir, cfg, source, m, p)
-             for m, p in methods} if cfg.cache_dir else {}
+    paths = {}
+    if cfg.cache_dir:  # the test file is hashed once, not once per method
+        test_digest = file_digest(cfg.test_path) if cfg.test_path else None
+        paths = {m: feature_cache_file(cfg.cache_dir, cfg, source,
+                                       test_digest, m, p) for m, p in methods}
     cached = {m: load_feature_cache(path, labels)
               for m, path in paths.items()}
     matrices = {m: hit[0] for m, hit in cached.items() if hit is not None}

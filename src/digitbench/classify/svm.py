@@ -167,12 +167,9 @@ class SvmClassifier(Estimator, ClassifierMixin):
         self.converged_ = converged
         return self
 
-    def decision_function(self, X) -> np.ndarray:
+    def predict_scores(self, X) -> np.ndarray:
         """(n_samples, n_classes) one-vs-rest decision values."""
         check_is_fitted(self, "support_vectors_")
         Q = check_matrix(X, expected_cols=self.support_vectors_.shape[1])
         Kq = rbf_kernel(self.support_vectors_, Q, self.gamma_)
         return (self.dual_coef_ @ Kq).T + self.intercept_[None, :]
-
-    def predict_scores(self, X) -> np.ndarray:
-        return self.decision_function(X)

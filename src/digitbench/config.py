@@ -216,8 +216,3 @@ def config_from_mapping(pairs: dict) -> RunConfig:
     cfg.classifiers = [(k, params["classifier"].get(k, {}))
                        for k in order["classifier"]]
     return cfg.validate()
-
-
-def load_config(path) -> RunConfig:
-    with open(path) as fh:
-        return config_from_mapping(parse_config_text(fh.read()))

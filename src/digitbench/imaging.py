@@ -1,9 +1,9 @@
 """Grayscale image preprocessing: resize, denoise, deskew.
 
-The public functions take and return 2-D float64 arrays with intensities in
-[0, 1]; each is a call of the matching stacked kernel on a stack of one, and
-``Preprocessor.transform`` runs those kernels over (n, H, W) image blocks.
-8-bit inputs are expected to be divided by 255 at ingestion (see datasets).
+Every kernel takes and returns an (n, H, W) float64 stack with intensities
+in [0, 1], and ``Preprocessor.transform`` runs them over blocks of such a
+stack. 8-bit inputs are expected to be divided by 255 at ingestion (see
+datasets).
 """
 
 from __future__ import annotations
@@ -13,23 +13,20 @@ import math
 import numpy as np
 
 from .base import Estimator, TransformerMixin
-from .errors import ParameterError, ShapeError
-from .validation import check_image, check_positive
+from .errors import ParameterError
+from .validation import check_positive
 
 
 def _sample_bilinear(img: np.ndarray, ys: np.ndarray, xs: np.ndarray,
                      fill: float | None = None) -> np.ndarray:
     """Sample every image of an (n, H, W) stack at fractional (ys, xs).
 
-    A 2-D image is a stack of one. The coordinate arrays broadcast against
-    the (n, h, w) output: an (h, w) grid is shared by every image, an
-    (n, h, w) one is per image. With fill=None coordinates are clamped to the
-    borders; otherwise samples whose 2x2 support exits the image blend toward
-    ``fill``. The incremental form (base + fraction * difference) is exact
-    for constant neighborhoods.
+    The coordinate arrays broadcast against the (n, h, w) output: an (h, w)
+    grid is shared by every image, an (n, h, w) one is per image. With
+    fill=None coordinates are clamped to the borders; otherwise samples whose
+    2x2 support exits the image blend toward ``fill``. The incremental form
+    (base + fraction * difference) is exact for constant neighborhoods.
     """
-    if img.ndim == 2:
-        return _sample_bilinear(img[None], ys, xs, fill)[0]
     n, h, w = img.shape
     if fill is None:
         ys = np.clip(ys, 0.0, h - 1.0)
@@ -65,23 +62,12 @@ def _sample_bilinear(img: np.ndarray, ys: np.ndarray, xs: np.ndarray,
 
 
 def _resize(stack: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
+    """Bilinear resize; ``src = (dst + 0.5) * (in / out) - 0.5``, clamped."""
     _, h, w = stack.shape
     ys = (np.arange(out_h, dtype=np.float64) + 0.5) * (h / out_h) - 0.5
     xs = (np.arange(out_w, dtype=np.float64) + 0.5) * (w / out_w) - 0.5
     yy, xx = np.meshgrid(ys, xs, indexing="ij")
     return np.clip(_sample_bilinear(stack, yy, xx), 0.0, 1.0)
-
-
-def resize_bilinear(img, out_h: int, out_w: int) -> np.ndarray:
-    """Resize with bilinear interpolation, half-pixel center alignment.
-
-    Destination pixel centers map to source coordinates
-    ``src = (dst + 0.5) * (in_size / out_size) - 0.5``, clamped to the borders.
-    """
-    img = check_image(img)
-    if out_h < 1 or out_w < 1:
-        raise ShapeError(f"target dimensions must be >= 1, got {out_h}x{out_w}")
-    return _resize(img[None], out_h, out_w)[0]
 
 
 def gaussian_kernel_1d(sigma: float) -> np.ndarray:
@@ -94,6 +80,7 @@ def gaussian_kernel_1d(sigma: float) -> np.ndarray:
 
 
 def _blur(stack: np.ndarray, sigma: float) -> np.ndarray:
+    """Separable Gaussian convolution with reflect padding; shape is kept."""
     kernel = gaussian_kernel_1d(sigma)
     radius = (len(kernel) - 1) // 2
     padded = np.pad(stack, ((0, 0), (radius, radius), (radius, radius)),
@@ -107,11 +94,6 @@ def _blur(stack: np.ndarray, sigma: float) -> np.ndarray:
     for k, wk in enumerate(kernel):
         out += wk * tmp[:, k:k + h, :]
     return np.clip(out, 0.0, 1.0)
-
-
-def gaussian_blur(img, sigma: float) -> np.ndarray:
-    """Separable Gaussian convolution with reflect padding; shape is preserved."""
-    return _blur(check_image(img)[None], sigma)[0]
 
 
 def _skew(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -134,12 +116,8 @@ def _skew(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return skew, cy[:, 0, 0]
 
 
-def intensity_skew(img) -> float:
-    """Second-order moment skew mu11/mu02 of the intensity distribution."""
-    return float(_skew(check_image(img)[None])[0][0])
-
-
 def _deskew(stack: np.ndarray) -> np.ndarray:
+    """Cancel each skew by the shear x' = x - skew * (y - centroid_y)."""
     skew, cy = _skew(stack)
     _, h, w = stack.shape
     yy, xx = np.meshgrid(np.arange(h, dtype=np.float64),
@@ -151,21 +129,12 @@ def _deskew(stack: np.ndarray) -> np.ndarray:
     return out
 
 
-def deskew(img) -> np.ndarray:
-    """Remove glyph slant by a moment-based horizontal shear.
-
-    The shear x' = x - skew * (y - centroid_y) cancels the measured skew:
-    positive skew shears columns one way, negative the other. Resampling is
-    bilinear with zero fill; an all-zero image passes through unchanged.
-    """
-    return _deskew(check_image(img)[None])[0]
-
-
 class Preprocessor(Estimator, TransformerMixin):
     """Digit image pipeline: resize to a square side, Gaussian denoise, deskew.
 
-    Stateless; ``transform`` maps a batch of [0, 1] grayscale images of any
-    size to an (n, target_side, target_side) array.
+    Stateless; ``transform`` maps an (n, H, W) stack of [0, 1] images to an
+    (n, target_side, target_side) array. A stack already at the target side
+    skips the resize, which would return it bit for bit.
     """
 
     def __init__(self, target_side: int = 28, gaussian_sigma: float = 0.8,
@@ -182,5 +151,7 @@ class Preprocessor(Estimator, TransformerMixin):
     def _transform_stack(self, stack: np.ndarray) -> np.ndarray:
         self._check_params()
         side = int(self.target_side)
-        out = _blur(_resize(stack, side, side), self.gaussian_sigma)
+        if stack.shape[1:] != (side, side):
+            stack = _resize(stack, side, side)
+        out = _blur(stack, self.gaussian_sigma)
         return _deskew(out) if self.deskew_enabled else out

@@ -22,10 +22,6 @@ class ConfusionMatrix:
     def n_classes(self) -> int:
         return self.counts.shape[0]
 
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
 
 @dataclass
 class EvaluationReport:

@@ -26,38 +26,24 @@ def check_image(img, name: str = "image") -> np.ndarray:
     return arr
 
 
-def check_image_batch(images, name: str = "images"):
-    """Validate a batch given as an (n, H, W) array or a sequence of 2-D arrays.
+def check_image_batch(images, name: str = "images") -> np.ndarray:
+    """Validate a nonempty (n, H, W) image stack and return it as float64.
 
-    Returns ``(rows, stack)`` pairs, one per distinct image shape in order of
-    first appearance: ``stack`` holds the float64 images at input positions
-    ``rows``. Finiteness and the [0, 1] range are checked once per stack; the
-    offending image is only looked for when that check fails.
+    Finiteness and the [0, 1] range are checked once for the whole stack;
+    the offending image is only looked for when that check fails.
     """
-    if isinstance(images, np.ndarray):
-        if images.ndim != 3:
-            raise ShapeError(
-                f"{name} array must be 3-D (n, H, W), got shape {images.shape}")
-        groups = [(np.arange(images.shape[0]), images)]
-    else:
-        images = [np.asarray(img, dtype=np.float64) for img in images]
-        by_shape: dict = {}
-        for i, img in enumerate(images):
-            by_shape.setdefault(img.shape, []).append(i)
-        groups = [(np.array(rows), np.stack([images[i] for i in rows]))
-                  for rows in by_shape.values()]
-    checked = []
-    for rows, stack in groups:
-        if not len(rows):
-            continue
-        stack = np.asarray(stack, dtype=np.float64)
-        # a NaN makes min and max NaN and fails both comparisons
-        if stack.ndim != 3 or 0 in stack.shape[1:] \
-                or not (stack.min() >= 0.0 and stack.max() <= 1.0):
-            for row, img in zip(rows, stack):
-                check_image(img, f"{name}[{row}]")
-        checked.append((rows, stack))
-    return checked
+    try:
+        stack = np.asarray(images, dtype=np.float64)
+    except ValueError as exc:  # a ragged sequence, for one
+        raise ShapeError(f"{name} must be an (n, H, W) stack: {exc}") from None
+    if stack.ndim != 3 or not stack.size:
+        raise ShapeError(f"{name} must be a nonempty (n, H, W) stack, "
+                         f"got shape {stack.shape}")
+    # a NaN makes min and max NaN and fails both comparisons
+    if not (stack.min() >= 0.0 and stack.max() <= 1.0):
+        for i, img in enumerate(stack):
+            check_image(img, f"{name}[{i}]")
+    return stack
 
 
 def check_matrix(X, name: str = "X", expected_cols: int | None = None) -> np.ndarray:

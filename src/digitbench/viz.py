@@ -13,7 +13,6 @@ import os
 
 import numpy as np
 
-from .errors import ParseError
 from .features import GABOR, HOG, LBP, make_descriptor
 from .imaging import Preprocessor
 from .validation import check_image
@@ -29,26 +28,6 @@ def write_pgm(path, img: np.ndarray) -> None:
     lines = [f"{' '.join(str(v) for v in row)}" for row in levels]
     with open(path, "w") as fh:
         fh.write(f"P2\n{w} {h}\n255\n" + "\n".join(lines) + "\n")
-
-
-def read_pgm(path) -> np.ndarray:
-    """Read an ASCII PGM (P2) back into a [0, 1] image."""
-    with open(path) as fh:
-        tokens = []
-        for line in fh:
-            line = line.split("#", 1)[0]
-            tokens.extend(line.split())
-    if not tokens or tokens[0] != "P2":
-        raise ParseError(f"{path}: not an ASCII PGM (P2) file")
-    try:
-        w, h, maxval = (int(t) for t in tokens[1:4])
-        values = np.array([int(t) for t in tokens[4:]], dtype=np.float64)
-    except ValueError as exc:
-        raise ParseError(f"{path}: malformed PGM data") from exc
-    if maxval < 1 or values.size != w * h:
-        raise ParseError(
-            f"{path}: expected {w * h} pixel values, got {values.size}")
-    return values.reshape(h, w) / maxval
 
 
 def _draw_line(canvas: np.ndarray, cy: float, cx: float, angle: float,

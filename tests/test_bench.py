@@ -3,16 +3,31 @@ import os
 import numpy as np
 import pytest
 
-from digitbench import ParameterError, ParseError
+from digitbench import ParameterError, ParseError, bench
 from digitbench.bench import (best_cells, emit_report, feature_cache_file,
                               format_cells_csv, format_markdown,
                               format_plot_csv, run_grid)
 from digitbench.config import (RunConfig, coerce_scalar, config_from_mapping,
-                               load_config, parse_config_text)
-from digitbench.datasets import (SplitSpec, load_feature_cache,
+                               parse_config_text)
+from digitbench.datasets import (SplitSpec, file_digest, load_feature_cache,
                                  preprocess_all, synthetic_glyphs)
 from digitbench.features import extract_batch, make_descriptor
 from digitbench.imaging import Preprocessor
+
+
+def split_csvs(tmp_path):
+    """Dataset and test-file config keys for 30 + 10 glyph CSV rows."""
+    images, labels = synthetic_glyphs(40, seed=0)
+    quantized = np.clip(np.rint(images * 255), 0, 255).astype(int)
+    paths = {"dataset_path": str(tmp_path / "train.csv"),
+             "test_path": str(tmp_path / "test.csv")}
+    for path, idx in zip(paths.values(), (range(30), range(30, 40))):
+        rows = [",".join([str(labels[i])]
+                         + [str(v) for v in quantized[i].ravel()])
+                for i in idx]
+        with open(path, "w") as fh:
+            fh.write("\n".join(rows) + "\n")
+    return {"synthetic": None, **paths}
 
 
 def small_cfg(**overrides):
@@ -50,7 +65,7 @@ class TestConfigFormat:
         """
         p = tmp_path / "run.cfg"
         p.write_text(text)
-        cfg = load_config(p)
+        cfg = config_from_mapping(parse_config_text(p.read_text()))
         assert cfg.synthetic == "glyphs" and cfg.samples == 500
         assert cfg.features == [("hog", {"cell_side": 7}), ("lbp", {})]
         assert cfg.classifiers == [("svm", {}), ("rf", {"n_trees": 25})]
@@ -179,24 +194,27 @@ class TestRunGrid:
         assert blobs[0] == blobs[1] == blobs[2]
 
     def test_explicit_test_file(self, tmp_path):
-        images, labels = synthetic_glyphs(40, seed=0)
-        quantized = np.clip(np.rint(images * 255), 0, 255).astype(int)
-
-        def dump(path, idx):
-            rows = [",".join([str(labels[i])]
-                             + [str(v) for v in quantized[i].ravel()])
-                    for i in idx]
-            path.write_text("\n".join(rows) + "\n")
-
-        train_p, test_p = tmp_path / "train.csv", tmp_path / "test.csv"
-        dump(train_p, range(30))
-        dump(test_p, range(30, 40))
-        cfg = small_cfg(synthetic=None, dataset_path=str(train_p),
-                        test_path=str(test_p),
+        cfg = small_cfg(**split_csvs(tmp_path),
                         classifiers=[("knn", {"k": 1})])
         res = run_grid(cfg)
         assert res.n_train == 30 and res.n_test == 10
         assert res.all_ok
+
+    def test_test_file_hashed_once(self, tmp_path, monkeypatch):
+        # one digest of the test CSV serves every method's cache file
+        paths = split_csvs(tmp_path)
+        hashed = []
+
+        def counting_digest(path):
+            hashed.append(str(path))
+            return file_digest(path)
+
+        monkeypatch.setattr(bench, "file_digest", counting_digest)
+        run_grid(small_cfg(**paths, cache_dir=str(tmp_path / "cache"),
+                           features=[("hog", {}), ("lbp", {}), ("gabor", {})],
+                           classifiers=[("knn", {"k": 1})]))
+        assert hashed.count(paths["test_path"]) == 1
+        assert len(os.listdir(tmp_path / "cache")) == 3
 
     def test_feature_cache_reused(self, tmp_path):
         cache = tmp_path / "cache"
@@ -234,19 +252,21 @@ class TestRunGrid:
 class TestFeatureCacheFile:
     def test_key_depends_on_inputs(self, tmp_path):
         cfg = small_cfg()
-        base = feature_cache_file(tmp_path, cfg, "s1", "hog", {})
+        base = feature_cache_file(tmp_path, cfg, "s1", None, "hog", {})
         assert os.path.basename(base).startswith("features-hog-")
-        assert feature_cache_file(tmp_path, cfg, "s2", "hog", {}) != base
+        assert feature_cache_file(tmp_path, cfg, "s2", None, "hog", {}) != base
+        assert feature_cache_file(tmp_path, cfg, "s1", "t1", "hog", {}) != base
         assert feature_cache_file(
             tmp_path, small_cfg(preprocess={"deskew_enabled": False}), "s1",
-            "hog", {}) != base
-        assert feature_cache_file(tmp_path, cfg, "s1", "lbp", {}) != base
-        assert feature_cache_file(tmp_path, cfg, "s1", "hog",
+            None, "hog", {}) != base
+        assert feature_cache_file(tmp_path, cfg, "s1", None, "lbp", {}) != base
+        assert feature_cache_file(tmp_path, cfg, "s1", None, "hog",
                                   {"cell_side": 7}) != base
         defaults = make_descriptor("hog").get_params()
-        assert feature_cache_file(tmp_path, cfg, "s1", "hog",
+        assert feature_cache_file(tmp_path, cfg, "s1", None, "hog",
                                   defaults) == base
-        assert feature_cache_file(tmp_path, cfg, "s1", "hog", {}) == base
+        assert feature_cache_file(tmp_path, cfg, "s1", None, "hog",
+                                  {}) == base
 
 
 class TestReports:

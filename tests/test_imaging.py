@@ -1,17 +1,9 @@
 import numpy as np
 import pytest
 
-from digitbench import (
-    ParameterError,
-    Preprocessor,
-    ShapeError,
-    deskew,
-    gaussian_blur,
-    gaussian_kernel_1d,
-    intensity_skew,
-    resize_bilinear,
-)
-from digitbench.imaging import _sample_bilinear
+from digitbench import (ParameterError, Preprocessor, ShapeError,
+                        gaussian_kernel_1d, imaging)
+from digitbench.imaging import _blur, _deskew, _resize, _sample_bilinear, _skew
 
 
 def blur_oracle(img, sigma):
@@ -35,36 +27,32 @@ def shear_image(img, s):
     cy = (np.arange(h)[:, None] * img).sum() / total
     yy, xx = np.meshgrid(np.arange(h, dtype=float), np.arange(w, dtype=float),
                          indexing="ij")
-    return _sample_bilinear(img, yy, xx + s * (yy - cy), fill=0.0)
+    return _sample_bilinear(img[None], yy, xx + s * (yy - cy), fill=0.0)[0]
 
 
 class TestResize:
     def test_constant_stays_constant(self):
         img = np.full((7, 11), 0.375)
-        out = resize_bilinear(img, 28, 28)
-        assert out.shape == (28, 28)
+        out = _resize(img[None], 28, 28)
+        assert out.shape == (1, 28, 28)
         assert np.all(out == 0.375)
 
     def test_identity(self):
         rng = np.random.default_rng(3)
         img = rng.random((5, 9))
-        assert np.array_equal(resize_bilinear(img, 5, 9), img)
+        assert np.array_equal(_resize(img[None], 5, 9)[0], img)
 
     def test_1x2_to_1x4(self):
         # hand-evaluated: src_x = (dst + 0.5) * 0.5 - 0.5 = -0.25, 0.25, 0.75, 1.25
-        out = resize_bilinear(np.array([[0.0, 1.0]]), 1, 4)
-        assert np.allclose(out, [[0.0, 0.25, 0.75, 1.0]], atol=1e-15)
+        out = _resize(np.array([[[0.0, 1.0]]]), 1, 4)
+        assert np.allclose(out, [[[0.0, 0.25, 0.75, 1.0]]], atol=1e-15)
 
     def test_range_preserved(self):
         rng = np.random.default_rng(4)
         img = rng.random((17, 23))
-        out = resize_bilinear(img, 28, 28)
+        out = _resize(img[None], 28, 28)
         assert out.min() >= img.min() - 1e-12
         assert out.max() <= img.max() + 1e-12
-
-    def test_rejects_zero_target(self):
-        with pytest.raises(ShapeError):
-            resize_bilinear(np.ones((4, 4)), 0, 4)
 
 
 class TestGaussianBlur:
@@ -77,37 +65,37 @@ class TestGaussianBlur:
 
     def test_constant_exact(self):
         img = np.full((28, 28), 0.6)
-        out = gaussian_blur(img, 0.8)
+        out = _blur(img[None], 0.8)
         assert np.allclose(out, 0.6, atol=1e-12)
 
     def test_impulse_center_weight(self):
         img = np.zeros((21, 21))
         img[10, 10] = 1.0
-        out = gaussian_blur(img, 0.8)
+        out = _blur(img[None], 0.8)[0]
         assert out[10, 10] == pytest.approx(0.24867820378576597, abs=1e-14)
 
     def test_impulse_mass_preserved(self):
         img = np.zeros((21, 21))
         img[10, 10] = 1.0
-        assert gaussian_blur(img, 0.8).sum() == pytest.approx(1.0, abs=1e-9)
+        assert _blur(img[None], 0.8).sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_matches_direct_convolution(self):
         rng = np.random.default_rng(5)
         img = rng.random((12, 14))
-        assert np.allclose(gaussian_blur(img, 0.8), blur_oracle(img, 0.8),
+        assert np.allclose(_blur(img[None], 0.8)[0], blur_oracle(img, 0.8),
                            atol=1e-12)
 
     def test_commutes_with_flips(self):
         rng = np.random.default_rng(6)
-        img = rng.random((15, 15))
-        assert np.allclose(gaussian_blur(img[:, ::-1], 1.1),
-                           gaussian_blur(img, 1.1)[:, ::-1], atol=1e-12)
-        assert np.allclose(gaussian_blur(img[::-1, :], 1.1),
-                           gaussian_blur(img, 1.1)[::-1, :], atol=1e-12)
+        stack = rng.random((1, 15, 15))
+        assert np.allclose(_blur(stack[:, :, ::-1], 1.1),
+                           _blur(stack, 1.1)[:, :, ::-1], atol=1e-12)
+        assert np.allclose(_blur(stack[:, ::-1, :], 1.1),
+                           _blur(stack, 1.1)[:, ::-1, :], atol=1e-12)
 
     def test_rejects_nonpositive_sigma(self):
         with pytest.raises(ParameterError):
-            gaussian_blur(np.ones((4, 4)), 0.0)
+            gaussian_kernel_1d(0.0)
 
 
 class TestDeskew:
@@ -118,18 +106,18 @@ class TestDeskew:
 
     def test_symmetric_bar_unchanged(self):
         img = self.vertical_bar()
-        assert intensity_skew(img) == 0.0
-        assert np.array_equal(deskew(img), img)
+        assert _skew(img[None])[0][0] == 0.0
+        assert np.array_equal(_deskew(img[None])[0], img)
 
     def test_all_zero_passthrough(self):
         img = np.zeros((16, 16))
-        assert intensity_skew(img) == 0.0
-        assert np.array_equal(deskew(img), img)
+        assert _skew(img[None])[0][0] == 0.0
+        assert np.array_equal(_deskew(img[None])[0], img)
 
     def test_sheared_bar_recovered(self):
         sheared = shear_image(self.vertical_bar(), 0.3)
-        assert abs(intensity_skew(sheared)) > 0.15
-        assert abs(intensity_skew(deskew(sheared))) < 0.05
+        assert abs(_skew(sheared[None])[0][0]) > 0.15
+        assert abs(_skew(_deskew(sheared[None]))[0][0]) < 0.05
 
     def test_idempotent_to_tolerance(self):
         rng = np.random.default_rng(7)
@@ -137,29 +125,29 @@ class TestDeskew:
             img = np.zeros((28, 28))
             img[4:24, 10:18] = rng.random((20, 8))
             img = shear_image(img, rng.uniform(-0.4, 0.4))
-            out = deskew(img)
-            assert abs(intensity_skew(out)) < 0.05
+            out = _deskew(img[None])
+            assert abs(_skew(out)[0][0]) < 0.05
 
     def test_range_preserved(self):
         sheared = shear_image(self.vertical_bar(), 0.25)
-        out = deskew(sheared)
+        out = _deskew(sheared[None])
         assert out.min() >= 0.0 and out.max() <= 1.0
 
 
 class TestPreprocessor:
     def test_shapes_and_range(self):
         rng = np.random.default_rng(8)
-        imgs = [rng.random((40, 30)), rng.random((28, 28)), rng.random((64, 64))]
-        out = Preprocessor().transform(imgs)
-        assert out.shape == (3, 28, 28)
-        assert out.min() >= 0.0 and out.max() <= 1.0
+        for shape in ((2, 40, 30), (1, 28, 28), (3, 64, 64)):
+            out = Preprocessor().transform(rng.random(shape))
+            assert out.shape == (shape[0], 28, 28)
+            assert out.min() >= 0.0 and out.max() <= 1.0
 
     def test_deskew_toggle(self):
         img = shear_image(np.pad(np.ones((12, 4)), 8), 0.3)
         on = Preprocessor(deskew_enabled=True).transform_one(img)
         off = Preprocessor(deskew_enabled=False).transform_one(img)
         assert not np.array_equal(on, off)
-        assert abs(intensity_skew(on)) < abs(intensity_skew(off))
+        assert abs(_skew(on[None])[0][0]) < abs(_skew(off[None])[0][0])
 
     def test_param_validation(self):
         with pytest.raises(ParameterError):
@@ -171,7 +159,24 @@ class TestPreprocessor:
         good = np.full((10, 10), 0.5)
         bad = np.full((10, 10), 2.0)
         with pytest.raises(ShapeError, match=r"images\[1\]"):
-            Preprocessor().transform([good, bad])
+            Preprocessor().transform(np.stack([good, bad]))
+
+    def test_ragged_list_rejected(self):
+        images = [np.zeros((10, 10)), np.zeros((12, 12))]
+        with pytest.raises(ShapeError, match="images must be an"):
+            Preprocessor().transform(images)
+
+    def test_identity_resize_skipped(self, monkeypatch):
+        # at the target side the resize would return its input bit for bit
+        stack = np.random.default_rng(9).random((3, 28, 28))
+        expect = _deskew(_blur(_resize(stack, 28, 28), 0.8))
+
+        def no_resize(*args):
+            raise AssertionError("resize called at the target side")
+
+        monkeypatch.setattr(imaging, "_resize", no_resize)
+        out = Preprocessor(target_side=28).transform(stack)
+        assert out.tobytes() == expect.tobytes()
 
     def test_get_set_params(self):
         pre = Preprocessor()

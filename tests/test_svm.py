@@ -66,7 +66,7 @@ class TestSvmClassifier:
         X, y = self.make_blobs(rng)
         clf = SvmClassifier().fit(X, y)
         Q = rng.normal(1.5, 2.0, (30, 4))
-        scores = clf.decision_function(Q)
+        scores = clf.predict_scores(Q)
         assert scores.shape == (30, 3)
         assert np.array_equal(clf.predict(Q),
                               clf.classes_[np.argmax(scores, axis=1)])
@@ -76,14 +76,14 @@ class TestSvmClassifier:
         X, y = self.make_blobs(rng)
         clf = SvmClassifier().fit(X, y)
         Q = rng.normal(1.5, 2.0, (20, 4))
-        assert np.array_equal(clf.decision_function(Q),
-                              clf.decision_function(Q))
+        assert np.array_equal(clf.predict_scores(Q),
+                              clf.predict_scores(Q))
 
     def test_free_support_vector_margin(self):
         rng = np.random.default_rng(6)
         X, y = self.make_blobs(rng, n_classes=2, spread=1.2)
         clf = SvmClassifier(C=10.0).fit(X, y)
-        scores = clf.decision_function(clf.support_vectors_)
+        scores = clf.predict_scores(clf.support_vectors_)
         C = 10.0
         checked = 0
         for c in range(2):
@@ -102,7 +102,7 @@ class TestSvmClassifier:
         a = SvmClassifier().fit(X, y)
         b = SvmClassifier().fit(X[perm], y[perm])
         Q = rng.normal(1.5, 2.0, (40, 4))
-        fa, fb = a.decision_function(Q), b.decision_function(Q)
+        fa, fb = a.predict_scores(Q), b.predict_scores(Q)
         confident = np.abs(fa).max(axis=1) > 1e-3
         assert np.array_equal(np.argmax(fa[confident], axis=1),
                               np.argmax(fb[confident], axis=1))

@@ -1,12 +1,21 @@
 import numpy as np
-import pytest
 
-from digitbench import ParseError
 from digitbench.datasets import synthetic_glyphs
 from digitbench.features import (GaborDescriptor, HogDescriptor,
                                  LbpDescriptor)
-from digitbench.viz import (read_pgm, render_feature, render_gabor,
-                            render_hog, render_lbp, visualize, write_pgm)
+from digitbench.viz import (render_feature, render_gabor, render_hog,
+                            render_lbp, visualize, write_pgm)
+
+
+def parse_pgm(path):
+    """An ASCII PGM (P2) file as a [0, 1] image."""
+    with open(path) as fh:
+        tokens = [t for line in fh for t in line.split("#", 1)[0].split()]
+    assert tokens[0] == "P2"
+    w, h, maxval = (int(t) for t in tokens[1:4])
+    values = np.array([int(t) for t in tokens[4:]], dtype=np.float64)
+    assert values.size == w * h
+    return values.reshape(h, w) / maxval
 
 
 class TestPgm:
@@ -14,7 +23,7 @@ class TestPgm:
         img = np.linspace(0.0, 1.0, 48).reshape(6, 8)
         path = tmp_path / "ramp.pgm"
         write_pgm(path, img)
-        back = read_pgm(path)
+        back = parse_pgm(path)
         assert back.shape == img.shape
         assert np.abs(back - img).max() <= 0.5 / 255 + 1e-12
 
@@ -22,24 +31,12 @@ class TestPgm:
         img = np.array([[0.0, 1.0]])
         path = tmp_path / "bw.pgm"
         write_pgm(path, img)
-        assert np.array_equal(read_pgm(path), img)
-
-    def test_read_rejects_bad_magic(self, tmp_path):
-        p = tmp_path / "x.pgm"
-        p.write_text("P5\n2 2\n255\n0 0 0 0\n")
-        with pytest.raises(ParseError, match="P2"):
-            read_pgm(p)
-
-    def test_read_rejects_truncated(self, tmp_path):
-        p = tmp_path / "x.pgm"
-        p.write_text("P2\n3 2\n255\n0 0 0 0\n")
-        with pytest.raises(ParseError, match="pixel values"):
-            read_pgm(p)
+        assert np.array_equal(parse_pgm(path), img)
 
     def test_comments_ignored(self, tmp_path):
         p = tmp_path / "x.pgm"
         p.write_text("P2\n# made by hand\n2 1\n255\n255 0\n")
-        assert np.array_equal(read_pgm(p), [[1.0, 0.0]])
+        assert np.array_equal(parse_pgm(p), [[1.0, 0.0]])
 
 
 class TestRenderings:
@@ -86,5 +83,5 @@ class TestVisualize:
     def test_outputs_readable(self, tmp_path):
         img, _ = synthetic_glyphs(1, seed=3)
         for path in visualize(img[0], "gabor", out_dir=tmp_path):
-            view = read_pgm(path)
+            view = parse_pgm(path)
             assert view.ndim == 2 and view.size > 0
