@@ -40,11 +40,8 @@ def classifier_kind(clf) -> str:
     raise ParameterError(f"unrecognized classifier type {type(clf).__name__}")
 
 
-from .io import load_model, save_model  # noqa: E402  (needs _CLASSIFIERS)
-
 __all__ = [
     "GBDT", "KINDS", "KNN", "RF", "SVM",
     "GradientBoostingClassifier", "KnnClassifier", "RandomForestClassifier",
-    "SvmClassifier", "classifier_kind", "load_model", "make_classifier",
-    "save_model",
+    "SvmClassifier", "classifier_kind", "make_classifier",
 ]

@@ -101,9 +101,14 @@ class GradientBoostingClassifier(Estimator, ClassifierMixin):
     Initial scores are log class priors. The tree for (round r, class c)
     derives its RNG stream from (seed, r, c) and consumes it in row-sample,
     column-sample order, so fits are reproducible at any parallelism; a
-    subsample fraction of 1.0 draws nothing from the stream. ``loss_trace_``
-    records the training log-loss before each round plus the final value.
+    subsample fraction of 1.0 draws nothing from the stream. ``trees_`` is
+    one flat list in round-major order: tree ``r * n_classes + c`` belongs to
+    round r, class c (empty for a single class). ``loss_trace_`` records the
+    training log-loss before each round plus the final value.
     """
+
+    _SAVED = {"n_features": "n_features_", "init_scores": "init_scores_",
+              "loss_trace": "loss_trace_"}
 
     def __init__(self, n_rounds: int = 200, max_depth: int = 5,
                  learning_rate: float = 0.3, row_subsample: float = 0.8,
@@ -167,12 +172,11 @@ class GradientBoostingClassifier(Estimator, ClassifierMixin):
         row_count = math.ceil(float(self.row_subsample) * n)
         col_count = math.ceil(float(self.col_subsample) * d)
 
-        trees: list[list[Tree]] = []
+        trees: list[Tree] = []
         trace = np.empty(rounds + 1)
         for r in range(rounds):
             p = softmax(scores)
             trace[r] = self._log_loss(p, y_idx)
-            round_trees = []
             for c in range(n_classes):
                 rng = np.random.default_rng([int(self.seed), r, c])
                 if row_count < n:
@@ -189,8 +193,7 @@ class GradientBoostingClassifier(Estimator, ClassifierMixin):
                                         h[rows], int(self.max_depth), lam,
                                         width)
                 scores[:, c] += lr * tree.leaf_values(X)[:, 0]
-                round_trees.append(tree)
-            trees.append(round_trees)
+                trees.append(tree)
         trace[rounds] = self._log_loss(softmax(scores), y_idx)
 
         self.trees_ = trees
@@ -209,7 +212,6 @@ class GradientBoostingClassifier(Estimator, ClassifierMixin):
         n_classes = self.classes_.shape[0]
         scores = np.tile(self.init_scores_, (X.shape[0], 1))
         lr = float(self.learning_rate)
-        for round_trees in self.trees_:
-            for c, tree in enumerate(round_trees):
-                scores[:, c] += lr * tree.leaf_values(X)[:, 0]
+        for i, tree in enumerate(self.trees_):
+            scores[:, i % n_classes] += lr * tree.leaf_values(X)[:, 0]
         return scores

@@ -1,101 +1,52 @@
 """Versioned .npz serialization for fitted classifiers.
 
 Layout: a JSON ``meta`` entry (format version, classifier kind, constructor
-params, class labels) plus kind-specific arrays. Tree ensembles are stored
-as flat node arrays with per-tree offsets. Round-trip guarantee: a loaded
-model predicts identically to the one saved.
+params, class labels) plus one array per entry of the class's ``_SAVED``
+table ({file key: fitted attribute}). A flat ``trees_`` list is stored as
+``tree_offsets`` (tree i owns nodes ``offsets[i]:offsets[i + 1]``) plus one
+``node_<field>`` array per ``Tree`` field, concatenated over the trees. A
+loaded model predicts identically to the one saved.
 """
 
 from __future__ import annotations
 
 import json
 import zipfile
+from dataclasses import fields
 
 import numpy as np
 
 from ..errors import ParseError
+from . import classifier_kind, make_classifier
 from ._tree import Tree
 
 FORMAT_VERSION = 1
 
-
-def _pack_trees(trees: list[Tree], value_dim: int) -> dict[str, np.ndarray]:
-    offsets = np.zeros(len(trees) + 1, dtype=np.int64)
-    for i, tree in enumerate(trees):
-        offsets[i + 1] = offsets[i] + tree.n_nodes
-    if trees:
-        return {
-            "tree_offsets": offsets,
-            "node_feature": np.concatenate([t.feature for t in trees]),
-            "node_threshold": np.concatenate([t.threshold for t in trees]),
-            "node_left": np.concatenate([t.left for t in trees]),
-            "node_right": np.concatenate([t.right for t in trees]),
-            "node_value": np.concatenate([t.value for t in trees], axis=0),
-        }
-    return {
-        "tree_offsets": offsets,
-        "node_feature": np.zeros(0, dtype=np.int32),
-        "node_threshold": np.zeros(0),
-        "node_left": np.zeros(0, dtype=np.int32),
-        "node_right": np.zeros(0, dtype=np.int32),
-        "node_value": np.zeros((0, value_dim)),
-    }
-
-
-def _unpack_trees(data) -> list[Tree]:
-    offsets = data["tree_offsets"]
-    trees = []
-    for i in range(len(offsets) - 1):
-        lo, hi = offsets[i], offsets[i + 1]
-        trees.append(Tree(
-            feature=data["node_feature"][lo:hi],
-            threshold=data["node_threshold"][lo:hi],
-            left=data["node_left"][lo:hi],
-            right=data["node_right"][lo:hi],
-            value=data["node_value"][lo:hi],
-        ))
-    return trees
+_NODE_FIELDS = [f.name for f in fields(Tree)]
 
 
 def save_model(model, path) -> None:
     """Write a fitted classifier to an .npz file."""
-    from . import GBDT, KNN, RF, SVM, classifier_kind
-
-    kind = classifier_kind(model)
     meta = {
         "format_version": FORMAT_VERSION,
-        "kind": kind,
+        "kind": classifier_kind(model),
         "params": model.get_params(),
         "classes": np.asarray(model.classes_).tolist(),
     }
-    arrays: dict[str, np.ndarray] = {}
-    if kind == KNN:
-        arrays["train_X"] = model._X
-        arrays["train_y"] = model.classes_[model._y_idx]
-    elif kind == SVM:
-        arrays["support"] = model.support_
-        arrays["support_vectors"] = model.support_vectors_
-        arrays["dual_coef"] = model.dual_coef_
-        arrays["intercept"] = model.intercept_
-        arrays["n_iter"] = model.n_iter_
-        arrays["gamma"] = np.array(model.gamma_)
-        arrays["converged"] = np.array(model.converged_)
-    elif kind == RF:
-        arrays.update(_pack_trees(model.trees_, len(model.classes_)))
-        arrays["n_features"] = np.array(model.n_features_)
-    elif kind == GBDT:
-        flat = [tree for round_trees in model.trees_ for tree in round_trees]
-        arrays.update(_pack_trees(flat, 1))
-        arrays["n_features"] = np.array(model.n_features_)
-        arrays["init_scores"] = model.init_scores_
-        arrays["loss_trace"] = model.loss_trace_
+    arrays = {key: np.asarray(getattr(model, attr))
+              for key, attr in model._SAVED.items()}
+    if hasattr(model, "trees_"):
+        trees = model.trees_
+        arrays["tree_offsets"] = np.cumsum(
+            [0] + [t.n_nodes for t in trees], dtype=np.int64)
+        if trees:
+            arrays.update({f"node_{name}": np.concatenate(
+                [getattr(t, name) for t in trees]) for name in _NODE_FIELDS})
     np.savez(path, meta=json.dumps(meta), **arrays)
 
 
 def load_model(path):
     """Reconstruct a fitted classifier saved by ``save_model``."""
-    from . import GBDT, KNN, RF, SVM, make_classifier
-
     try:
         data = np.load(path, allow_pickle=False)
     except (ValueError, OSError, zipfile.BadZipFile) as exc:
@@ -110,29 +61,18 @@ def load_model(path):
             raise ParseError(
                 f"unsupported model format version {version!r} "
                 f"(expected {FORMAT_VERSION})")
-        kind = meta.get("kind")
-        model = make_classifier(kind, **meta["params"])
-        classes = np.asarray(meta["classes"], dtype=np.int64)
-        if kind == KNN:
-            return model.fit(data["train_X"], data["train_y"])
-        model.classes_ = classes
-        if kind == SVM:
-            model.support_ = data["support"]
-            model.support_vectors_ = data["support_vectors"]
-            model.dual_coef_ = data["dual_coef"]
-            model.intercept_ = data["intercept"]
-            model.n_iter_ = data["n_iter"]
-            model.gamma_ = float(data["gamma"])
-            model.converged_ = bool(data["converged"])
-        elif kind == RF:
-            model.trees_ = _unpack_trees(data)
-            model.n_features_ = int(data["n_features"])
-        elif kind == GBDT:
-            flat = _unpack_trees(data)
-            n_classes = classes.shape[0]
-            model.trees_ = [flat[i:i + n_classes]
-                            for i in range(0, len(flat), n_classes)]
-            model.n_features_ = int(data["n_features"])
-            model.init_scores_ = data["init_scores"]
-            model.loss_trace_ = data["loss_trace"]
-        return model
+        try:
+            model = make_classifier(meta["kind"], **meta["params"])
+            model.classes_ = np.asarray(meta["classes"], dtype=np.int64)
+            for key, attr in model._SAVED.items():
+                setattr(model, attr, data[key][()])
+            if "tree_offsets" in data.files:
+                offsets = data["tree_offsets"]
+                nodes = ({name: data[f"node_{name}"] for name in _NODE_FIELDS}
+                         if len(offsets) > 1 else {})
+                model.trees_ = [
+                    Tree(**{name: arr[lo:hi] for name, arr in nodes.items()})
+                    for lo, hi in zip(offsets[:-1], offsets[1:])]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ParseError(f"not a recognized model file: {exc}") from exc
+    return model

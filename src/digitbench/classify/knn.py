@@ -8,8 +8,10 @@ from ..base import ClassifierMixin, Estimator
 from ..errors import ParameterError, StateError
 from ..validation import check_is_fitted, check_matrix, check_X_y
 
-# cap on scratch elements per distance block, keeps memory flat on big data
-_BLOCK_BUDGET = 16_000_000
+# elements per distance block (at least one query), which holds three
+# temporaries this size; chosen by measurement on HOG rows, where it was
+# faster than larger blocks at a fraction of their peak memory
+_BLOCK_BUDGET = 1_000_000
 
 
 class KnnClassifier(Estimator, ClassifierMixin):
@@ -21,6 +23,8 @@ class KnnClassifier(Estimator, ClassifierMixin):
     returns vote counts plus a sub-unit rank bonus, so the reported label is
     always the argmax of the scores under that tie rule.
     """
+
+    _SAVED = {"train_X": "_X", "train_y": "_y"}
 
     def __init__(self, k: int = 5, minkowski_p: float = 2.0):
         self.k = k
@@ -35,8 +39,9 @@ class KnnClassifier(Estimator, ClassifierMixin):
         X, y = check_X_y(X, y)
         if X.shape[0] == 0:
             raise StateError("cannot fit on an empty training set")
-        self.classes_, self._y_idx = np.unique(y, return_inverse=True)
+        self.classes_ = np.unique(y)
         self._X = X
+        self._y = y
         return self
 
     def _neighbor_order(self, Q: np.ndarray) -> np.ndarray:
@@ -66,7 +71,7 @@ class KnnClassifier(Estimator, ClassifierMixin):
                 f"k={k} exceeds the training set size {self._X.shape[0]}")
         ranked = self._neighbor_order(Q)
         n_classes = self.classes_.shape[0]
-        labels = self._y_idx[ranked]  # (nq, k)
+        labels = np.searchsorted(self.classes_, self._y[ranked])  # (nq, k)
         rows = np.arange(Q.shape[0])
         votes = np.zeros((Q.shape[0], n_classes))
         bonus = np.zeros_like(votes)

@@ -118,6 +118,10 @@ class SvmClassifier(Estimator, ClassifierMixin):
     argmax over classes (lowest index on exact ties).
     """
 
+    _SAVED = {"support": "support_", "support_vectors": "support_vectors_",
+              "dual_coef": "dual_coef_", "intercept": "intercept_",
+              "n_iter": "n_iter_", "gamma": "gamma_", "converged": "converged_"}
+
     def __init__(self, C: float = 10.0, gamma="scale", tol: float = 1e-3,
                  max_iter: int = 200_000):
         self.C = C
@@ -131,6 +135,8 @@ class SvmClassifier(Estimator, ClassifierMixin):
             raise ParameterError(f"C must be positive, got {C}")
         if float(self.tol) <= 0:
             raise ParameterError(f"tol must be positive, got {self.tol}")
+        if int(self.max_iter) < 1:
+            raise ParameterError(f"max_iter must be >= 1, got {self.max_iter}")
         X, y = check_X_y(X, y)
         if X.shape[0] == 0:
             raise StateError("cannot fit on an empty training set")

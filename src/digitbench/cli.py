@@ -144,11 +144,8 @@ def cmd_inspect(args) -> int:
     for name in sorted(params):
         print(f"param {name}: {params[name]}")
     if hasattr(model, "trees_"):
-        trees = model.trees_
-        flat = ([t for row in trees for t in row]
-                if trees and isinstance(trees[0], list) else trees)
-        nodes = sum(t.n_nodes for t in flat)
-        print(f"trees: {len(flat)} with {nodes} nodes")
+        nodes = sum(t.n_nodes for t in model.trees_)
+        print(f"trees: {len(model.trees_)} with {nodes} nodes")
     if hasattr(model, "support_vectors_"):
         print(f"support vectors: {model.support_vectors_.shape[0]}")
         print(f"converged: {model.converged_}")

@@ -76,15 +76,6 @@ class HogDescriptor(Estimator, TransformerMixin):
                 f"block_side {bs} must lie in [1, cells per side {min(cells_y, cells_x)}]")
         return cells_y, cells_x
 
-    def output_dim(self, h: int, w: int) -> int:
-        """Descriptor length for an h x w image, from the block geometry."""
-        cells_y, cells_x = self._check_geometry(h, w)
-        stride = int(self.block_stride)
-        bs = int(self.block_side)
-        blocks_y = (cells_y - bs) // stride + 1
-        blocks_x = (cells_x - bs) // stride + 1
-        return blocks_y * blocks_x * bs * bs * int(self.n_bins)
-
     def cell_histograms(self, img) -> np.ndarray:
         """Per-cell orientation histograms before block normalization.
 

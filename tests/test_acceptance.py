@@ -154,7 +154,7 @@ def test_criterion_4_classifier_oracles():
                                          row_subsample=1.0,
                                          col_subsample=1.0).fit(X, y)
         for c, expected in enumerate(stump_oracle(X, y, 3, lam=1.0)):
-            tree = clf.trees_[0][c]
+            tree = clf.trees_[c]
             stump_ok &= expected is not None
             if expected is None:
                 continue

@@ -19,7 +19,7 @@ class TestStumpOracle:
                                              row_subsample=1.0,
                                              col_subsample=1.0).fit(X, y)
             for c, expected in enumerate(stump_oracle(X, y, 3, lam=1.0)):
-                tree = clf.trees_[0][c]
+                tree = clf.trees_[c]
                 assert expected is not None
                 feature, threshold, left, right = expected
                 assert tree.feature[0] == feature
@@ -38,7 +38,7 @@ class TestStumpOracle:
                                          learning_rate=0.5,
                                          row_subsample=1.0,
                                          col_subsample=1.0).fit(X, y)
-        tree0 = clf.trees_[0][0]
+        tree0 = clf.trees_[0]
         assert tree0.threshold[0] == 1.5
         assert tree0.value[tree0.left[0], 0] == pytest.approx(2.0 / 3.0)
         assert tree0.value[tree0.right[0], 0] == pytest.approx(-2.0 / 3.0)
@@ -120,7 +120,7 @@ class TestBoostingBehavior:
         X = rng.random((120, 4))
         y = rng.integers(0, 3, 120)
         clf = GradientBoostingClassifier(n_rounds=4, max_depth=2).fit(X, y)
-        assert max(t.max_depth() for row in clf.trees_ for t in row) <= 2
+        assert max(t.max_depth() for t in clf.trees_) <= 2
 
     def test_memorizes_distinct_points(self):
         rng = np.random.default_rng(6)
@@ -146,7 +146,7 @@ class TestBoostingBehavior:
         y = np.arange(10) % 2
         clf = GradientBoostingClassifier(n_rounds=3,
                                          row_subsample=1.0).fit(X, y)
-        assert all(t.n_nodes == 1 for row in clf.trees_ for t in row)
+        assert all(t.n_nodes == 1 for t in clf.trees_)
         assert np.all(clf.predict(X) == 0)
 
     def test_init_scores_are_log_priors(self):

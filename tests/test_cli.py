@@ -166,6 +166,17 @@ class TestOtherVerbs:
         assert main(["inspect-model", str(p)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_inspect_damaged_exit_two(self, tmp_path, capsys):
+        rng = np.random.default_rng(0)
+        model = make_classifier("svm").fit(rng.random((20, 3)),
+                                           rng.integers(0, 2, 20))
+        save_model(model, tmp_path / "m.npz")
+        with np.load(tmp_path / "m.npz") as data:
+            arrays = {k: data[k] for k in data.files if k != "gamma"}
+        np.savez(tmp_path / "damaged.npz", **arrays)
+        assert main(["inspect-model", str(tmp_path / "damaged.npz")]) == 2
+        assert "not a recognized model file" in capsys.readouterr().err
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["--version"])

@@ -26,6 +26,21 @@ FIT_PARAMS = {
     GBDT: {"n_rounds": 5, "max_depth": 3, "seed": 4},
 }
 
+# the model file format: saved array dtypes per kind besides the JSON "meta"
+# string; files written earlier load only while these stay the same
+_TREES = {"tree_offsets": "int64", "node_feature": "int32",
+          "node_threshold": "float64", "node_left": "int32",
+          "node_right": "int32", "node_value": "float64"}
+LAYOUT = {
+    KNN: {"train_X": "float64", "train_y": "int64"},
+    SVM: {"support": "int64", "support_vectors": "float64",
+          "dual_coef": "float64", "intercept": "float64", "n_iter": "int64",
+          "gamma": "float64", "converged": "bool"},
+    RF: {"n_features": "int64", **_TREES},
+    GBDT: {"n_features": "int64", "init_scores": "float64",
+           "loss_trace": "float64", **_TREES},
+}
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize("kind", KINDS)
@@ -61,10 +76,44 @@ class TestRoundTrip:
         path = tmp_path / "gbdt.npz"
         save_model(model, path)
         loaded = load_model(path)
-        assert len(loaded.trees_) == 5
-        assert all(len(row) == 3 for row in loaded.trees_)
+        assert len(loaded.trees_) == 15  # 5 rounds x 3 classes, round-major
         assert np.array_equal(loaded.loss_trace_, model.loss_trace_)
         assert np.array_equal(loaded.init_scores_, model.init_scores_)
+
+    def test_single_class_gbdt_round_trip(self, tmp_path):
+        X, _ = three_clusters()
+        model = make_classifier(GBDT, n_rounds=3).fit(X, np.full(len(X), 7))
+        path = tmp_path / "gbdt1.npz"
+        save_model(model, path)
+        loaded = load_model(path)
+        assert loaded.trees_ == []
+        assert np.array_equal(loaded.loss_trace_, model.loss_trace_)
+        assert (loaded.predict_scores(X).tobytes()
+                == model.predict_scores(X).tobytes())
+        assert np.all(loaded.predict(X) == 7)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_file_layout_unchanged(self, kind, tmp_path):
+        X, y = three_clusters()
+        model = make_classifier(kind, **FIT_PARAMS[kind]).fit(X, y)
+        save_model(model, tmp_path / "model.npz")
+        with np.load(tmp_path / "model.npz", allow_pickle=False) as data:
+            assert data["meta"].dtype.kind == "U"
+            got = {k: data[k].dtype.name for k in data.files if k != "meta"}
+        assert got == LAYOUT[kind]
+
+    @pytest.mark.parametrize("kind,key", [
+        (KNN, "train_y"), (SVM, "gamma"), (RF, "node_value"),
+        (GBDT, "loss_trace")])
+    def test_missing_array_is_parse_error(self, kind, key, tmp_path):
+        X, y = three_clusters()
+        model = make_classifier(kind, **FIT_PARAMS[kind]).fit(X, y)
+        save_model(model, tmp_path / "model.npz")
+        with np.load(tmp_path / "model.npz", allow_pickle=False) as data:
+            arrays = {k: data[k] for k in data.files if k != key}
+        np.savez(tmp_path / "damaged.npz", **arrays)
+        with pytest.raises(ParseError, match="not a recognized model file"):
+            load_model(tmp_path / "damaged.npz")
 
     def test_rejects_future_format_version(self, tmp_path):
         X, y = three_clusters()
@@ -79,6 +128,17 @@ class TestRoundTrip:
         np.savez(tampered, meta=json.dumps(meta), **arrays)
         with pytest.raises(ParseError, match="format version"):
             load_model(tampered)
+
+    def test_rejects_unknown_param(self, tmp_path):
+        X, y = three_clusters()
+        save_model(make_classifier(KNN).fit(X, y), tmp_path / "model.npz")
+        with np.load(tmp_path / "model.npz", allow_pickle=False) as data:
+            arrays = {k: data[k] for k in data.files if k != "meta"}
+            meta = json.loads(str(data["meta"]))
+        meta["params"]["depth"] = 3
+        np.savez(tmp_path / "tampered.npz", meta=json.dumps(meta), **arrays)
+        with pytest.raises(ParseError, match="not a recognized model file"):
+            load_model(tmp_path / "tampered.npz")
 
     def test_rejects_garbage_file(self, tmp_path):
         path = tmp_path / "junk.npz"

@@ -142,6 +142,13 @@ class TestSvmClassifier:
         with pytest.raises(ParameterError):
             SvmClassifier(tol=-1e-3).fit(X, y)
 
+    def test_rejects_nonpositive_max_iter(self):
+        # zero SMO steps would leave every alpha at 0: no support vectors
+        X, y = self.make_blobs(np.random.default_rng(12))
+        for bad in (0, -5):
+            with pytest.raises(ParameterError, match="max_iter"):
+                SvmClassifier(max_iter=bad).fit(X, y)
+
 
 class TestRbfKernel:
     def test_known_values(self):
