@@ -81,6 +81,9 @@ class TransformerMixin:
 class ClassifierMixin:
     """Adds predict and accuracy scoring on top of ``predict_scores``."""
 
+    # whether a saved model file must hold the fitted ``trees_`` list
+    _SAVES_TREES = False
+
     def predict(self, X) -> np.ndarray:
         """The class with the highest score, the first of tied ones."""
         # scores first: they raise StateError on an unfitted model

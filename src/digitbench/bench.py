@@ -43,6 +43,7 @@ class CellResult:
     report: EvaluationReport | None = None
     error: str | None = None
     seconds: float = 0.0
+    warnings: list[str] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -168,13 +169,19 @@ def run_grid(cfg: RunConfig) -> GridResult:
             X = matrices[method]
             clf = make_classifier(kind, **params)
             clf.fit(X[train_idx], labels[train_idx])
+            warnings = []
+            if not getattr(clf, "converged_", True):
+                capped = clf.classes_[clf.n_iter_ >= clf.max_iter].tolist()
+                warnings.append(f"SMO stopped at max_iter={clf.max_iter} "
+                                f"before converging for classes {capped}")
             report = evaluate(labels[test_idx], clf.predict(X[test_idx]),
                               n_classes,
                               metadata={"feature": method, "classifier": kind,
                                         "source": source,
                                         "seed": int(cfg.split.seed)})
             return CellResult(method, kind, report=report,
-                              seconds=time.perf_counter() - t)
+                              seconds=time.perf_counter() - t,
+                              warnings=warnings)
         except Exception as exc:
             cause = "".join(traceback.format_exception_only(exc)).strip()
             return CellResult(method, kind, error=cause,
@@ -262,6 +269,13 @@ def format_markdown(res: GridResult) -> str:
         lines += ["## Failed cells", ""]
         lines += [f"- {c.feature} + {c.classifier}: {c.error}"
                   for c in failed]
+        lines.append("")
+
+    warned = [c for c in res.cells if c.warnings]
+    if warned:
+        lines += ["## Warnings", ""]
+        lines += [f"- {c.feature} + {c.classifier}: {w}"
+                  for c in warned for w in c.warnings]
         lines.append("")
 
     lines += ["## Stage timings (informational)", ""]

@@ -109,6 +109,7 @@ class GradientBoostingClassifier(Estimator, ClassifierMixin):
 
     _SAVED = {"n_features": "n_features_", "init_scores": "init_scores_",
               "loss_trace": "loss_trace_"}
+    _SAVES_TREES = True
 
     def __init__(self, n_rounds: int = 200, max_depth: int = 5,
                  learning_rate: float = 0.3, row_subsample: float = 0.8,

@@ -84,6 +84,7 @@ class RandomForestClassifier(Estimator, ClassifierMixin):
     """
 
     _SAVED = {"n_features": "n_features_"}
+    _SAVES_TREES = True
 
     def __init__(self, n_trees: int = 200, max_depth: int = 10,
                  max_features="sqrt", bootstrap: bool = True, seed: int = 0):

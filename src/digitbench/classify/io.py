@@ -2,10 +2,11 @@
 
 Layout: a JSON ``meta`` entry (format version, classifier kind, constructor
 params, class labels) plus one array per entry of the class's ``_SAVED``
-table ({file key: fitted attribute}). A flat ``trees_`` list is stored as
-``tree_offsets`` (tree i owns nodes ``offsets[i]:offsets[i + 1]``) plus one
-``node_<field>`` array per ``Tree`` field, concatenated over the trees. A
-loaded model predicts identically to the one saved.
+table ({file key: fitted attribute}). The flat ``trees_`` list of a class
+that sets ``_SAVES_TREES`` is stored as ``tree_offsets`` (tree i owns nodes
+``offsets[i]:offsets[i + 1]``) plus one ``node_<field>`` array per ``Tree``
+field, concatenated over the trees; a file without them is not a model of
+that class. A loaded model predicts identically to the one saved.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ def save_model(model, path) -> None:
     }
     arrays = {key: np.asarray(getattr(model, attr))
               for key, attr in model._SAVED.items()}
-    if hasattr(model, "trees_"):
+    if model._SAVES_TREES:
         trees = model.trees_
         arrays["tree_offsets"] = np.cumsum(
             [0] + [t.n_nodes for t in trees], dtype=np.int64)
@@ -66,7 +67,7 @@ def load_model(path):
             model.classes_ = np.asarray(meta["classes"], dtype=np.int64)
             for key, attr in model._SAVED.items():
                 setattr(model, attr, data[key][()])
-            if "tree_offsets" in data.files:
+            if model._SAVES_TREES:
                 offsets = data["tree_offsets"]
                 nodes = ({name: data[f"node_{name}"] for name in _NODE_FIELDS}
                          if len(offsets) > 1 else {})

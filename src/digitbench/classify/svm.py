@@ -1,9 +1,13 @@
 """One-vs-rest soft-margin SVM with an RBF kernel, trained by SMO.
 
-Each class gets a binary subproblem (that class +1, rest -1) solved by
-sequential minimal optimization with maximal-violating-pair working-set
-selection, sharing one precomputed kernel matrix. Only support vectors
-survive into the fitted state.
+Each class gets a binary subproblem (that class +1, rest -1). One
+sequential minimal optimization loop with maximal-violating-pair
+working-set selection solves all of them in lockstep over a shared
+(classes, n) state and one precomputed, exactly symmetric kernel matrix;
+a subproblem drops out when it converges. Each subproblem follows the
+same arithmetic as a solver of its own, so its alphas, bias and step
+count do not depend on the others. Only support vectors survive into the
+fitted state.
 """
 
 from __future__ import annotations
@@ -16,14 +20,30 @@ from ..validation import check_is_fitted, check_matrix, check_X_y
 
 SV_THRESHOLD = 1e-8
 _QUAD_FLOOR = 1e-12
+# elements per row block of an in-place Gram matrix build
+_GRAM_BLOCK = 1_000_000
 
 
 def rbf_kernel(A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:
-    """K[i, j] = exp(-gamma * ||A_i - B_j||^2)."""
-    sq = (A * A).sum(axis=1)[:, None] + (B * B).sum(axis=1)[None, :] \
-        - 2.0 * (A @ B.T)
-    np.maximum(sq, 0.0, out=sq)
-    return np.exp(-gamma * sq)
+    """K[i, j] = exp(-gamma * ||A_i - B_j||^2).
+
+    Each entry is exp(-gamma * max(|A_i|^2 + |B_j|^2 - 2 A_i.B_j, 0)),
+    computed in that order in place over one ``A @ B.T`` buffer, _GRAM_BLOCK
+    entries of rows at a time: the only temporary is one block of
+    |A_i|^2 + |B_j|^2.
+    """
+    a = (A * A).sum(axis=1)
+    b = (B * B).sum(axis=1)
+    K = A @ B.T
+    rows = max(1, _GRAM_BLOCK // max(1, K.shape[1]))
+    for start in range(0, K.shape[0], rows):
+        blk = K[start:start + rows]
+        blk *= 2.0
+        np.subtract(a[start:start + rows, None] + b[None, :], blk, out=blk)
+        np.maximum(blk, 0.0, out=blk)
+        blk *= -gamma
+        np.exp(blk, out=blk)
+    return K
 
 
 def resolve_gamma(X: np.ndarray, gamma) -> float:
@@ -38,76 +58,127 @@ def resolve_gamma(X: np.ndarray, gamma) -> float:
     return value
 
 
-def smo_solve(K: np.ndarray, y: np.ndarray, C: float, tol: float,
-              max_iter: int) -> tuple[np.ndarray, float, int, bool]:
-    """Minimize 1/2 a^T Q a - e^T a, 0 <= a <= C, y^T a = 0, Q = yy^T * K.
+def _apply_clips(a_i, a_j, rules):
+    """Set (a_i, a_j) to (clip_i, clip_j) wherever cond holds; the conds of
+    one call exclude each other."""
+    new_i, new_j = a_i, a_j
+    for cond, clip_i, clip_j in rules:
+        new_i = np.where(cond, clip_i, new_i)
+        new_j = np.where(cond, clip_j, new_j)
+    return new_i, new_j
 
-    Working pairs are chosen by maximal KKT violation; the loop stops when
-    the violation gap drops to tol. Returns (alpha, bias, iterations, converged).
+
+def _clip_pair(opposite, old_i, old_j, a_i, a_j, C):
+    """Clip each unconstrained pair step (a_i, a_j) back into [0, C]^2.
+
+    Opposite labels keep a_i - a_j, equal labels keep a_i + a_j. The second
+    round of rules tests the outcome of the first.
     """
-    n = K.shape[0]
-    alpha = np.zeros(n)
-    grad = -np.ones(n)  # d/da of the dual at alpha = 0
-    pos = y > 0
-    m = M = 0.0
-    converged = False
-    iterations = 0
+    diff = old_i - old_j
+    total = old_i + old_j
+    grow = diff > 0
+    big = total > C
+    same = ~opposite
+    a_i, a_j = _apply_clips(a_i, a_j, (
+        (opposite & grow & (a_j < 0), diff, 0.0),
+        (opposite & ~grow & (a_i < 0), 0.0, -diff),
+        (same & big & (a_i > C), C, total - C),
+        (same & ~big & (a_j < 0), total, 0.0)))
+    return _apply_clips(a_i, a_j, (
+        (opposite & grow & (a_i > C), C, C - diff),
+        (opposite & ~grow & (a_j > C), C + diff, C),
+        (same & big & (a_j > C), total - C, C),
+        (same & ~big & (a_i < 0), 0.0, total)))
 
-    for iterations in range(1, max_iter + 1):
-        can_grow = alpha < C
-        can_shrink = alpha > 0
-        up = (can_grow & pos) | (can_shrink & ~pos)
-        low = (can_grow & ~pos) | (can_shrink & pos)
-        v = -y * grad
-        i = int(np.argmax(np.where(up, v, -np.inf)))
-        j = int(np.argmin(np.where(low, v, np.inf)))
-        m, M = v[i], v[j]
-        if m - M <= tol:
-            converged = True
-            iterations -= 1
-            break
 
-        q_i = y * (y[i] * K[:, i])
-        q_j = y * (y[j] * K[:, j])
-        old_i, old_j = alpha[i], alpha[j]
+def _pair_masks(pos, alpha, C):
+    """Additive selection masks: 0 where alpha may still move up (low: down)
+    along y, -inf (low: +inf) where it may not."""
+    can_grow, can_shrink = alpha < C, alpha > 0
+    return (np.where(np.where(pos, can_grow, can_shrink), 0.0, -np.inf),
+            np.where(np.where(pos, can_shrink, can_grow), 0.0, np.inf))
+
+
+def smo_solve(K: np.ndarray, Y: np.ndarray, C: float, tol: float,
+              max_iter: int
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Minimize 1/2 a^T Q a - e^T a, 0 <= a <= C, y^T a = 0, Q = yy^T * K,
+    for every row y of the (problems, n) label matrix Y, in lockstep.
+
+    Each step takes, for every problem not yet converged, the pair of
+    maximal KKT violation and solves it in closed form; a problem stops when
+    its violation gap drops to tol. Each problem sees the arithmetic it would
+    see if solved alone. K must be finite and exactly symmetric: row K[i]
+    stands for column K[:, i]. Returns per-problem (alpha, bias, iterations,
+    converged); iterations is max_iter for a problem that did not converge.
+    """
+    n_problems, n = Y.shape
+    alpha_out = np.zeros((n_problems, n))
+    bias_out = np.zeros(n_problems)
+    iters_out = np.full(n_problems, max_iter, dtype=np.int64)
+    converged_out = np.zeros(n_problems, dtype=bool)
+
+    live = np.arange(n_problems)  # problem of each row of the state below
+    alpha = np.zeros((n_problems, n))
+    grad = -np.ones((n_problems, n))  # d/da of the dual at alpha = 0
+    neg_y = -Y
+    up_mask, low_mask = _pair_masks(Y > 0, alpha, C)
+    m = M = np.zeros(n_problems)
+
+    for step in range(1, max_iter + 1):
+        rows = np.arange(live.shape[0])
+        v = neg_y * grad
+        # v is finite, so a mask only hides entries from argmax/argmin
+        i = np.argmax(v + up_mask, axis=1)
+        j = np.argmin(v + low_mask, axis=1)
+        m, M = v[rows, i], v[rows, j]
+        done = m - M <= tol
+        if done.any():
+            finished = live[done]
+            alpha_out[finished] = alpha[done]
+            bias_out[finished] = (m[done] + M[done]) / 2.0
+            iters_out[finished] = step - 1
+            converged_out[finished] = True
+            keep = ~done
+            if not keep.any():
+                break
+            live, Y, neg_y, alpha, grad, up_mask, low_mask = (
+                a[keep] for a in (live, Y, neg_y, alpha, grad, up_mask,
+                                  low_mask))
+            i, j, m, M = i[keep], j[keep], m[keep], M[keep]
+            rows = rows[:live.shape[0]]
+
+        K_i, K_j = K[i], K[j]
+        y_i, y_j = Y[rows, i], Y[rows, j]
+        g_i, g_j = grad[rows, i], grad[rows, j]
+        old_i, old_j = alpha[rows, i], alpha[rows, j]
         # curvature along the feasible pair direction is ||phi_i - phi_j||^2
         # in kernel space for either label combination
-        quad = max(K[i, i] + K[j, j] - 2.0 * K[i, j], _QUAD_FLOOR)
-        if y[i] != y[j]:
-            delta = (-grad[i] - grad[j]) / quad
-            diff = old_i - old_j
-            a_i, a_j = old_i + delta, old_j + delta
-            if diff > 0:
-                if a_j < 0:
-                    a_j, a_i = 0.0, diff
-            else:
-                if a_i < 0:
-                    a_i, a_j = 0.0, -diff
-            if diff > 0:
-                if a_i > C:
-                    a_i, a_j = C, C - diff
-            else:
-                if a_j > C:
-                    a_j, a_i = C, C + diff
-        else:
-            delta = (grad[i] - grad[j]) / quad
-            total = old_i + old_j
-            a_i, a_j = old_i - delta, old_j + delta
-            if total > C:
-                if a_i > C:
-                    a_i, a_j = C, total - C
-                if a_j > C:
-                    a_j, a_i = C, total - C
-            else:
-                if a_j < 0:
-                    a_j, a_i = 0.0, total
-                if a_i < 0:
-                    a_i, a_j = 0.0, total
-        alpha[i], alpha[j] = a_i, a_j
-        grad += q_i * (a_i - old_i) + q_j * (a_j - old_j)
-
-    bias = (m + M) / 2.0
-    return alpha, float(bias), iterations, converged
+        quad = np.maximum(K_i[rows, i] + K_j[rows, j] - 2.0 * K_i[rows, j],
+                          _QUAD_FLOOR)
+        opposite = y_i != y_j
+        delta = np.where(opposite, -g_i - g_j, g_i - g_j) / quad
+        a_i, a_j = _clip_pair(
+            opposite, old_i, old_j,
+            np.where(opposite, old_i + delta, old_i - delta), old_j + delta, C)
+        for idx, y_idx, a in ((i, y_i, a_i), (j, y_j, a_j)):
+            alpha[rows, idx] = a
+            up_mask[rows, idx], low_mask[rows, idx] = _pair_masks(
+                y_idx > 0, a, C)
+        # grad += q_i * (a_i - old_i) + q_j * (a_j - old_j) with
+        # q_i = y * (y_i * K_i), computed in place in the gathered rows
+        K_i *= y_i[:, None]
+        K_i *= Y
+        K_i *= (a_i - old_i)[:, None]
+        K_j *= y_j[:, None]
+        K_j *= Y
+        K_j *= (a_j - old_j)[:, None]
+        K_i += K_j
+        grad += K_i
+    else:
+        alpha_out[live] = alpha
+        bias_out[live] = (m + M) / 2.0
+    return alpha_out, bias_out, iters_out, converged_out
 
 
 class SvmClassifier(Estimator, ClassifierMixin):
@@ -145,22 +216,16 @@ class SvmClassifier(Estimator, ClassifierMixin):
             raise StateError("SVM training needs at least two classes")
 
         gamma = resolve_gamma(X, self.gamma)
+        # X @ X.T is a symmetric rank-k product, so K is exactly symmetric,
+        # as smo_solve requires
         K = rbf_kernel(X, X, gamma)
         np.fill_diagonal(K, 1.0)
 
-        n_classes = classes.shape[0]
-        coefs = np.zeros((n_classes, X.shape[0]))
-        intercepts = np.zeros(n_classes)
-        iteration_counts = np.zeros(n_classes, dtype=np.int64)
-        converged = True
-        for c in range(n_classes):
-            y_bin = np.where(y_idx == c, 1.0, -1.0)
-            alpha, bias, iters, ok = smo_solve(K, y_bin, C, float(self.tol),
-                                               int(self.max_iter))
-            coefs[c] = alpha * y_bin
-            intercepts[c] = bias
-            iteration_counts[c] = iters
-            converged = converged and ok
+        Y = np.where(y_idx[None, :] == np.arange(classes.shape[0])[:, None],
+                     1.0, -1.0)
+        alpha, intercepts, iteration_counts, converged = smo_solve(
+            K, Y, C, float(self.tol), int(self.max_iter))
+        coefs = alpha * Y
 
         support = np.nonzero(np.any(np.abs(coefs) > SV_THRESHOLD, axis=0))[0]
         self.classes_ = classes
@@ -170,7 +235,7 @@ class SvmClassifier(Estimator, ClassifierMixin):
         self.dual_coef_ = coefs[:, support]
         self.intercept_ = intercepts
         self.n_iter_ = iteration_counts
-        self.converged_ = converged
+        self.converged_ = bool(converged.all())
         return self
 
     def predict_scores(self, X) -> np.ndarray:

@@ -168,8 +168,8 @@ def test_criterion_4_classifier_oracles():
     for seed in (5, 6):
         rng = np.random.default_rng(seed)
         _, y, K = two_class_problem(rng, n=20)
-        alpha, bias, _, converged = smo_solve(K, y, C=10.0, tol=1e-3,
-                                              max_iter=100000)
+        (alpha,), (bias,), _, (converged,) = smo_solve(
+            K, y[None], C=10.0, tol=1e-3, max_iter=100000)
         svm_ok &= converged and kkt_satisfied(K, y, alpha, bias, C=10.0,
                                               tol=1e-3)
         solved = dual_objective(alpha, K, y)

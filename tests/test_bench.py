@@ -313,6 +313,20 @@ class TestReports:
         assert "## With and without feature extraction" in text
         assert "## Stage timings" in text
         assert "Overall best:" in text
+        assert "## Warnings" not in text
+
+    def test_unconverged_svm_warned_outside_csvs(self):
+        capped = small_cfg(classifiers=[("svm", {"max_iter": 5})])
+        res = run_grid(capped)
+        text = format_markdown(res)
+        assert "## Warnings" in text
+        for method in ("hog", "gabor"):
+            assert (f"- {method} + svm: SMO stopped at max_iter=5 before "
+                    "converging for classes [0, 1]") in text
+        default = run_grid(small_cfg(classifiers=[("svm", {})]))
+        assert not any(c.warnings for c in default.cells)
+        for fmt in (format_cells_csv, format_plot_csv):
+            assert "max_iter" not in fmt(res)
 
     def test_single_cell_singleton_tables(self):
         cfg = small_cfg(features=[("hog", {})],

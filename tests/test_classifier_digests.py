@@ -1,4 +1,5 @@
-"""Frozen outputs of the random forest, gradient boosting and KNN classifiers.
+"""Frozen outputs of the random forest, gradient boosting, KNN and SVM
+classifiers.
 
 The SHA-256 digests below were recorded on x86-64 with NumPy 2.4: the forest
 and KNN ones before the forest stopped copying its bootstrap sample and KNN
@@ -8,16 +9,19 @@ bit for bit: forests with and without bootstrap and at several
 ``max_features`` values; boosting with default subsampling, without
 subsampling and with quantile cuts, plus its loss trace; and KNN on an
 integer grid, where tied distances decide neighbours and votes, for
-p = 1, 2, 3.
+p = 1, 2, 3. The SVM ones were recorded before the ten one-vs-rest SMO
+subproblems were solved in lockstep; their iteration caps stop none, some
+or all of the classes.
 """
 
 import hashlib
 
 import numpy as np
 import pytest
+from oracles import ten_class_problem
 
 from digitbench.classify import (GradientBoostingClassifier, KnnClassifier,
-                                 RandomForestClassifier)
+                                 RandomForestClassifier, SvmClassifier)
 
 
 def sha(*arrays):
@@ -103,3 +107,26 @@ def test_knn_scores_unchanged(p, digest):
     Q = rng.integers(0, 6, (60, 3)).astype(float)
     clf = KnnClassifier(k=7, minkowski_p=p).fit(X, y)
     assert sha(clf.predict_scores(Q)) == digest
+
+
+@pytest.mark.parametrize("params, converged, model_digest, score_digest", [
+    ({}, True,
+     "22256581d87e0a64c345166ca9b3a14349381f04a63568274cde32a6e592f039",
+     "8990585c4a47dd0769e733988586ec63e9779a9658e987fe97a0014c58d0f49b"),
+    ({"max_iter": 5}, False,
+     "7f1e7af37cf461464d5b8fa78b8c31282eaa659e1de836a9cb47d5b787bad96b",
+     "7b52c2fa2deca2350c3bc59629f7ef9895d7438a330efe14b62df395f5234b6f"),
+    ({"max_iter": 200}, False,
+     "57eb9f508bde2f24763583402351adcaab428a340a472c6219c86bcc0e7ec819",
+     "cf0dad839ad8b4e412f8b4982b0ca68618c387dcc503ce71d1da282ddbcf51af"),
+    ({"C": 1.0, "gamma": 0.3}, True,
+     "87b3f901878d1f03a16fb63c2f26cd1c1ef6bb70493084043dd8fd6691b617dd",
+     "9ce02f8933721680a37f91f4d21a5ab86c6670f4c6415122a5e37852228ea7bd"),
+])
+def test_svm_unchanged(params, converged, model_digest, score_digest):
+    X, y, Q = ten_class_problem()
+    clf = SvmClassifier(**params).fit(X, y)
+    assert sha(clf.dual_coef_, clf.intercept_, clf.n_iter_,
+               clf.support_) == model_digest
+    assert sha(clf.predict_scores(Q)) == score_digest
+    assert bool(clf.converged_) is converged

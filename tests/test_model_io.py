@@ -104,7 +104,7 @@ class TestRoundTrip:
 
     @pytest.mark.parametrize("kind,key", [
         (KNN, "train_y"), (SVM, "gamma"), (RF, "node_value"),
-        (GBDT, "loss_trace")])
+        (GBDT, "loss_trace"), (RF, "tree_offsets"), (GBDT, "tree_offsets")])
     def test_missing_array_is_parse_error(self, kind, key, tmp_path):
         X, y = three_clusters()
         model = make_classifier(kind, **FIT_PARAMS[kind]).fit(X, y)

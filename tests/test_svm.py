@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 from oracles import (dual_objective, kkt_satisfied, random_feasible_alpha,
-                     two_class_problem)
+                     smo_oracle, ten_class_problem, two_class_problem)
 
 from digitbench import ParameterError, ShapeError, StateError
 from digitbench.classify import SvmClassifier
@@ -14,7 +14,8 @@ class TestSmoSolver:
         y = np.array([-1.0, -1.0, 1.0, 1.0])
         K = rbf_kernel(X, X, 1.0)
         np.fill_diagonal(K, 1.0)
-        alpha, bias, _, ok = smo_solve(K, y, C=10.0, tol=1e-3, max_iter=10000)
+        (alpha,), (bias,), _, (ok,) = smo_solve(K, y[None], C=10.0, tol=1e-3,
+                                                max_iter=10000)
         assert ok
         f = (alpha * y) @ K + bias
         assert np.all(np.sign(f) == y)
@@ -23,8 +24,8 @@ class TestSmoSolver:
         rng = np.random.default_rng(0)
         for _ in range(5):
             _, y, K = two_class_problem(rng)
-            alpha, bias, _, ok = smo_solve(K, y, C=10.0, tol=1e-3,
-                                           max_iter=100000)
+            (alpha,), (bias,), _, (ok,) = smo_solve(
+                K, y[None], C=10.0, tol=1e-3, max_iter=100000)
             assert ok
             assert np.all(alpha >= -1e-12) and np.all(alpha <= 10.0 + 1e-12)
             assert abs(np.sum(alpha * y)) < 1e-9
@@ -33,7 +34,8 @@ class TestSmoSolver:
     def test_dual_beats_random_feasible_points(self):
         rng = np.random.default_rng(1)
         _, y, K = two_class_problem(rng, n=20)
-        alpha, _, _, ok = smo_solve(K, y, C=10.0, tol=1e-3, max_iter=100000)
+        (alpha,), _, _, (ok,) = smo_solve(K, y[None], C=10.0, tol=1e-3,
+                                          max_iter=100000)
         assert ok
         solved = dual_objective(alpha, K, y)
         for _ in range(1000):
@@ -43,8 +45,28 @@ class TestSmoSolver:
     def test_iteration_cap_reported(self):
         rng = np.random.default_rng(2)
         _, y, K = two_class_problem(rng, n=40)
-        _, _, iters, ok = smo_solve(K, y, C=10.0, tol=1e-3, max_iter=3)
+        _, _, (iters,), (ok,) = smo_solve(K, y[None], C=10.0, tol=1e-3,
+                                          max_iter=3)
         assert not ok and iters == 3
+
+    # the ten problems converge after 77 to 365 steps: a cap of 5 stops all
+    # of them, 200 some, 200_000 none
+    @pytest.mark.parametrize("max_iter, converged", [
+        (5, {False}), (200, {False, True}), (200_000, {True})])
+    def test_lockstep_matches_scalar_oracle(self, max_iter, converged):
+        X, y, _ = ten_class_problem()
+        K = rbf_kernel(X, X, resolve_gamma(X, "scale"))
+        np.fill_diagonal(K, 1.0)
+        Y = np.where(y == np.arange(10)[:, None], 1.0, -1.0)
+        alpha, bias, iters, ok = smo_solve(K, Y, C=10.0, tol=1e-3,
+                                           max_iter=max_iter)
+        assert set(ok.tolist()) == converged
+        for c in range(10):
+            a_c, b_c, it_c, ok_c = smo_oracle(K, Y[c], C=10.0, tol=1e-3,
+                                              max_iter=max_iter)
+            assert alpha[c].tobytes() == a_c.tobytes()
+            assert bias[c].tobytes() == np.float64(b_c).tobytes()
+            assert (iters[c], ok[c]) == (it_c, ok_c)
 
 
 class TestSvmClassifier:
@@ -151,6 +173,21 @@ class TestSvmClassifier:
 
 
 class TestRbfKernel:
+    def test_training_gram_exactly_symmetric(self):
+        # the lockstep solver reads row K[i] in place of column K[:, i]
+        X = np.random.default_rng(13).random((300, 40))
+        K = rbf_kernel(X, X, resolve_gamma(X, "scale"))
+        assert np.array_equal(K, K.T)
+
+    def test_row_blocks_match_whole_matrix_formula(self):
+        # 1200 x 1000 entries span two in-place row blocks
+        rng = np.random.default_rng(14)
+        A, B = rng.random((1200, 5)), rng.random((1000, 5))
+        sq = (A * A).sum(axis=1)[:, None] + (B * B).sum(axis=1)[None, :] \
+            - 2.0 * (A @ B.T)
+        expected = np.exp(-0.7 * np.maximum(sq, 0.0))
+        assert rbf_kernel(A, B, 0.7).tobytes() == expected.tobytes()
+
     def test_known_values(self):
         A = np.array([[0.0, 0.0], [1.0, 0.0]])
         K = rbf_kernel(A, A, gamma=1.0)
