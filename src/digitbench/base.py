@@ -1,9 +1,9 @@
 """Minimal estimator plumbing.
 
 Hyperparameters are the __init__ arguments, stored verbatim; fitted state
-lives in trailing-underscore attributes. ``get_params``/``set_params`` follow
-the scikit-learn contract. Feature cache keys and saved model files are
-built from ``get_params()``.
+lives in trailing-underscore attributes. ``get_params`` follows the
+scikit-learn contract. Feature cache keys and saved model files are built
+from ``get_params()``.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ import inspect
 
 import numpy as np
 
-from .errors import ParameterError
 from .validation import check_image, check_image_batch
 
 # images per call of a stacked kernel: enough to amortise NumPy's per-call
@@ -21,7 +20,7 @@ IMAGE_BLOCK = 32
 
 
 class Estimator:
-    """Base class providing get_params/set_params over __init__ arguments."""
+    """Base class providing get_params over __init__ arguments."""
 
     @classmethod
     def _param_names(cls) -> list[str]:
@@ -34,17 +33,6 @@ class Estimator:
 
     def get_params(self, deep: bool = True) -> dict:
         return {name: getattr(self, name) for name in self._param_names()}
-
-    def set_params(self, **params) -> "Estimator":
-        valid = self._param_names()
-        for key, value in params.items():
-            if key not in valid:
-                raise ParameterError(
-                    f"unknown parameter {key!r} for {type(self).__name__}; "
-                    f"valid parameters: {valid}"
-                )
-            setattr(self, key, value)
-        return self
 
     def __repr__(self) -> str:
         args = ", ".join(f"{k}={v!r}" for k, v in self.get_params().items())

@@ -3,10 +3,10 @@
 One run loads a dataset, preprocesses it once (skipped when the feature
 cache holds every configured matrix), extracts every configured feature
 once, then fits every (feature, classifier) cell on the train side and
-scores it on the test side. Cells run concurrently up to the configured
-degree; a failing cell records its cause and the grid continues. Reports
-carry no timing data in the CSV outputs, so identical configs produce
-byte-identical files at any parallelism.
+scores it on the test side. Cells run one after another in config order;
+a failing cell records its cause and the grid continues. Reports carry no
+timing data in the CSV outputs, so identical configs produce byte-identical
+files.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import json
 import os
 import time
 import traceback
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -162,47 +161,34 @@ def run_grid(cfg: RunConfig) -> GridResult:
 
     n_classes = int(labels.max()) + 1
 
-    def run_cell(pair) -> CellResult:
-        (method, _), (kind, params) = pair
-        t = time.perf_counter()
-        try:
-            X = matrices[method]
-            clf = make_classifier(kind, **params)
-            clf.fit(X[train_idx], labels[train_idx])
-            warnings = []
-            if not getattr(clf, "converged_", True):
-                capped = clf.classes_[clf.n_iter_ >= clf.max_iter].tolist()
-                warnings.append(f"SMO stopped at max_iter={clf.max_iter} "
-                                f"before converging for classes {capped}")
-            report = evaluate(labels[test_idx], clf.predict(X[test_idx]),
-                              n_classes,
-                              metadata={"feature": method, "classifier": kind,
-                                        "source": source,
-                                        "seed": int(cfg.split.seed)})
-            return CellResult(method, kind, report=report,
-                              seconds=time.perf_counter() - t,
-                              warnings=warnings)
-        except Exception as exc:
-            cause = "".join(traceback.format_exception_only(exc)).strip()
-            return CellResult(method, kind, error=cause,
-                              seconds=time.perf_counter() - t)
-
-    pairs = [(feat, clf) for feat in methods for clf in cfg.classifiers]
+    cells = []
     t0 = time.perf_counter()
-    if cfg.jobs > 1:
-        with ThreadPoolExecutor(max_workers=int(cfg.jobs)) as pool:
-            cells = list(pool.map(run_cell, pairs))
-    else:
-        cells = [run_cell(p) for p in pairs]
+    for method, _ in methods:
+        X = matrices[method]
+        for kind, params in cfg.classifiers:
+            t = time.perf_counter()
+            try:
+                clf = make_classifier(kind, **params)
+                clf.fit(X[train_idx], labels[train_idx])
+                warnings = []
+                if not getattr(clf, "converged_", True):
+                    capped = clf.classes_[clf.n_iter_ >= clf.max_iter].tolist()
+                    warnings.append(f"SMO stopped at max_iter={clf.max_iter} "
+                                    f"before converging for classes {capped}")
+                report = evaluate(labels[test_idx], clf.predict(X[test_idx]),
+                                  n_classes)
+                cells.append(CellResult(method, kind, report=report,
+                                        seconds=time.perf_counter() - t,
+                                        warnings=warnings))
+            except Exception as exc:
+                cause = "".join(traceback.format_exception_only(exc)).strip()
+                cells.append(CellResult(method, kind, error=cause,
+                                        seconds=time.perf_counter() - t))
     stage["train_eval"] = time.perf_counter() - t0
 
     return GridResult(cells=cells, config=cfg, source=source,
                       n_train=int(train_idx.shape[0]),
                       n_test=int(test_idx.shape[0]), stage_seconds=stage)
-
-
-def _accuracy_text(cell: CellResult) -> str:
-    return f"{cell.report.accuracy:.6f}" if cell.ok else "failed"
 
 
 def _macro_text(cell: CellResult, attr: str) -> str:
@@ -227,7 +213,7 @@ def format_markdown(res: GridResult) -> str:
         for method in features:
             cell = by_key[(method, kind)]
             lines.append(
-                f"| {method} | {_accuracy_text(cell)} "
+                f"| {method} | {_macro_text(cell, 'accuracy')} "
                 f"| {_macro_text(cell, 'macro_precision')} "
                 f"| {_macro_text(cell, 'macro_recall')} "
                 f"| {_macro_text(cell, 'macro_f1')} |")
@@ -240,7 +226,7 @@ def format_markdown(res: GridResult) -> str:
         cell = best.get(kind)
         if cell is not None:
             lines.append(f"| {kind} | {cell.feature} "
-                         f"| {_accuracy_text(cell)} |")
+                         f"| {_macro_text(cell, 'accuracy')} |")
     overall = max((c for c in res.cells if c.ok),
                   key=lambda c: c.report.accuracy, default=None)
     if overall is not None:

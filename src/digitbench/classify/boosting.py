@@ -100,7 +100,7 @@ class GradientBoostingClassifier(Estimator, ClassifierMixin):
 
     Initial scores are log class priors. The tree for (round r, class c)
     derives its RNG stream from (seed, r, c) and consumes it in row-sample,
-    column-sample order, so fits are reproducible at any parallelism; a
+    column-sample order, so no tree's draws depend on another's; a
     subsample fraction of 1.0 draws nothing from the stream. ``trees_`` is
     one flat list in round-major order: tree ``r * n_classes + c`` belongs to
     round r, class c (empty for a single class). ``loss_trace_`` records the

@@ -49,7 +49,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--config", help="run configuration file")
     _add_dataset_flags(bench)
     bench.add_argument("--seed", type=int, help="split seed override")
-    bench.add_argument("--jobs", type=int, help="parallel cell count")
     bench.add_argument("--out", help="report directory")
     bench.add_argument("--raw-baseline", action="store_true", default=None,
                        help="also run classifiers on raw pixels")
@@ -57,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
     extract = sub.add_parser("extract", help="precompute a feature cache")
     _add_dataset_flags(extract)
     extract.add_argument("--method", choices=METHODS, default="hog")
-    extract.add_argument("--jobs", type=int, default=1,
+    extract.add_argument("--jobs", type=int,
                          help="accepted for compatibility; has no effect")
     extract.add_argument("--out", dest="cache_dir", default="cache",
                          metavar="DIR", help="cache directory")
@@ -80,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
 # from --config or the default
 _FLAG_KEYS = {"dataset": "dataset.path", "synthetic": "dataset.synthetic",
               "schema": "dataset.schema", "samples": "dataset.samples",
-              "side": "dataset.side", "seed": "split.seed", "jobs": "jobs",
+              "side": "dataset.side", "seed": "split.seed",
               "out": "output.dir", "cache_dir": "output.cache_dir",
               "raw_baseline": "raw_baseline"}
 

@@ -10,7 +10,6 @@ when they parse as one, and comma-separated values form a list. Example::
     classifiers = svm, rf
     classifier.svm.C = 10
     split.seed = 0
-    jobs = 2
 
 Unknown keys are rejected so typos fail loudly instead of silently running
 a default, and a fixed key whose value has the wrong type (a fraction for an
@@ -47,7 +46,6 @@ class RunConfig:
     split: SplitSpec = field(default_factory=SplitSpec)
     out_dir: str = "out"
     cache_dir: str | None = None
-    jobs: int = 1
     raw_baseline: bool = False
 
     def validate(self) -> "RunConfig":
@@ -75,8 +73,6 @@ class RunConfig:
         if self.dataset_path is None and self.synthetic is None:
             raise ParameterError(
                 "config needs either a dataset path or a synthetic set")
-        if int(self.jobs) < 1:
-            raise ParameterError(f"jobs must be >= 1, got {self.jobs}")
         return self
 
 
@@ -164,7 +160,6 @@ def _split(name: str, convert):
 _KEYS = {
     "features": _attr("features", _names),
     "classifiers": _attr("classifiers", _names),
-    "jobs": _attr("jobs", _integer),
     "raw_baseline": _attr("raw_baseline", _boolean),
     "dataset.path": _attr("dataset_path", str),
     "dataset.test_path": _attr("test_path", str),

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -274,18 +275,28 @@ def synthetic_squares(n_samples: int = 200, seed: int = 0, side: int = 28):
 
 
 def save_feature_cache(path, features: np.ndarray, labels: np.ndarray):
-    np.savez(path, version=np.array(CACHE_VERSION), features=features,
-             labels=labels)
+    """Write beside ``path``, then rename into place: an interrupted write
+    leaves no truncated archive under the cache name."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    with open(tmp, "wb") as fh:
+        np.savez(fh, version=np.array(CACHE_VERSION), features=features,
+                 labels=labels)
+    os.replace(tmp, path)
 
 
 def load_feature_cache(path, labels=None):
-    """(features, labels), or None when absent, from another version, or,
-    given ``labels``, stored for a different row count or labelling."""
+    """(features, labels), or None when absent, unreadable, from another
+    version, or, given ``labels``, stored for a different row count or
+    labelling."""
     if not os.path.exists(path):
         return None
-    with np.load(path, allow_pickle=False) as data:
-        if "version" not in data or int(data["version"]) != CACHE_VERSION:
-            return None
-        if labels is not None and not np.array_equal(data["labels"], labels):
-            return None
-        return data["features"], data["labels"]
+    try:
+        with np.load(path, allow_pickle=False) as data:
+            if int(data["version"]) != CACHE_VERSION:
+                return None
+            stored = data["labels"]
+            if labels is not None and not np.array_equal(stored, labels):
+                return None
+            return data["features"], stored
+    except (OSError, ValueError, EOFError, KeyError, zipfile.BadZipFile):
+        return None

@@ -7,7 +7,7 @@ macro aggregates are unweighted class means.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,7 +35,6 @@ class EvaluationReport:
     macro_precision: float
     macro_recall: float
     macro_f1: float
-    metadata: dict = field(default_factory=dict)
 
 
 def confusion(y_true, y_pred, n_classes: int) -> ConfusionMatrix:
@@ -55,7 +54,7 @@ def confusion(y_true, y_pred, n_classes: int) -> ConfusionMatrix:
     return ConfusionMatrix(counts)
 
 
-def report(cm: ConfusionMatrix, metadata: dict | None = None) -> EvaluationReport:
+def report(cm: ConfusionMatrix) -> EvaluationReport:
     """Accuracy plus per-class and macro precision/recall/F1 from counts."""
     counts = cm.counts
     total = counts.sum()
@@ -82,11 +81,9 @@ def report(cm: ConfusionMatrix, metadata: dict | None = None) -> EvaluationRepor
         macro_precision=float(precision.mean()),
         macro_recall=float(recall.mean()),
         macro_f1=float(f1.mean()),
-        metadata=dict(metadata or {}),
     )
 
 
-def evaluate(y_true, y_pred, n_classes: int,
-             metadata: dict | None = None) -> EvaluationReport:
+def evaluate(y_true, y_pred, n_classes: int) -> EvaluationReport:
     """confusion + report in one call."""
-    return report(confusion(y_true, y_pred, n_classes), metadata)
+    return report(confusion(y_true, y_pred, n_classes))

@@ -58,7 +58,7 @@ def grid_accuracies(result):
 def test_criterion_1_cmartdb_reproduction():
     path, schema = env_csv("DIGITBENCH_CMARTDB_CSV")
     cfg = RunConfig(dataset_path=path, schema=schema,
-                    features=[("hog", {})], classifiers=[("svm", {})], jobs=1)
+                    features=[("hog", {})], classifiers=[("svm", {})])
     t0 = time.perf_counter()
     acc = grid_accuracies(run_grid(cfg))["hog", "svm"]
     elapsed = time.perf_counter() - t0
@@ -96,7 +96,7 @@ def test_criterion_2_feature_ablation():
         pytest.skip(f"ablation dataset has {n_rows} rows, need >= 5000")
     cfg = RunConfig(dataset_path=path, schema=schema,
                     features=[("hog", {})], classifiers=[("svm", {})],
-                    raw_baseline=True, jobs=1)
+                    raw_baseline=True)
     table = grid_accuracies(run_grid(cfg))
     delta = table["hog", "svm"] - table["raw", "svm"]
     verdict("criterion 2: hog+svm beats raw-pixel svm by >= 3 points",
@@ -107,7 +107,7 @@ def test_criterion_2_feature_ablation():
 
 def test_criterion_3_hog_leads_on_synthetic_digits():
     cfg = RunConfig(synthetic="glyphs", samples=2000,
-                    classifiers=[("svm", {}), ("rf", {})], jobs=4)
+                    classifiers=[("svm", {}), ("rf", {})])
     table = grid_accuracies(run_grid(cfg))
     details = []
     ok = True
@@ -227,23 +227,20 @@ def test_criterion_5_extractor_invariants():
 
 
 def test_criterion_6_deterministic_reports(tmp_path):
-    def run(jobs, tag):
+    def run(tag):
         cfg = RunConfig(synthetic="glyphs", samples=300,
                         features=[("hog", {}), ("lbp", {})],
                         classifiers=[("knn", {"k": 3}),
                                      ("rf", {"n_trees": 15})],
-                        out_dir=str(tmp_path / tag), jobs=jobs)
+                        out_dir=str(tmp_path / tag))
         paths = emit_report(run_grid(cfg), out_dir=cfg.out_dir)
         return {os.path.basename(p): open(p, "rb").read() for p in paths}
 
-    first, second, fanned = run(1, "a"), run(1, "b"), run(4, "c")
+    first, second = run("a"), run("b")
     same_rerun = all(first[n] == second[n]
                      for n in ("cells.csv", "plot_accuracy.csv"))
-    same_jobs = all(first[n] == fanned[n]
-                    for n in ("cells.csv", "plot_accuracy.csv"))
-    verdict("criterion 6: byte-identical reports across reruns and job counts",
-            same_rerun and same_jobs,
-            f"rerun={same_rerun} jobs1_vs_4={same_jobs}")
+    verdict("criterion 6: byte-identical reports across reruns",
+            same_rerun, f"rerun={same_rerun}")
 
 
 def test_criterion_7_metrics_exactness():

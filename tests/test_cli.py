@@ -45,11 +45,20 @@ class TestBenchVerb:
         write_cfg(cfg)
         out_dir = tmp_path / "flagged"
         assert main(["bench", "--config", str(cfg), "--seed", "5",
-                     "--jobs", "2", "--out", str(out_dir)]) == 0
+                     "--out", str(out_dir)]) == 0
         capsys.readouterr()
         assert (out_dir / "tables.md").exists()
         text = (out_dir / "tables.md").read_text()
         assert "split seed: 5" in text
+
+    def test_jobs_flag_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        write_cfg(cfg)
+        with pytest.raises(SystemExit) as info:
+            main(["bench", "--config", str(cfg), "--jobs", "2",
+                  "--out", str(tmp_path / "out")])
+        assert info.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
 
     def test_dataset_flag_without_config(self, tmp_path, capsys):
         assert main(["bench", "--synthetic", "squares", "--samples", "60",
@@ -101,9 +110,11 @@ class TestOtherVerbs:
         assert "--index" in capsys.readouterr().err
 
     def test_extract_writes_cache(self, tmp_path, capsys):
+        # --jobs is accepted and has no effect
         out_dir = tmp_path / "cache"
         assert main(["extract", "--synthetic", "squares", "--samples", "20",
-                     "--method", "lbp", "--out", str(out_dir)]) == 0
+                     "--method", "lbp", "--out", str(out_dir),
+                     "--jobs", "1"]) == 0
         assert "cached 20 x 784 lbp features" in capsys.readouterr().out
         assert len(os.listdir(out_dir)) == 1
 

@@ -178,11 +178,7 @@ class TestPreprocessor:
         out = Preprocessor(target_side=28).transform(stack)
         assert out.tobytes() == expect.tobytes()
 
-    def test_get_set_params(self):
+    def test_get_params(self):
         pre = Preprocessor()
         assert pre.get_params() == {
             "target_side": 28, "gaussian_sigma": 0.8, "deskew_enabled": True}
-        pre.set_params(target_side=32)
-        assert pre.target_side == 32
-        with pytest.raises(ParameterError):
-            pre.set_params(bogus=1)

@@ -93,7 +93,3 @@ class TestReport:
     def test_empty_matrix_rejected(self):
         with pytest.raises(ShapeError):
             report(ConfusionMatrix(np.zeros((3, 3), dtype=int)))
-
-    def test_metadata_carried(self):
-        rep = evaluate([0, 1], [0, 1], 2, metadata={"feature": "hog"})
-        assert rep.metadata == {"feature": "hog"}
