@@ -12,7 +12,7 @@ import inspect
 
 import numpy as np
 
-from .validation import check_image, check_image_batch
+from .validation import check_image_batch
 
 # images per call of a stacked kernel: enough to amortise NumPy's per-call
 # overhead, few enough that a block's temporaries stay small at any batch size
@@ -45,14 +45,11 @@ class TransformerMixin:
     Subclasses implement ``_transform_stack``, which maps a validated float64
     stack to one output row per image. ``transform`` runs it on consecutive
     IMAGE_BLOCK-image blocks of one (n, H, W) stack, so memory stays bounded
-    as the batch grows; ``transform_one`` runs it on a stack of one.
+    as the batch grows. A single image is the stack ``img[None]``.
     """
 
     def _transform_stack(self, stack: np.ndarray) -> np.ndarray:
         raise NotImplementedError
-
-    def transform_one(self, img) -> np.ndarray:
-        return self._transform_stack(check_image(img)[None])[0]
 
     def transform(self, images) -> np.ndarray:
         """One output row per image of an (n, H, W) stack, in input order."""
@@ -67,7 +64,7 @@ class TransformerMixin:
 
 
 class ClassifierMixin:
-    """Adds predict and accuracy scoring on top of ``predict_scores``."""
+    """Adds predict on top of ``predict_scores``."""
 
     # whether a saved model file must hold the fitted ``trees_`` list
     _SAVES_TREES = False
@@ -77,7 +74,3 @@ class ClassifierMixin:
         # scores first: they raise StateError on an unfitted model
         scores = self.predict_scores(X)
         return self.classes_[np.argmax(scores, axis=1)]
-
-    def score(self, X, y) -> float:
-        y = np.asarray(y)
-        return float(np.mean(self.predict(X) == y))

@@ -136,7 +136,7 @@ class GradientBoostingClassifier(Estimator, ClassifierMixin):
             frac = float(getattr(self, name))
             if not 0.0 < frac <= 1.0:
                 raise ParameterError(f"{name} must lie in (0, 1], got {frac}")
-        if float(self.reg_lambda) < 0:
+        if not float(self.reg_lambda) >= 0:  # NaN fails too
             raise ParameterError(
                 f"reg_lambda must be >= 0, got {self.reg_lambda}")
         if not 2 <= int(self.max_bins) <= 256:

@@ -33,7 +33,7 @@ class KnnClassifier(Estimator, ClassifierMixin):
     def fit(self, X, y):
         if int(self.k) < 1:
             raise ParameterError(f"k must be >= 1, got {self.k}")
-        if float(self.minkowski_p) < 1.0:
+        if not float(self.minkowski_p) >= 1.0:  # NaN fails too
             raise ParameterError(
                 f"minkowski_p must be >= 1, got {self.minkowski_p}")
         X, y = check_X_y(X, y)

@@ -53,7 +53,7 @@ def resolve_gamma(X: np.ndarray, gamma) -> float:
         d = X.shape[1]
         return 1.0 / (d * var) if var > 0 else 1.0 / d
     value = float(gamma)
-    if value <= 0:
+    if not value > 0:  # NaN fails too
         raise ParameterError(f"gamma must be positive, got {value}")
     return value
 
@@ -202,9 +202,9 @@ class SvmClassifier(Estimator, ClassifierMixin):
 
     def fit(self, X, y):
         C = float(self.C)
-        if C <= 0:
+        if not C > 0:  # NaN fails too
             raise ParameterError(f"C must be positive, got {C}")
-        if float(self.tol) <= 0:
+        if not float(self.tol) > 0:
             raise ParameterError(f"tol must be positive, got {self.tol}")
         if int(self.max_iter) < 1:
             raise ParameterError(f"max_iter must be >= 1, got {self.max_iter}")

@@ -198,6 +198,11 @@ def config_from_mapping(pairs: dict) -> RunConfig:
 
     order = {"feature": [m for m, _ in cfg.features],
              "classifier": [k for k, _ in cfg.classifiers]}
+    for section, names in order.items():
+        for i, name in enumerate(names):
+            if name in names[:i]:
+                raise ParseError(
+                    f"config key '{section}s' lists {name!r} twice")
     for section, names in params.items():
         for name in names:
             if name not in order[section]:

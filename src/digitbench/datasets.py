@@ -56,10 +56,10 @@ def _parse_csv_rows(path, n_fields: int):
     """Line-by-line parse with 1-based row numbers in every error.
 
     A single leading row that does not parse as numbers is treated as a
-    header and skipped.
+    header and skipped. A UTF-8 byte-order mark is not part of the first row.
     """
     rows = []
-    with open(path) as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:

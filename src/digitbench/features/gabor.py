@@ -13,7 +13,6 @@ import numpy as np
 
 from ..base import Estimator, TransformerMixin
 from ..errors import ParameterError
-from ..validation import check_image
 
 
 def bandwidth_sigma(frequency: float, bandwidth: float) -> float:
@@ -79,15 +78,7 @@ class GaborDescriptor(Estimator, TransformerMixin):
         self.bandwidth = bandwidth
         self.n_stds = n_stds
 
-    def kernel(self) -> np.ndarray:
-        return gabor_kernel(self.frequency, self.theta, self.bandwidth,
-                            self.n_stds)
-
-    def response(self, img) -> np.ndarray:
-        """Real-part filter response at the input size."""
-        img = check_image(img)
-        return convolve2d_reflect(img, self.kernel().real)
-
     def _transform_stack(self, stack: np.ndarray) -> np.ndarray:
-        return convolve2d_reflect(stack, self.kernel().real).reshape(
-            len(stack), -1)
+        kernel = gabor_kernel(self.frequency, self.theta, self.bandwidth,
+                              self.n_stds)
+        return convolve2d_reflect(stack, kernel.real).reshape(len(stack), -1)

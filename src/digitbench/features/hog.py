@@ -12,7 +12,6 @@ import numpy as np
 
 from ..base import Estimator, TransformerMixin
 from ..errors import ParameterError
-from ..validation import check_image
 
 L2_HYS_CLIP = 0.2
 _NORM_EPS = 1e-12
@@ -76,14 +75,12 @@ class HogDescriptor(Estimator, TransformerMixin):
                 f"block_side {bs} must lie in [1, cells per side {min(cells_y, cells_x)}]")
         return cells_y, cells_x
 
-    def cell_histograms(self, img) -> np.ndarray:
+    def _cell_histograms(self, stack: np.ndarray) -> np.ndarray:
         """Per-cell orientation histograms before block normalization.
 
-        Returns a (cells_y, cells_x, n_bins) array of magnitude-weighted votes.
+        Returns an (n, cells_y, cells_x, n_bins) array of magnitude-weighted
+        votes for a validated (n, H, W) stack.
         """
-        return self._cell_histograms(check_image(img)[None])[0]
-
-    def _cell_histograms(self, stack: np.ndarray) -> np.ndarray:
         n, h, w = stack.shape
         cells_y, cells_x = self._check_geometry(h, w)
         cs = int(self.cell_side)

@@ -12,7 +12,6 @@ import numpy as np
 from ..base import Estimator, TransformerMixin
 from ..errors import ParameterError
 from ..imaging import _sample_bilinear
-from ..validation import check_image
 
 MODES = ("flat", "histogram")
 
@@ -51,11 +50,8 @@ class LbpDescriptor(Estimator, TransformerMixin):
             raise ParameterError(f"mode must be one of {MODES}, got {self.mode!r}")
         return p, r
 
-    def code_image(self, img) -> np.ndarray:
-        """Integer code per pixel, shape (h, w); border pixels get 0."""
-        return self._codes(check_image(img)[None])[0]
-
     def _codes(self, stack: np.ndarray) -> np.ndarray:
+        """Integer code per pixel of each image; border pixels get 0."""
         p, r = self._check_params()
         _, h, w = stack.shape
         if 2.0 * r >= min(h, w):

@@ -15,19 +15,10 @@ from .errors import ShapeError
 
 
 @dataclass
-class ConfusionMatrix:
-    counts: np.ndarray
-
-    @property
-    def n_classes(self) -> int:
-        return self.counts.shape[0]
-
-
-@dataclass
 class EvaluationReport:
     """All headline metrics for one classifier evaluation."""
 
-    confusion: ConfusionMatrix
+    confusion: np.ndarray  # int64 counts[true class, predicted class]
     accuracy: float
     precision: np.ndarray
     recall: np.ndarray
@@ -37,7 +28,7 @@ class EvaluationReport:
     macro_f1: float
 
 
-def confusion(y_true, y_pred, n_classes: int) -> ConfusionMatrix:
+def confusion(y_true, y_pred, n_classes: int) -> np.ndarray:
     """Count matrix with counts[t][p] = #{i : y_true[i]=t, y_pred[i]=p}."""
     y_true = np.asarray(y_true, dtype=np.int64).ravel()
     y_pred = np.asarray(y_pred, dtype=np.int64).ravel()
@@ -51,12 +42,11 @@ def confusion(y_true, y_pred, n_classes: int) -> ConfusionMatrix:
             raise ShapeError(f"{name} labels must lie in [0, {n_classes - 1}]")
     counts = np.zeros((n_classes, n_classes), dtype=np.int64)
     np.add.at(counts, (y_true, y_pred), 1)
-    return ConfusionMatrix(counts)
+    return counts
 
 
-def report(cm: ConfusionMatrix) -> EvaluationReport:
+def report(counts: np.ndarray) -> EvaluationReport:
     """Accuracy plus per-class and macro precision/recall/F1 from counts."""
-    counts = cm.counts
     total = counts.sum()
     if total <= 0:
         raise ShapeError("confusion matrix is empty")
@@ -73,7 +63,7 @@ def report(cm: ConfusionMatrix) -> EvaluationReport:
                    where=pr_sum > 0)
 
     return EvaluationReport(
-        confusion=cm,
+        confusion=counts,
         accuracy=float(tp.sum() / total),
         precision=precision,
         recall=recall,

@@ -7,30 +7,12 @@ import numpy as np
 from .errors import ParameterError, ShapeError, StateError
 
 
-def as_float_array(x, name: str = "array") -> np.ndarray:
-    arr = np.asarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
-        raise ShapeError(f"{name} contains non-finite values")
-    return arr
-
-
-def check_image(img, name: str = "image") -> np.ndarray:
-    """Validate a single grayscale image: 2-D, nonempty, intensities in [0, 1]."""
-    arr = as_float_array(img, name)
-    if arr.ndim != 2:
-        raise ShapeError(f"{name} must be 2-D (H x W), got shape {arr.shape}")
-    if arr.shape[0] < 1 or arr.shape[1] < 1:
-        raise ShapeError(f"{name} must be nonempty, got shape {arr.shape}")
-    if arr.min() < 0.0 or arr.max() > 1.0:
-        raise ShapeError(f"{name} intensities must lie in [0, 1]")
-    return arr
-
-
 def check_image_batch(images, name: str = "images") -> np.ndarray:
     """Validate a nonempty (n, H, W) image stack and return it as float64.
 
     Finiteness and the [0, 1] range are checked once for the whole stack;
-    the offending image is only looked for when that check fails.
+    the first offending image is only looked for when that check fails. A
+    single image is the stack ``img[None]``.
     """
     try:
         stack = np.asarray(images, dtype=np.float64)
@@ -39,15 +21,20 @@ def check_image_batch(images, name: str = "images") -> np.ndarray:
     if stack.ndim != 3 or not stack.size:
         raise ShapeError(f"{name} must be a nonempty (n, H, W) stack, "
                          f"got shape {stack.shape}")
-    # a NaN makes min and max NaN and fails both comparisons
+    # a NaN makes min and max NaN and fails every comparison
     if not (stack.min() >= 0.0 and stack.max() <= 1.0):
-        for i, img in enumerate(stack):
-            check_image(img, f"{name}[{i}]")
+        fine = ((stack >= 0.0) & (stack <= 1.0)).all(axis=(1, 2))
+        i = int(np.argmin(fine))
+        if np.isfinite(stack[i]).all():
+            raise ShapeError(f"{name}[{i}] intensities must lie in [0, 1]")
+        raise ShapeError(f"{name}[{i}] contains non-finite values")
     return stack
 
 
 def check_matrix(X, name: str = "X", expected_cols: int | None = None) -> np.ndarray:
-    arr = as_float_array(X, name)
+    arr = np.asarray(X, dtype=np.float64)
+    if not np.all(np.isfinite(arr)):
+        raise ShapeError(f"{name} contains non-finite values")
     if arr.ndim != 2:
         raise ShapeError(f"{name} must be 2-D (n_samples, n_features), got shape {arr.shape}")
     if expected_cols is not None and arr.shape[1] != expected_cols:

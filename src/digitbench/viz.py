@@ -15,14 +15,14 @@ import numpy as np
 
 from .features import GABOR, HOG, LBP, make_descriptor
 from .imaging import Preprocessor
-from .validation import check_image
+from .validation import check_image_batch
 
 _HOG_CELL_PIXELS = 16
 
 
 def write_pgm(path, img: np.ndarray) -> None:
     """Write a [0, 1] grayscale image as ASCII PGM (P2, maxval 255)."""
-    img = check_image(img)
+    img = check_image_batch(np.asarray(img)[None])[0]
     levels = np.clip(np.rint(img * 255.0), 0, 255).astype(int)
     h, w = levels.shape
     lines = [f"{' '.join(str(v) for v in row)}" for row in levels]
@@ -45,7 +45,8 @@ def _draw_line(canvas: np.ndarray, cy: float, cx: float, angle: float,
 def render_hog(img: np.ndarray, descriptor) -> np.ndarray:
     """Oriented-line glyph per cell; line direction shows the edge, not the
     gradient, so strokes align with the strokes of the glyph itself."""
-    hists = descriptor.cell_histograms(check_image(img))
+    hists = descriptor._cell_histograms(
+        check_image_batch(np.asarray(img)[None]))[0]
     cells_y, cells_x, n_bins = hists.shape
     peak = hists.max()
     if peak > 0:
@@ -67,12 +68,13 @@ def render_hog(img: np.ndarray, descriptor) -> np.ndarray:
 
 
 def render_lbp(img: np.ndarray, descriptor) -> np.ndarray:
-    codes = descriptor.code_image(check_image(img))
+    codes = descriptor._codes(check_image_batch(np.asarray(img)[None]))[0]
     return codes / float(2 ** int(descriptor.neighbors) - 1)
 
 
 def render_gabor(img: np.ndarray, descriptor) -> np.ndarray:
-    response = descriptor.response(check_image(img))
+    img = np.asarray(img)
+    response = descriptor.transform(img[None]).reshape(img.shape)
     lo, hi = response.min(), response.max()
     if hi - lo < 1e-12:
         return np.zeros_like(response)
@@ -88,16 +90,16 @@ def render_feature(img: np.ndarray, method: str, params=None) -> np.ndarray:
         return render_lbp(img, desc)
     if method == GABOR:
         return render_gabor(img, desc)
-    return check_image(img).copy()
+    return check_image_batch(np.asarray(img)[None])[0].copy()
 
 
 def visualize(img, method: str = HOG, params=None, out_dir=".",
               stem: str = "digit", pre: Preprocessor | None = None):
     """Write original, preprocessed, and feature views; returns the 3 paths."""
-    img = check_image(img)
+    img = check_image_batch(np.asarray(img)[None])[0]
     if pre is None:
         pre = Preprocessor()
-    processed = pre.transform_one(img)
+    processed = pre.transform(img[None])[0]
     os.makedirs(out_dir, exist_ok=True)
     paths = []
     for tag, view in (("original", img), ("preprocessed", processed),

@@ -100,6 +100,14 @@ class TestConfigFormat:
                                  "classifiers": ["svm"],
                                  "classifier.knn.k": 3})
 
+    def test_repeated_names_rejected(self):
+        for key, names in [("features", ["hog", "lbp", "hog"]),
+                           ("classifiers", ["knn", "svm", "knn"])]:
+            with pytest.raises(ParseError, match=f"config key '{key}' "
+                               f"lists '{names[0]}' twice"):
+                config_from_mapping({"dataset.synthetic": "glyphs",
+                                     key: names})
+
     def test_line_errors(self):
         with pytest.raises(ParseError, match="line 2"):
             parse_config_text("jobs = 1\nnot a pair\n")

@@ -54,6 +54,21 @@ class TestLoadCsv:
         _, labels = load_csv(p, LABEL_FIRST, side=3)
         assert np.array_equal(labels, [2])
 
+    def test_byte_order_mark_ignored(self, tmp_path):
+        # the mark must not make the first data row look like a header
+        rows = [[d % 10] + [d * 10] * 9 for d in range(20)]
+        plain, marked = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        write_csv(plain, rows)
+        marked.write_text(plain.read_text(), encoding="utf-8-sig")
+        want = load_csv(plain, LABEL_FIRST, side=3)
+        got = load_csv(marked, LABEL_FIRST, side=3)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1]) and len(got[1]) == 20
+        marked.write_text("label," + ",".join(f"p{i}" for i in range(9))
+                          + "\n" + plain.read_text(), encoding="utf-8-sig")
+        _, labels = load_csv(marked, LABEL_FIRST, side=3)
+        assert np.array_equal(labels, want[1])
+
     def test_ragged_row_names_row(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("1," + ",".join(["0"] * 9) + "\n1,2,3\n")
@@ -174,7 +189,7 @@ class TestPreprocessAll:
         pre = Preprocessor()
         out = preprocess_all(images, pre)
         assert out.shape == (5, 28, 28)
-        assert np.array_equal(out[3], pre.transform_one(images[3]))
+        assert np.array_equal(out[3], pre.transform(images[3][None])[0])
 
     def test_constant_images_unchanged_without_deskew(self):
         images = np.full((4, 28, 28), 0.375)
@@ -190,7 +205,8 @@ class TestPreprocessAll:
         pre = Preprocessor()
         out = preprocess_all(images, pre)
         for i in range(len(images)):
-            assert out[i].tobytes() == pre.transform_one(images[i]).tobytes()
+            assert (out[i].tobytes()
+                    == pre.transform(images[i][None])[0].tobytes())
         assert out[5:].tobytes() == preprocess_all(images[5:], pre).tobytes()
 
     def test_error_names_image_index(self):

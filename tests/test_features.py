@@ -85,7 +85,7 @@ class TestHog:
     def test_default_dim(self):
         img = np.random.default_rng(0).random((28, 28))
         desc = HogDescriptor()
-        assert desc.transform_one(img).shape == (1296,)
+        assert desc.transform(img[None])[0].shape == (1296,)
 
     def test_dim_formula_other_geometries(self):
         for side, cell, block, stride, bins in [(28, 7, 2, 1, 6), (32, 4, 2, 2, 9),
@@ -96,19 +96,19 @@ class TestHog:
             blocks = (cells - block) // stride + 1
             want = blocks * blocks * block * block * bins
             img = np.random.default_rng(1).random((side, side))
-            assert desc.transform_one(img).shape == (want,)
+            assert desc.transform(img[None])[0].shape == (want,)
 
     def test_zero_and_constant_images(self):
         desc = HogDescriptor()
-        assert np.array_equal(desc.transform_one(np.zeros((28, 28))),
+        assert np.array_equal(desc.transform(np.zeros((28, 28))[None])[0],
                               np.zeros(1296))
-        assert np.array_equal(desc.transform_one(np.full((28, 28), 0.7)),
+        assert np.array_equal(desc.transform(np.full((28, 28), 0.7)[None])[0],
                               np.zeros(1296))
 
     def test_block_norms(self):
         rng = np.random.default_rng(2)
         desc = HogDescriptor()
-        v = desc.transform_one(rng.random((28, 28)))
+        v = desc.transform(rng.random((28, 28))[None])[0]
         assert v.min() >= 0.0
         for b in v.reshape(36, 36):
             n = np.linalg.norm(b)
@@ -118,14 +118,14 @@ class TestHog:
     def test_cell_histograms_match_oracle(self):
         rng = np.random.default_rng(3)
         img = rng.random((12, 12))
-        got = HogDescriptor().cell_histograms(img)
+        got = HogDescriptor()._cell_histograms(img[None])[0]
         assert np.allclose(got, hog_cell_oracle(img, cell=4, n_bins=9), atol=1e-12)
 
     def test_vertical_edge_votes_horizontal_gradient_bin(self):
         # left half dark, right half bright: gradient points along +x, angle 0
         img = np.zeros((12, 12))
         img[:, 6:] = 1.0
-        cells = HogDescriptor().cell_histograms(img)
+        cells = HogDescriptor()._cell_histograms(img[None])[0]
         oracle = hog_cell_oracle(img)
         assert np.allclose(cells, oracle, atol=1e-12)
         total = cells.sum(axis=(0, 1))
@@ -138,20 +138,20 @@ class TestHog:
         img[9:12, 9:12] = 1.0
         shifted = np.zeros((28, 28))
         shifted[9:12, 13:16] = 1.0  # one cell width to the right
-        a = HogDescriptor().cell_histograms(img)
-        b = HogDescriptor().cell_histograms(shifted)
+        a = HogDescriptor()._cell_histograms(img[None])[0]
+        b = HogDescriptor()._cell_histograms(shifted[None])[0]
         assert np.allclose(a[1:5, 1:5], b[1:5, 2:6], atol=1e-12)
 
     def test_geometry_errors(self):
         img = np.random.default_rng(4).random((28, 28))
         with pytest.raises(ParameterError):
-            HogDescriptor(cell_side=5).transform_one(img)
+            HogDescriptor(cell_side=5).transform(img[None])[0]
         with pytest.raises(ParameterError):
-            HogDescriptor(block_side=8).transform_one(img)
+            HogDescriptor(block_side=8).transform(img[None])[0]
         with pytest.raises(ParameterError):
-            HogDescriptor(n_bins=1).transform_one(img)
+            HogDescriptor(n_bins=1).transform(img[None])[0]
         with pytest.raises(ParameterError):
-            HogDescriptor(block_stride=0).transform_one(img)
+            HogDescriptor(block_stride=0).transform(img[None])[0]
 
     def test_gradients_replicate_borders(self):
         rng = np.random.default_rng(5)
@@ -165,8 +165,8 @@ class TestHog:
     def test_deterministic(self):
         rng = np.random.default_rng(6)
         img = rng.random((28, 28))
-        a = HogDescriptor().transform_one(img)
-        b = HogDescriptor().transform_one(img)
+        a = HogDescriptor().transform(img[None])[0]
+        b = HogDescriptor().transform(img[None])[0]
         assert a.tobytes() == b.tobytes()
 
 
@@ -175,32 +175,32 @@ class TestLbp:
         rng = np.random.default_rng(7)
         desc = LbpDescriptor()
         for _ in range(5):
-            codes = desc.code_image(rng.random((28, 28)))
+            codes = desc._codes(rng.random((28, 28))[None])[0]
             assert codes.min() >= 0 and codes.max() <= 1023
             border = np.ones((28, 28), dtype=bool)
             border[3:25, 3:25] = False
             assert np.all(codes[border] == 0)
 
     def test_constant_image_interior_all_ones(self):
-        codes = LbpDescriptor().code_image(np.full((28, 28), 0.4))
+        codes = LbpDescriptor()._codes(np.full((28, 28), 0.4)[None])[0]
         assert np.all(codes[3:25, 3:25] == 1023)
 
     def test_center_peak_gives_zero(self):
         img = np.full((9, 9), 0.2)
         img[4, 4] = 0.9
-        codes = LbpDescriptor(neighbors=8, radius=1.0).code_image(img)
+        codes = LbpDescriptor(neighbors=8, radius=1.0)._codes(img[None])[0]
         assert codes[4, 4] == 0
 
     def test_matches_oracle_9x9(self):
         rng = np.random.default_rng(8)
         img = rng.random((9, 9))
-        got = LbpDescriptor(neighbors=8, radius=1.0).code_image(img)
+        got = LbpDescriptor(neighbors=8, radius=1.0)._codes(img[None])[0]
         assert np.array_equal(got, lbp_oracle(img, 8, 1.0))
 
     def test_matches_oracle_defaults(self):
         rng = np.random.default_rng(9)
         img = rng.random((14, 14))
-        got = LbpDescriptor().code_image(img)
+        got = LbpDescriptor()._codes(img[None])[0]
         assert np.array_equal(got, lbp_oracle(img, 10, 3.0))
 
     def test_monotone_remap_binary_images(self):
@@ -209,45 +209,46 @@ class TestLbp:
         for _ in range(10):
             img = (rng.random((16, 16)) > 0.5) * 0.6
             remapped = np.sqrt(img) * 0.9 + 0.05  # strictly monotone on values
-            assert np.array_equal(desc.code_image(img), desc.code_image(remapped))
+            assert np.array_equal(desc._codes(img[None])[0],
+                                  desc._codes(remapped[None])[0])
 
     def test_affine_remap_any_image(self):
         rng = np.random.default_rng(11)
         desc = LbpDescriptor()
         for _ in range(10):
             img = rng.random((16, 16))
-            assert np.array_equal(desc.code_image(img),
-                                  desc.code_image(0.5 * img + 0.25))
+            assert np.array_equal(desc._codes(img[None])[0],
+                                  desc._codes((0.5 * img + 0.25)[None])[0])
 
     def test_flat_mode(self):
         rng = np.random.default_rng(12)
         img = rng.random((28, 28))
         desc = LbpDescriptor()
-        flat = desc.transform_one(img)
+        flat = desc.transform(img[None])[0]
         assert flat.shape == (784,)
-        assert np.array_equal(flat, desc.code_image(img).ravel() / 1023.0)
+        assert np.array_equal(flat, desc._codes(img[None])[0].ravel() / 1023.0)
         assert flat.min() >= 0.0 and flat.max() <= 1.0
 
     def test_histogram_mode(self):
         rng = np.random.default_rng(13)
         img = rng.random((28, 28))
-        hist = LbpDescriptor(mode="histogram").transform_one(img)
+        hist = LbpDescriptor(mode="histogram").transform(img[None])[0]
         assert hist.shape == (1024,)
         assert hist.sum() == pytest.approx(1.0, abs=1e-12)
-        codes = LbpDescriptor().code_image(img)
+        codes = LbpDescriptor()._codes(img[None])[0]
         counts = np.bincount(codes.ravel(), minlength=1024)
         assert np.array_equal(hist, counts / codes.size)
 
     def test_param_errors(self):
         img = np.random.default_rng(14).random((10, 10))
         with pytest.raises(ParameterError):
-            LbpDescriptor(radius=5.0).code_image(img)
+            LbpDescriptor(radius=5.0)._codes(img[None])[0]
         with pytest.raises(ParameterError):
-            LbpDescriptor(neighbors=0).code_image(img)
+            LbpDescriptor(neighbors=0)._codes(img[None])[0]
         with pytest.raises(ParameterError):
-            LbpDescriptor(neighbors=25).code_image(img)
+            LbpDescriptor(neighbors=25)._codes(img[None])[0]
         with pytest.raises(ParameterError):
-            LbpDescriptor(mode="both").transform_one(img)
+            LbpDescriptor(mode="both").transform(img[None])[0]
 
 
 class TestGabor:
@@ -273,12 +274,13 @@ class TestGabor:
     def test_constant_image_dc_response(self):
         k = gabor_kernel()
         c = 0.37
-        resp = GaborDescriptor().response(np.full((28, 28), c))
+        resp = GaborDescriptor().transform(np.full((28, 28), c)[None])[0]
         assert np.allclose(resp, c * k.real.sum(), atol=1e-12)
 
     def test_zero_image(self):
-        assert np.array_equal(GaborDescriptor().transform_one(np.zeros((28, 28))),
-                              np.zeros(784))
+        assert np.array_equal(
+            GaborDescriptor().transform(np.zeros((28, 28))[None])[0],
+            np.zeros(784))
 
     def test_linearity(self):
         rng = np.random.default_rng(15)
@@ -287,8 +289,9 @@ class TestGabor:
             x = rng.random((28, 28))
             y = rng.random((28, 28))
             a, b = rng.uniform(0.0, 0.5, size=2)
-            lhs = desc.response(a * x + b * y)
-            rhs = a * desc.response(x) + b * desc.response(y)
+            lhs = desc.transform((a * x + b * y)[None])[0]
+            rhs = (a * desc.transform(x[None])[0]
+                   + b * desc.transform(y[None])[0])
             assert np.allclose(lhs, rhs, atol=1e-9)
 
     def test_convolution_matches_literal_sum(self):
@@ -300,7 +303,7 @@ class TestGabor:
 
     def test_output_dim(self):
         img = np.random.default_rng(17).random((28, 28))
-        assert GaborDescriptor().transform_one(img).shape == (784,)
+        assert GaborDescriptor().transform(img[None])[0].shape == (784,)
 
     def test_param_errors(self):
         with pytest.raises(ParameterError):
@@ -316,7 +319,7 @@ class TestDispatch:
         assert type(make_descriptor("hog")) is HogDescriptor
         X = extract_batch(img[None], "hog")
         assert X.shape == (1, 1296)
-        assert np.array_equal(X[0], HogDescriptor().transform_one(img))
+        assert np.array_equal(X[0], HogDescriptor().transform(img[None])[0])
 
     def test_extract_each_method(self):
         img = np.random.default_rng(19).random((28, 28))
@@ -325,7 +328,7 @@ class TestDispatch:
             X = extract_batch(img[None], method)
             assert X.shape == (1, dim)
             assert np.array_equal(X[0], make_descriptor(method)
-                                  .transform_one(img))
+                                  .transform(img[None])[0])
 
     def test_unknown_method(self):
         with pytest.raises(ParameterError):
@@ -353,7 +356,8 @@ class TestDispatch:
             X = extract_batch(imgs, method)
             desc = make_descriptor(method)
             for i in range(len(imgs)):
-                assert X[i].tobytes() == desc.transform_one(imgs[i]).tobytes()
+                assert (X[i].tobytes()
+                        == desc.transform(imgs[i][None])[0].tobytes())
 
     def test_raw_roundtrip(self):
         rng = np.random.default_rng(23)

@@ -144,16 +144,17 @@ class TestPreprocessor:
 
     def test_deskew_toggle(self):
         img = shear_image(np.pad(np.ones((12, 4)), 8), 0.3)
-        on = Preprocessor(deskew_enabled=True).transform_one(img)
-        off = Preprocessor(deskew_enabled=False).transform_one(img)
+        on = Preprocessor(deskew_enabled=True).transform(img[None])[0]
+        off = Preprocessor(deskew_enabled=False).transform(img[None])[0]
         assert not np.array_equal(on, off)
         assert abs(_skew(on[None])[0][0]) < abs(_skew(off[None])[0][0])
 
     def test_param_validation(self):
         with pytest.raises(ParameterError):
-            Preprocessor(target_side=4).transform_one(np.ones((10, 10)))
+            Preprocessor(target_side=4).transform(np.ones((10, 10))[None])[0]
         with pytest.raises(ParameterError):
-            Preprocessor(gaussian_sigma=-1.0).transform_one(np.ones((10, 10)))
+            Preprocessor(gaussian_sigma=-1.0).transform(
+                np.ones((10, 10))[None])[0]
 
     def test_batch_error_names_image(self):
         good = np.full((10, 10), 0.5)

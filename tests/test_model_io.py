@@ -185,5 +185,5 @@ class TestCrossCutting:
     def test_memorizes_small_training_set(self, kind, params):
         X, y = three_clusters(n_per=4)
         clf = make_classifier(kind, **params).fit(X, y)
-        assert clf.score(X, y) == 1.0
+        assert np.mean(clf.predict(X) == y) == 1.0
 

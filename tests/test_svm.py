@@ -4,7 +4,7 @@ from oracles import (dual_objective, kkt_satisfied, random_feasible_alpha,
                      smo_oracle, ten_class_problem, two_class_problem)
 
 from digitbench import ParameterError, ShapeError, StateError
-from digitbench.classify import SvmClassifier
+from digitbench.classify import GBDT, KNN, SVM, SvmClassifier, make_classifier
 from digitbench.classify.svm import rbf_kernel, resolve_gamma, smo_solve
 
 
@@ -81,7 +81,7 @@ class TestSvmClassifier:
         rng = np.random.default_rng(3)
         X, y = self.make_blobs(rng)
         clf = SvmClassifier().fit(X, y)
-        assert clf.score(X, y) == 1.0
+        assert np.mean(clf.predict(X) == y) == 1.0
 
     def test_scores_shape_and_argmax(self):
         rng = np.random.default_rng(4)
@@ -199,3 +199,13 @@ class TestRbfKernel:
         K = rbf_kernel(rng.random((10, 3)), rng.random((8, 3)), gamma=2.0)
         assert K.shape == (10, 8)
         assert K.min() > 0.0 and K.max() <= 1.0
+
+
+@pytest.mark.parametrize("kind, name", [
+    (SVM, "C"), (SVM, "gamma"), (SVM, "tol"), (GBDT, "reg_lambda"),
+    (KNN, "minkowski_p")])
+def test_nan_hyperparameter_rejected(kind, name):
+    # NaN fails every comparison, so a "<= 0" style check would let it by
+    X = np.random.default_rng(0).random((20, 3))
+    with pytest.raises(ParameterError, match=name):
+        make_classifier(kind, **{name: float("nan")}).fit(X, np.arange(20) % 2)

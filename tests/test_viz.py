@@ -1,4 +1,7 @@
+import hashlib
+
 import numpy as np
+import pytest
 
 from digitbench.datasets import synthetic_glyphs
 from digitbench.features import (GaborDescriptor, HogDescriptor,
@@ -85,3 +88,60 @@ class TestVisualize:
         for path in visualize(img[0], "gabor", out_dir=tmp_path):
             view = parse_pgm(path)
             assert view.ndim == 2 and view.size > 0
+
+
+# SHA-256 of every file ``visualize`` writes for the glyphs of
+# synthetic_glyphs(3, seed=0, noise=0.35), named by stem "g<i>"; recorded
+# on x86-64 with NumPy 2.4. The raw view repeats the preprocessed image and
+# LBP renders the code image in either mode.
+_VIEW_DIGESTS = {
+    "g0-original.pgm": ("f0bdba3deb2eb9eedcb4c880c7a7d8f4"
+                        "a363654b8dbf84e0d080ce6ca8c19938"),
+    "g1-original.pgm": ("fc68b87d96725bc56a4dfb76ac938f5c"
+                        "9d25e51667f7f2f27e6708fbcbf1ec73"),
+    "g2-original.pgm": ("88ceed10bc826ada68fd9e9ced194d4f"
+                        "f076a343d11a9ee52e96a9623671fc4d"),
+    "g0-preprocessed.pgm": ("22534d46f6be7e57d4a9523d8407b6fd"
+                            "be4db0a84c441e280048d5f8a67fe2fd"),
+    "g1-preprocessed.pgm": ("6942456558d5d1e1480058cfa87f662f"
+                            "b96644d11d38d5481ff021fab30eac02"),
+    "g2-preprocessed.pgm": ("142b3aafd6f8b4bc5fcf3f341144c104"
+                            "8443af73eea630c18a7e86085f546a85"),
+    "g0-hog.pgm": ("0ed6a8fa7c46110579d2be02e66fe7ab"
+                   "ab910f9f3c9ec093d9be068e346e6fb9"),
+    "g1-hog.pgm": ("fe881514adbc4dd5dba7481ea700704c"
+                   "35a936af303beacb1a91c2ebdf6f42ce"),
+    "g2-hog.pgm": ("534479103b240291166701b720c146a1"
+                   "2eb8cd6d2c727a47dff8e01415328b46"),
+    "g0-lbp.pgm": ("d4e9ea6f1cb22adfd3ae8d2221ca4885"
+                   "da77c365446efe38bec599f347b29164"),
+    "g1-lbp.pgm": ("fe68ba77fa4b914871fd1395c1590d6e"
+                   "5292b9c4b636e18e53e1e258c7418ab9"),
+    "g2-lbp.pgm": ("93f9359aa2ceab2d5d0bf38e35cead23"
+                   "75a229c0133ee0e1d3725366c57bb820"),
+    "g0-gabor.pgm": ("b3e0da41ba5b4973892c2c516eb28382"
+                     "2dd269b19473a70b51a4dff4cced3e67"),
+    "g1-gabor.pgm": ("591d3bbec9dbce573fff1cf0eb71fc50"
+                     "1e8b94e89ea363a1695ae5bdaca039e7"),
+    "g2-gabor.pgm": ("a95f73f71d3cf664842776dc86bacd51"
+                     "43f4ccc612a0e55846ae47e26fa8a108"),
+    "g0-raw.pgm": ("22534d46f6be7e57d4a9523d8407b6fd"
+                   "be4db0a84c441e280048d5f8a67fe2fd"),
+    "g1-raw.pgm": ("6942456558d5d1e1480058cfa87f662f"
+                   "b96644d11d38d5481ff021fab30eac02"),
+    "g2-raw.pgm": ("142b3aafd6f8b4bc5fcf3f341144c104"
+                   "8443af73eea630c18a7e86085f546a85"),
+}
+
+
+@pytest.mark.parametrize("method, params", [
+    ("hog", None), ("lbp", None), ("lbp", {"mode": "histogram"}),
+    ("gabor", None), ("raw", None)])
+def test_visualize_files_unchanged(tmp_path, method, params):
+    images, _ = synthetic_glyphs(3, seed=0, noise=0.35)
+    for i, img in enumerate(images):
+        for path in visualize(img, method, params, out_dir=tmp_path,
+                              stem=f"g{i}"):
+            with open(path, "rb") as fh:
+                digest = hashlib.sha256(fh.read()).hexdigest()
+            assert digest == _VIEW_DIGESTS[path.split("/")[-1]], path
