@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import warnings
 import zipfile
 from dataclasses import dataclass
 
@@ -53,10 +54,13 @@ def file_digest(path) -> str:
 
 
 def _parse_csv_rows(path, n_fields: int):
-    """Line-by-line parse with 1-based row numbers in every error.
+    """Line-by-line parse with 1-based row numbers in every error: the error
+    and fallback path of ``load_csv``.
 
     A single leading row that does not parse as numbers is treated as a
     header and skipped. A UTF-8 byte-order mark is not part of the first row.
+    Fields go through Python ``float()``, so spellings that ``np.loadtxt``
+    rejects (non-ASCII digits, ``1_0``) load here, only slower.
     """
     rows = []
     with open(path, encoding="utf-8-sig") as fh:
@@ -82,12 +86,83 @@ def _parse_csv_rows(path, n_fields: int):
     return rows
 
 
+# np.loadtxt strips these ASCII separators around a field and float() does
+# not, so a line holding one is left to the line parser
+_LOADTXT_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
+
+
+def _float_lines(fh):
+    """The lines of ``fh``; ValueError at one that np.loadtxt would read
+    where ``float()`` would not."""
+    for line in fh:
+        for ch in _LOADTXT_ONLY_SPACE:
+            if ch in line:
+                raise ValueError(f"line holds {ch!r}")
+        yield line
+
+
+def _read_matrix(path, n_fields: int):
+    """The data rows as one float64 matrix from a single ``np.loadtxt``
+    pass, or None where the line parser has to decide: a field loadtxt
+    cannot read, no rows, or a field count other than ``n_fields``.
+
+    Line 1 is skipped when it alone does not parse as numbers (the header
+    rule); loadtxt skips empty lines itself.
+    """
+    with open(path, encoding="utf-8-sig") as fh:
+        first = fh.readline()
+        try:
+            [float(p) for p in first.strip().split(",")]
+            fh.seek(0)
+        except ValueError:
+            pass  # a header or a blank line 1: start after it
+        try:
+            with warnings.catch_warnings():
+                # no rows: the line parser reports it
+                warnings.filterwarnings(
+                    "ignore", "loadtxt: input contained no data")
+                data = np.loadtxt(_float_lines(fh), dtype=np.float64,
+                                  delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            return None
+    if data.shape[0] == 0 or data.shape[1] != n_fields:
+        return None
+    return data
+
+
+def _columns(data, schema):
+    """(labels, pixels) views of a row matrix."""
+    if schema == LABEL_FIRST:
+        return data[:, 0], data[:, 1:]
+    return data[:, -1], data[:, :-1]
+
+
+def _first_bad_row(labels, pixels):
+    """(row index, reason) of the first row whose label lies outside [0, 9]
+    or whose pixel lies outside [0, 255], or None."""
+    bad = (labels != np.floor(labels)) | (labels < 0) | (labels >= N_CLASSES)
+    if np.any(bad):
+        at = int(np.argmax(bad))
+        return at, f"label {labels[at]:g} outside [0, {N_CLASSES - 1}]"
+    bad = ~((pixels >= 0) & (pixels <= 255))  # NaN fails both
+    if np.any(bad):
+        at = np.argwhere(bad)[0]
+        return at[0], (f"pixel value {pixels[at[0], at[1]]} "
+                       f"outside [0, 255]")
+    return None
+
+
 def load_csv(path, schema: str = LABEL_FIRST, side: int = 28):
     """Read an image-per-row digit CSV into ((n, side, side) images, labels).
 
     Values are scaled to [0, 1]; 8-bit files are detected by their maximum
     exceeding 1. Labels outside [0, 9], ragged rows, and non-numeric fields
     raise a parse error naming the offending row.
+
+    A well-formed file is read by one vectorised ``np.loadtxt`` parse. Any
+    file that parse cannot read, and any file that fails a label or pixel
+    check, is read again by the line parser, which names the row of an
+    error and accepts every spelling ``float()`` does.
     """
     if schema not in SCHEMAS:
         raise ParameterError(f"schema must be one of {SCHEMAS}, got {schema!r}")
@@ -95,25 +170,15 @@ def load_csv(path, schema: str = LABEL_FIRST, side: int = 28):
     if side < 1:
         raise ParameterError(f"side must be >= 1, got {side}")
     n_fields = side * side + 1
-    rows = _parse_csv_rows(path, n_fields)
-    linenos = np.array([r[0] for r in rows])
-    data = np.array([r[1] for r in rows])
-    if schema == LABEL_FIRST:
-        labels, pixels = data[:, 0], data[:, 1:]
-    else:
-        labels, pixels = data[:, -1], data[:, :-1]
-    bad = (labels != np.floor(labels)) | (labels < 0) | (labels >= N_CLASSES)
-    if np.any(bad):
-        at = int(np.argmax(bad))
-        raise ParseError(
-            f"row {linenos[at]}: label {labels[at]:g} "
-            f"outside [0, {N_CLASSES - 1}]")
-    bad = ~((pixels >= 0) & (pixels <= 255))  # NaN fails both
-    if np.any(bad):
-        at = np.argwhere(bad)[0]
-        raise ParseError(
-            f"row {linenos[at[0]]}: pixel value {pixels[at[0], at[1]]} "
-            f"outside [0, 255]")
+    data = _read_matrix(path, n_fields)
+    if data is None or _first_bad_row(*_columns(data, schema)):
+        rows = _parse_csv_rows(path, n_fields)
+        data = np.array([values for _, values in rows])
+        bad = _first_bad_row(*_columns(data, schema))
+        if bad:
+            at, reason = bad
+            raise ParseError(f"row {rows[at][0]}: {reason}")
+    labels, pixels = _columns(data, schema)
     if pixels.size and pixels.max() > 1.0:
         pixels = pixels / 255.0
     return pixels.reshape(-1, side, side), labels.astype(np.int64)

@@ -24,11 +24,11 @@ def bandwidth_sigma(frequency: float, bandwidth: float) -> float:
 def gabor_kernel(frequency: float = 0.9, theta: float = 0.0,
                  bandwidth: float = 1.0, n_stds: float = 3.0) -> np.ndarray:
     """Complex Gabor kernel, sized to cover n_stds envelope deviations."""
-    if frequency <= 0:
+    if not frequency > 0:
         raise ParameterError(f"frequency must be positive, got {frequency}")
-    if bandwidth <= 0:
+    if not bandwidth > 0:
         raise ParameterError(f"bandwidth must be positive, got {bandwidth}")
-    if n_stds <= 0:
+    if not n_stds > 0:
         raise ParameterError(f"n_stds must be positive, got {n_stds}")
     sigma = bandwidth_sigma(frequency, bandwidth)
     radius = int(math.ceil(n_stds * sigma))

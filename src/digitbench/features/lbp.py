@@ -44,7 +44,7 @@ class LbpDescriptor(Estimator, TransformerMixin):
         r = float(self.radius)
         if not 1 <= p <= 24:
             raise ParameterError(f"neighbors must lie in [1, 24], got {p}")
-        if r <= 0:
+        if not r > 0:
             raise ParameterError(f"radius must be positive, got {r}")
         if self.mode not in MODES:
             raise ParameterError(f"mode must be one of {MODES}, got {self.mode!r}")

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from digitbench import ParameterError, ParseError, ShapeError, SplitError
+from digitbench import (ParameterError, ParseError, ShapeError, SplitError,
+                        datasets)
 from digitbench.base import IMAGE_BLOCK
-from digitbench.datasets import (LABEL_FIRST, LABEL_LAST, SplitSpec,
+from digitbench.datasets import (LABEL_FIRST, LABEL_LAST, N_CLASSES, SplitSpec,
                                  file_digest, glyph_template, load_csv,
                                  load_feature_cache, preprocess_all,
                                  save_feature_cache, split_indices,
@@ -124,6 +125,115 @@ class TestLoadCsv:
         assert file_digest(a) == file_digest(b)
         b.write_text("different")
         assert file_digest(a) != file_digest(b)
+
+
+def _rows(seed, fmt=str, n=6):
+    """Seeded label-first rows for side 2, each field spelled by ``fmt``."""
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(0, N_CLASSES, n)
+    pixels = rng.integers(0, 256, (n, 4))
+    return [",".join([str(label)] + [fmt(int(v)) for v in row])
+            for label, row in zip(labels, pixels)]
+
+
+def _text(lines, end="\n"):
+    return end.join(lines) + end
+
+
+def _with(lines, at, field, value):
+    """``lines`` with one field of one line replaced."""
+    lines = list(lines)
+    parts = lines[at].split(",")
+    parts[field] = value
+    lines[at] = ",".join(parts)
+    return lines
+
+
+HEADER = "label,p0,p1,p2,p3"
+BENGALI = str.maketrans("0123456789", "০১২৩৪৫৬৭৮৯")
+
+# (case, CSV text, whether the vectorised parse reads it, the ParseError
+# message or None)
+DIFFERENTIAL = [
+    ("ints", _text(_rows(0)), True, None),
+    ("decimals", _text(_rows(1, lambda v: repr(v / 255))), True, None),
+    ("exponents", _text(_rows(2, lambda v: f"{v:.4e}")), True, None),
+    ("overflow", _text(_with(_rows(3), 2, 3, "1e400")), True,
+     "row 3: pixel value inf outside [0, 255]"),
+    ("signs_and_padding", _text(_with(
+        _rows(4, lambda v: f" +{v} " if v % 2 else f"\t{v}"), 1, 2, "-0")),
+     True, None),
+    ("nan_pixel", _text(_with(_rows(5), 4, 1, "nan")), True,
+     "row 5: pixel value nan outside [0, 255]"),
+    ("nan_label", _text(_with(_rows(6), 1, 0, "nan")), True,
+     "row 2: label nan outside [0, 9]"),
+    ("inf_pixel", _text(_with(_rows(7), 0, 2, "-inf")), True,
+     "row 1: pixel value -inf outside [0, 255]"),
+    ("bengali_digits", _text([r.translate(BENGALI) for r in _rows(8)]),
+     False, None),
+    ("underscore", _text(_with(_rows(9), 3, 4, "1_0")), False, None),
+    ("hash_field", _text(_with(_rows(10), 2, 1, "#")), False,
+     "row 3: non-numeric field"),
+    ("hash_line", _text(_rows(11)[:3] + ["# note"] + _rows(11)[3:]), False,
+     "row 4: non-numeric field"),
+    ("crlf", _text([HEADER] + _rows(12), "\r\n"), True, None),
+    ("blank_lines",
+     _text(_rows(13)[:2] + ["", ""] + _rows(13)[2:] + ["", ""]), True, None),
+    ("whitespace_line", _text(_rows(14)[:3] + [" \t"] + _rows(14)[3:]),
+     False, None),
+    ("label_after_blank_lines",
+     _text([HEADER, "", ""] + _with(_rows(15), 3, 0, "12")), True,
+     "row 7: label 12 outside [0, 9]"),
+    ("pixel_after_blank_lines",
+     _text(_rows(16)[:2] + ["", ""] + _with(_rows(16), 3, 2, "256")[2:]),
+     True, "row 6: pixel value 256.0 outside [0, 255]"),
+    ("header_only", _text([HEADER]), False, "no data rows found"),
+    ("blank_first_line_then_header", _text(["", HEADER] + _rows(17)), False,
+     "row 2: non-numeric field"),
+    ("byte_order_mark", "\ufeff" + _text([HEADER] + _rows(18)), True, None),
+    ("ragged_last_row", _text(_rows(19) + ["1,2,3,4"]), False,
+     "row 7: expected 5 fields, got 4"),
+    ("no_final_newline", _text(_rows(20))[:-1], True, None),
+    ("every_row_short", _text(["1,2,3,4"] * 3), False,
+     "row 1: expected 5 fields, got 4"),
+    # np.loadtxt strips these around a field, float() does not
+    ("separator_padded", _text(_with(_rows(21), 2, 3, "\x1c7")), False,
+     "row 3: non-numeric field"),
+    # ... and str.strip() drops them at the end of a line: data, not header
+    ("separator_ends_line_1", _text([_rows(22)[0] + "\x1c"] + _rows(22)[1:]),
+     False, None),
+]
+
+
+class TestLoadCsvDifferential:
+    """The vectorised parse and the line parser alone give the same arrays,
+    or the same error."""
+
+    @staticmethod
+    def _outcome(path):
+        try:
+            return load_csv(path, LABEL_FIRST, side=2)
+        except ParseError as exc:
+            return str(exc)
+
+    @pytest.mark.parametrize("text, vectorised, error",
+                             [c[1:] for c in DIFFERENTIAL],
+                             ids=[c[0] for c in DIFFERENTIAL])
+    def test_same_as_line_parser(self, tmp_path, monkeypatch, text,
+                                 vectorised, error):
+        p = tmp_path / "d.csv"
+        p.write_bytes(text.encode("utf-8"))
+        assert (datasets._read_matrix(p, 5) is not None) == vectorised
+        got = self._outcome(p)
+        monkeypatch.setattr(datasets, "_read_matrix", lambda path, n: None)
+        want = self._outcome(p)
+        if error is not None:
+            assert got == want == error
+        else:
+            (images, labels), (want_images, want_labels) = got, want
+            assert images.shape == want_images.shape == (6, 2, 2)
+            assert images.tobytes() == want_images.tobytes()
+            assert labels.tobytes() == want_labels.tobytes()
 
 
 class TestSplit:

@@ -312,6 +312,16 @@ class TestGabor:
             gabor_kernel(bandwidth=-1.0)
 
 
+@pytest.mark.parametrize("method, param", [
+    ("gabor", "frequency"), ("gabor", "bandwidth"), ("gabor", "n_stds"),
+    ("lbp", "radius")])
+def test_nan_parameter_rejected(method, param):
+    # NaN fails "<= 0" as well as "> 0"; it must not reach int(ceil(...))
+    img = np.random.default_rng(18).random((1, 12, 12))
+    with pytest.raises(ParameterError, match=f"{param} must be positive"):
+        extract_batch(img, method, {param: math.nan})
+
+
 class TestDispatch:
     def test_extract_tags_method(self):
         # the method name picks the descriptor that produces the features
