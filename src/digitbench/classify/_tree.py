@@ -9,7 +9,9 @@ Both learners grow their trees with ``grow_tree``, which owns the recursion,
 the depth and two-row stops and the preorder node numbering. A learner
 supplies only its payload and its split search: Gini over midpoints between
 a node's own adjacent values for the forest, second-order gain over global
-pre-binned cuts for boosting.
+pre-binned cuts for boosting (uint8 bins, bin-major gradient and hessian
+histograms, and a node's min and max bin per column in place of counts).
+A tree's split-search scratch is freed when ``grow_tree`` returns.
 """
 
 from __future__ import annotations
@@ -91,6 +93,9 @@ def grow_tree(rows: np.ndarray, max_depth: int,
         return node
 
     grow(rows, 0)
+    # grow refers to itself; breaking that cycle frees the split search's
+    # scratch now rather than at the next cyclic garbage collection
+    del grow
     feature, threshold, left, right = zip(*nodes)
     return Tree(feature=np.asarray(feature, dtype=np.int32),
                 threshold=np.asarray(threshold, dtype=np.float64),

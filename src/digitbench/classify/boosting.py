@@ -6,6 +6,12 @@ columns with few distinct values keep exact midpoint cut points (equivalent
 to exhaustive threshold search), wide columns fall back to quantile cuts.
 Split gain and leaf values follow the second-order formulation
 gain = G_L^2/(H_L+lam) + G_R^2/(H_R+lam) - G^2/(H+lam), leaf = -G/(H+lam).
+
+Bin ids are uint8 (at most 256 bins). A node's gradient and hessian
+histograms are bin-major, slot ``bin * n_cols + col``, so the left sums
+over cuts are contiguous row additions. A cut leaves rows on both sides
+exactly when it lies in [min bin, max bin) of the node's rows in that column,
+so no count histogram is built.
 """
 
 from __future__ import annotations
@@ -20,10 +26,13 @@ from ..validation import check_is_fitted, check_matrix, check_X_y
 from ._tree import Tree, grow_tree
 
 _PROB_FLOOR = 1e-12
+# elements per column block of the binning pass, which holds a few float64
+# temporaries this size
+_PREBIN_BLOCK = 1_000_000
 
 
 def prebin_features(X: np.ndarray, max_bins: int):
-    """Global cut points and bin ids per feature.
+    """Global cut points and uint8 bin ids per feature.
 
     Cut points are midpoints between consecutive unique values (kept only
     when strictly between them); columns with more than max_bins distinct
@@ -32,17 +41,34 @@ def prebin_features(X: np.ndarray, max_bins: int):
     """
     n, d = X.shape
     cuts: list[np.ndarray] = []
-    binned = np.empty((n, d), dtype=np.int64)
-    for j in range(d):
-        u = np.unique(X[:, j])
-        if u.shape[0] <= max_bins:
-            mid = (u[:-1] + u[1:]) / 2.0
-            c = mid[(mid > u[:-1]) & (mid < u[1:])]
-        else:
-            qs = np.quantile(X[:, j], np.arange(1, max_bins) / max_bins)
-            c = np.unique(qs)
-        cuts.append(c)
-        binned[:, j] = np.digitize(X[:, j], c)
+    binned = np.empty((n, d), dtype=np.uint8)
+    levels = np.arange(1, max_bins) / max_bins
+    step = max(1, _PREBIN_BLOCK // n)
+    for start in range(0, d, step):
+        block = X[:, start:start + step]
+        S = np.sort(block, axis=0)
+        # an equal adjacent pair has its midpoint on an endpoint, so
+        # ``strict`` marks exactly the gaps between consecutive unique values
+        mids = (S[:-1] + S[1:]) / 2.0
+        strict = (mids > S[:-1]) & (mids < S[1:])
+        wide = 1 + np.count_nonzero(S[1:] != S[:-1], axis=0) > max_bins
+        # a wide column's cuts are the unique values of its quantiles. Order
+        # statistics do not depend on the order of a column, except for
+        # which of -0.0 and 0.0 is picked (sorting may even turn one into the
+        # other), so a column holding -0.0 keeps its own order; the rest
+        # partition fast, already sorted
+        has_neg_zero = ((block == 0.0) & np.signbit(block)).any(axis=0)
+        qs = np.sort(np.quantile(np.where(has_neg_zero, block, S)[:, wide],
+                                 levels, axis=0), axis=0)
+        first = np.ones(qs.shape, dtype=bool)
+        first[1:] = qs[1:] != qs[:-1]
+        wide_pos = np.cumsum(wide) - 1
+        for j in range(block.shape[1]):
+            c = qs[first[:, wide_pos[j]], wide_pos[j]] if wide[j] \
+                else mids[strict[:, j], j]
+            cuts.append(c)
+            binned[:, start + j] = np.searchsorted(c, block[:, j],
+                                                   side="right")
     return binned, cuts
 
 
@@ -63,33 +89,37 @@ def _grow_boost_tree(binned: np.ndarray, cuts: list[np.ndarray],
     feature matrices.
     """
     n_cols = cols.shape[0]
-    offsets = np.arange(n_cols, dtype=np.int64) * width
-    sub = binned[np.ix_(rows, cols)] + offsets[None, :]
+    sub = binned[np.ix_(rows, cols)]
+    # bin-major histogram slots: slot b * n_cols + j holds bin b of column j
+    slots = sub.astype(np.intp) * n_cols + np.arange(n_cols)
+    # uint8 like the bins, so the comparisons below need no casts
+    cut_ids = np.arange(width - 1, dtype=np.uint8)[:, None]
 
     def find_split(member: np.ndarray):
         g_node, h_node = g[member], h[member]
         g_total, h_total = g_node.sum(), h_node.sum()
-        m = member.shape[0]
-        flat = sub[member].ravel()
-        size = n_cols * width
-        gl, hl, nl = (np.bincount(flat, weights=w, minlength=size)
-                      .reshape(n_cols, width).cumsum(axis=1)[:, :-1]
-                      for w in (np.repeat(g_node, n_cols),
-                                np.repeat(h_node, n_cols), None))
-        gr = g_total - gl
-        hr = h_total - hl
-        nr = m - nl
-        gain = gl ** 2 / (hl + lam) + gr ** 2 / (hr + lam) \
-            - g_total ** 2 / (h_total + lam)
-        gain[(nl < 1) | (nr < 1)] = -np.inf
-        # row-major argmax: ties go to the lowest column, then lowest cut
-        at = int(np.argmax(gain))
-        col_pos, cut_idx = divmod(at, width - 1)
-        if not gain[col_pos, cut_idx] > 0.0:
+        bins = sub[member]
+        flat = slots[member].ravel()
+        gl, hl = (np.bincount(flat, weights=np.repeat(w, n_cols),
+                              minlength=width * n_cols).reshape(width, n_cols)
+                  for w in (g_node, h_node))
+        # left sums per cut: cumsum's additions, one contiguous row at a time
+        for b in range(1, width - 1):
+            gl[b] += gl[b - 1]
+            hl[b] += hl[b - 1]
+        gl, hl = gl[:-1], hl[:-1]
+        gain = gl ** 2 / (hl + lam) + (g_total - gl) ** 2 \
+            / (h_total - hl + lam) - g_total ** 2 / (h_total + lam)
+        # both children hold rows exactly for cuts in [min bin, max bin)
+        gain[(cut_ids < bins.min(axis=0)) | (cut_ids >= bins.max(axis=0))] \
+            = -np.inf
+        # argmax in (column, cut) order: ties and a NaN gain resolve to the
+        # lowest column, then the lowest cut
+        col_pos, cut_idx = divmod(int(np.argmax(gain.T)), width - 1)
+        if not gain[cut_idx, col_pos] > 0.0:
             return None
         column = int(cols[col_pos])
-        go_left = sub[member, col_pos] - offsets[col_pos] <= cut_idx
-        return column, cuts[column][cut_idx], go_left
+        return column, cuts[column][cut_idx], bins[:, col_pos] <= cut_idx
 
     return grow_tree(np.arange(rows.shape[0]), max_depth, lambda member: [
         -g[member].sum() / (h[member].sum() + lam)], find_split)

@@ -24,12 +24,13 @@ def bandwidth_sigma(frequency: float, bandwidth: float) -> float:
 def gabor_kernel(frequency: float = 0.9, theta: float = 0.0,
                  bandwidth: float = 1.0, n_stds: float = 3.0) -> np.ndarray:
     """Complex Gabor kernel, sized to cover n_stds envelope deviations."""
-    if not frequency > 0:
-        raise ParameterError(f"frequency must be positive, got {frequency}")
-    if not bandwidth > 0:
-        raise ParameterError(f"bandwidth must be positive, got {bandwidth}")
-    if not n_stds > 0:
-        raise ParameterError(f"n_stds must be positive, got {n_stds}")
+    for name, value in (("frequency", frequency), ("bandwidth", bandwidth),
+                        ("n_stds", n_stds)):
+        if not 0 < value < math.inf:  # NaN fails too
+            raise ParameterError(
+                f"{name} must be positive and finite, got {value}")
+    if not math.isfinite(theta):
+        raise ParameterError(f"theta must be finite, got {theta}")
     sigma = bandwidth_sigma(frequency, bandwidth)
     radius = int(math.ceil(n_stds * sigma))
     coords = np.arange(-radius, radius + 1, dtype=np.float64)

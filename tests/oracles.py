@@ -116,6 +116,94 @@ def stump_oracle(X, y, n_classes, lam):
     return out
 
 
+def prebin_oracle(X, max_bins):
+    """Global cut points and bin ids, one column at a time.
+
+    Midpoints between consecutive unique values, kept when strictly between
+    them; a column with more than max_bins distinct values takes the unique
+    values of its max_bins-1 quantile cuts instead. Bins follow
+    ``np.digitize``. Returns (int64 bins, list of cut arrays).
+    """
+    n, d = X.shape
+    cuts = []
+    binned = np.empty((n, d), dtype=np.int64)
+    for j in range(d):
+        u = np.unique(X[:, j])
+        if u.shape[0] <= max_bins:
+            mid = (u[:-1] + u[1:]) / 2.0
+            c = mid[(mid > u[:-1]) & (mid < u[1:])]
+        else:
+            c = np.unique(np.quantile(X[:, j],
+                                      np.arange(1, max_bins) / max_bins))
+        cuts.append(c)
+        binned[:, j] = np.digitize(X[:, j], c)
+    return binned, cuts
+
+
+def boost_tree_oracle(binned, cuts, cols, rows, g, h, max_depth, lam, width):
+    """One boosting regression tree from column-major count, gradient and
+    hessian histograms, grown by plain preorder recursion.
+
+    Split search scans every (column, cut) in that order, requires rows on
+    both sides, and keeps the first maximal gain if it is positive; a NaN
+    gain met first stops the node. g/h are aligned with ``rows``. Returns
+    (feature, threshold, left, right, value) as in a fitted ``Tree``.
+    """
+    n_cols = cols.shape[0]
+    offsets = np.arange(n_cols, dtype=np.int64) * width
+    sub = binned[np.ix_(rows, cols)].astype(np.int64) + offsets[None, :]
+    nodes = {"feature": [], "threshold": [], "left": [], "right": [],
+             "value": []}
+
+    def find_split(member):
+        g_node, h_node = g[member], h[member]
+        g_total, h_total = g_node.sum(), h_node.sum()
+        m = member.shape[0]
+        flat = sub[member].ravel()
+        size = n_cols * width
+        gl, hl, nl = (np.bincount(flat, weights=w, minlength=size)
+                      .reshape(n_cols, width).cumsum(axis=1)[:, :-1]
+                      for w in (np.repeat(g_node, n_cols),
+                                np.repeat(h_node, n_cols), None))
+        gr = g_total - gl
+        hr = h_total - hl
+        nr = m - nl
+        gain = gl ** 2 / (hl + lam) + gr ** 2 / (hr + lam) \
+            - g_total ** 2 / (h_total + lam)
+        gain[(nl < 1) | (nr < 1)] = -np.inf
+        at = int(np.argmax(gain))
+        col_pos, cut_idx = divmod(at, width - 1)
+        if not gain[col_pos, cut_idx] > 0.0:
+            return None
+        column = int(cols[col_pos])
+        go_left = sub[member, col_pos] - offsets[col_pos] <= cut_idx
+        return column, cuts[column][cut_idx], go_left
+
+    def grow(member, depth):
+        node = len(nodes["feature"])
+        for key, val in (("feature", LEAF), ("threshold", 0.0),
+                         ("left", LEAF), ("right", LEAF),
+                         ("value", [-g[member].sum()
+                                    / (h[member].sum() + lam)])):
+            nodes[key].append(val)
+        split = None if depth >= max_depth or member.shape[0] < 2 \
+            else find_split(member)
+        if split is not None:
+            column, threshold, go_left = split
+            nodes["feature"][node] = column
+            nodes["threshold"][node] = threshold
+            nodes["left"][node] = grow(member[go_left], depth + 1)
+            nodes["right"][node] = grow(member[~go_left], depth + 1)
+        return node
+
+    grow(np.arange(rows.shape[0]), 0)
+    return (np.asarray(nodes["feature"], dtype=np.int32),
+            np.asarray(nodes["threshold"], dtype=np.float64),
+            np.asarray(nodes["left"], dtype=np.int32),
+            np.asarray(nodes["right"], dtype=np.int32),
+            np.asarray(nodes["value"], dtype=np.float64))
+
+
 def smo_oracle(K, y, C, tol, max_iter):
     """Minimize 1/2 a^T Q a - e^T a, 0 <= a <= C, y^T a = 0, Q = yy^T * K.
 

@@ -1,12 +1,17 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
-from oracles import stump_oracle
+from oracles import boost_tree_oracle, prebin_oracle, stump_oracle
 
 from digitbench import ParameterError, ShapeError, StateError
 from digitbench.classify import GradientBoostingClassifier
-from digitbench.classify.boosting import prebin_features, softmax
+from digitbench.classify import boosting
+from digitbench.classify._tree import grow_tree
+from digitbench.classify.boosting import (_grow_boost_tree, prebin_features,
+                                          softmax)
 
 
 class TestStumpOracle:
@@ -76,6 +81,129 @@ class TestPrebin:
         binned, cuts = prebin_features(X, max_bins=16)
         assert cuts[0].shape[0] <= 15
         assert binned[:, 0].max() <= 15
+
+
+def awkward_columns(seed, n=60):
+    """Columns that exercise every cut rule: constant, two values one ulp
+    apart, few repeated values, a heavy repeat that collapses quantile
+    cuts, negative zero beside zero, and continuous draws."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, 8))
+    X[:, 0] = 0.25
+    X[:, 1] = np.where(rng.random(n) < 0.5, 1.0, np.nextafter(1.0, 2.0))
+    X[: n // 3, 1] = 3.0
+    X[:, 2] = np.round(X[:, 2] * 2)
+    X[: 2 * n // 3, 3] = 0.0
+    X[:, 4] = np.where(rng.random(n) < 0.5, -0.0, 0.0)
+    X[: n // 4, 4] = rng.random(n // 4)
+    return X
+
+
+class TestPrebinMatchesOracle:
+    @pytest.mark.parametrize("max_bins", [2, 16, 32, 256])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_cuts_and_bins_equal(self, max_bins, seed):
+        X = awkward_columns(seed)
+        binned, cuts = prebin_features(X, max_bins)
+        want_binned, want_cuts = prebin_oracle(X, max_bins)
+        assert binned.dtype == np.uint8
+        assert np.array_equal(binned, want_binned)
+        assert len(cuts) == len(want_cuts)
+        for got, want in zip(cuts, want_cuts):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("budget", [1, 180])
+    def test_column_blocks(self, monkeypatch, budget):
+        # one column per block, then blocks of three columns and a ragged end
+        monkeypatch.setattr(boosting, "_PREBIN_BLOCK", budget)
+        X = awkward_columns(2)
+        binned, cuts = prebin_features(X, 16)
+        want_binned, want_cuts = prebin_oracle(X, 16)
+        assert np.array_equal(binned, want_binned)
+        assert [c.tobytes() for c in cuts] == [c.tobytes() for c in want_cuts]
+
+    def test_full_range_of_bins_fits_uint8(self):
+        X = np.arange(600.0).reshape(300, 2)
+        binned, cuts = prebin_features(X, 256)
+        assert [c.shape[0] for c in cuts] == [255, 255]
+        assert np.array_equal(binned, prebin_oracle(X, 256)[0])
+
+
+# with lam=0 an empty side's 0/0 gain warns before the mask replaces it
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning",
+                            "ignore:divide by zero:RuntimeWarning")
+class TestBoostTreeMatchesOracle:
+    @staticmethod
+    def both(X, max_bins, lam, rng, g=None, h=None, max_depth=4):
+        binned, cuts = prebin_features(X, max_bins)
+        width = max(2, 1 + max(c.shape[0] for c in cuts))
+        n, d = X.shape
+        rows = np.sort(rng.choice(n, n - 8, replace=False))
+        cols = np.sort(rng.choice(d, d - 2, replace=False))
+        g = rng.normal(size=rows.shape[0]) if g is None else g
+        h = rng.random(rows.shape[0]) if h is None else h
+        tree = _grow_boost_tree(binned, cuts, cols, rows, g, h, max_depth,
+                                lam, width)
+        want = boost_tree_oracle(*prebin_oracle(X, max_bins), cols, rows, g,
+                                 h, max_depth, lam, width)
+        got = (tree.feature, tree.threshold, tree.left, tree.right,
+               tree.value)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        return tree
+
+    @pytest.mark.parametrize("max_bins", [2, 16, 32, 256])
+    @pytest.mark.parametrize("lam", [1.0, 0.0])
+    def test_trees_equal(self, max_bins, lam):
+        rng = np.random.default_rng(max_bins)
+        tree = self.both(awkward_columns(max_bins), max_bins, lam, rng)
+        assert tree.n_nodes > 1
+
+    def test_tied_gains_equal(self):
+        # integer gradients on repeated values give many equal gains
+        rng = np.random.default_rng(7)
+        X = np.round(rng.random((60, 6)) * 3)
+        g = rng.integers(-2, 3, 52).astype(float)
+        self.both(X, 16, 1.0, rng, g=g, h=np.ones(52))
+
+    def test_nan_gain_stops_like_oracle(self):
+        # lam=0 with zero gradient and hessian on the rows of lowest value:
+        # the cut isolating them has gain 0/0, and a NaN gain ends the node
+        # where a positive gain would have split it
+        rng = np.random.default_rng(8)
+        X = awkward_columns(8)
+        X[:, 5] = X[:, 6] = np.arange(60.0)
+        zero = np.arange(52) < 10
+        g = np.where(zero, 0.0, rng.normal(size=52))
+        h = np.where(zero, 0.0, rng.random(52))
+        nodes = [self.both(X, 32, lam, np.random.default_rng(9), g=g,
+                           h=h).n_nodes for lam in (0.0, 1.0)]
+        assert nodes[0] == 1 < nodes[1]
+
+
+class TestGrowTreeScratch:
+    def test_split_scratch_freed_without_cyclic_gc(self):
+        refs = []
+
+        def split_search():
+            scratch = np.zeros(1000)
+            refs.append(weakref.ref(scratch))
+
+            def find_split(rows):
+                return (0, 0.5, scratch[rows] < 0.5) if rows.shape[0] > 2 \
+                    else None
+            return find_split
+
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            tree = grow_tree(np.arange(8), 3, lambda rows: [0.0],
+                             split_search())
+            assert tree.n_nodes > 1
+            assert refs[0]() is None
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestBoostingBehavior:

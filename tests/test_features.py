@@ -322,6 +322,16 @@ def test_nan_parameter_rejected(method, param):
         extract_batch(img, method, {param: math.nan})
 
 
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("param", ["frequency", "theta", "bandwidth",
+                                   "n_stds"])
+def test_nonfinite_gabor_parameter_rejected(param, value):
+    # inf used to surface as a bare OverflowError or ValueError, or as a
+    # silent NaN kernel
+    with pytest.raises(ParameterError, match=f"{param} must be"):
+        gabor_kernel(**{param: value})
+
+
 class TestDispatch:
     def test_extract_tags_method(self):
         # the method name picks the descriptor that produces the features

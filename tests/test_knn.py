@@ -4,6 +4,7 @@ from oracles import knn_oracle
 
 from digitbench import ParameterError, ShapeError, StateError
 from digitbench.classify import KnnClassifier
+from digitbench.classify import knn as knn_module
 
 
 class TestKnnBasics:
@@ -97,6 +98,68 @@ class TestKnnOracle:
         Q = rng.random((150, 30))
         clf = KnnClassifier(k=7).fit(X, y)
         assert np.array_equal(clf.predict(Q), knn_oracle(X, y, Q, 7, 2.0))
+
+
+def broadcast_order(X, Q, k):
+    """Ranked neighbours from the full squared-difference tensor."""
+    with np.errstate(over="ignore"):
+        dist = (np.abs(Q[:, None, :] - X[None, :, :]) ** 2.0).sum(axis=2)
+    return np.argsort(dist, axis=1, kind="stable")[:, :k]
+
+
+class TestKnnEuclideanShortlist:
+    @staticmethod
+    def near_ties(rng):
+        # points far from the origin, close to each other: |q|^2 + |x|^2
+        # - 2 q.x cancels about 18 digits, so its rounding error (~1e2)
+        # dwarfs the spread of the true squared distances (~1e1)
+        base = np.full(4, 3e8)
+        X = base + rng.random((300, 4)) * 2.0
+        Q = base + rng.random((40, 4)) * 2.0
+        return X, rng.integers(0, 4, 300), Q
+
+    def test_fixed_shortlist_would_fail(self):
+        # sanity check on the data: the k + m smallest approximations,
+        # re-ranked exactly, miss true neighbours
+        X, _, Q = self.near_ties(np.random.default_rng(11))
+        k, m = 5, 5
+        approx = (Q * Q).sum(1)[:, None] + (X * X).sum(1)[None, :] \
+            - 2.0 * Q @ X.T
+        short = np.sort(np.argpartition(approx, k + m, axis=1)[:, :k + m],
+                        axis=1)
+        dist = (np.abs(Q[:, None, :] - X[short]) ** 2.0).sum(axis=2)
+        picked = np.take_along_axis(
+            short, np.argsort(dist, axis=1, kind="stable")[:, :k], axis=1)
+        assert not np.array_equal(picked, broadcast_order(X, Q, k))
+
+    def test_error_bounded_shortlist_exact(self):
+        X, y, Q = self.near_ties(np.random.default_rng(11))
+        clf = KnnClassifier(k=5).fit(X, y)
+        assert np.array_equal(clf._neighbor_order(Q), broadcast_order(X, Q, 5))
+        assert np.array_equal(clf.predict(Q), knn_oracle(X, y, Q, 5, 2.0))
+
+    def test_overflowing_norms_rank_exactly(self):
+        # squared norms overflow to inf, so the GEMM bound says nothing and
+        # every row must go to the exact re-rank; the distances stay finite
+        rng = np.random.default_rng(12)
+        X = 1e160 + rng.random((50, 3)) * 1e150
+        Q = 1e160 + rng.random((20, 3)) * 1e150
+        clf = KnnClassifier(k=4).fit(X, rng.integers(0, 3, 50))
+        want = broadcast_order(X, Q, 4)
+        assert np.isfinite(
+            ((Q[:, None, :] - X[None]) ** 2).sum(axis=2)).all()
+        assert np.array_equal(clf._neighbor_order(Q), want)
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+    def test_small_budget_matches_oracle(self, monkeypatch, p):
+        # a budget below one query's row count and one pair block's width
+        monkeypatch.setattr(knn_module, "_BLOCK_BUDGET", 50)
+        rng = np.random.default_rng(13)
+        X = np.round(rng.random((80, 6)) * 3)
+        y = rng.integers(0, 4, 80)
+        Q = np.round(rng.random((30, 6)) * 3)
+        clf = KnnClassifier(k=6, minkowski_p=p).fit(X, y)
+        assert np.array_equal(clf.predict(Q), knn_oracle(X, y, Q, 6, p))
 
 
 class TestKnnErrors:
