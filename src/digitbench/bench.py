@@ -1,8 +1,8 @@
 """Benchmark grid: preprocess, extract, train, evaluate, report.
 
-One run loads a dataset, preprocesses it once (skipped when the feature
-cache holds every configured matrix), extracts every configured feature
-once, then fits every (feature, classifier) cell on the train side and
+One run loads a dataset, preprocesses it once and extracts every configured
+feature once (none of which happens when the feature cache holds every
+configured matrix), then fits every (feature, classifier) cell on the train side and
 scores it on the test side. Cells run one after another in config order;
 a failing cell records its cause and the grid continues. Reports carry no
 timing data in the CSV outputs, so identical configs produce byte-identical
@@ -66,17 +66,25 @@ class GridResult:
 
 
 def load_run_images(cfg: RunConfig):
-    """(images, labels, source tag) for the configured dataset."""
+    """(images, labels) of the configured dataset."""
     if cfg.dataset_path is not None:
-        images, labels = load_csv(cfg.dataset_path, cfg.schema, cfg.side)
+        return load_csv(cfg.dataset_path, cfg.schema, cfg.side)
+    make = synthetic_squares if cfg.synthetic == "squares" \
+        else synthetic_glyphs
+    return make(cfg.samples, seed=cfg.split.seed)
+
+
+def run_source(cfg: RunConfig) -> tuple[str, str]:
+    """(cache key, report tag) of the configured dataset, found without
+    loading it: the file name with the full SHA-256 of the CSV (the tag
+    keeps its first 12 hex characters), or the synthetic generator's
+    parameters."""
+    if cfg.dataset_path is not None:
         name = os.path.basename(str(cfg.dataset_path))
-        return images, labels, f"{name}:{file_digest(cfg.dataset_path)[:12]}"
-    if cfg.synthetic == "squares":
-        images, labels = synthetic_squares(cfg.samples, seed=cfg.split.seed)
-    else:
-        images, labels = synthetic_glyphs(cfg.samples, seed=cfg.split.seed)
-    return images, labels, f"synthetic-{cfg.synthetic}:n={cfg.samples}" \
-                           f":seed={cfg.split.seed}"
+        digest = file_digest(cfg.dataset_path)
+        return f"{name}:{digest}", f"{name}:{digest[:12]}"
+    tag = f"synthetic-{cfg.synthetic}:n={cfg.samples}:seed={cfg.split.seed}"
+    return tag, tag
 
 
 def feature_cache_file(cache_dir, cfg: RunConfig, source: str,
@@ -85,10 +93,10 @@ def feature_cache_file(cache_dir, cfg: RunConfig, source: str,
     """Cache file for one extractor's matrix of the configured dataset.
 
     The name is one SHA-256 over everything that determines the matrix: the
-    source tag, the test file's digest (None without one), the CSV schema
-    and side, the preprocessing parameters, the method and its parameters
-    with defaults filled in (so ``{}`` and the explicit defaults share one
-    file) and ``CACHE_VERSION``.
+    dataset's cache key (``run_source``), the test file's digest (None
+    without one), the CSV schema and side, the preprocessing parameters, the
+    method and its parameters with defaults filled in (so ``{}`` and the
+    explicit defaults share one file) and ``CACHE_VERSION``.
     """
     inputs = {"source": source,
               "test": test_digest,
@@ -105,29 +113,42 @@ def feature_cache_file(cache_dir, cfg: RunConfig, source: str,
 def feature_matrices(cfg: RunConfig, methods, stage: dict):
     """({method: matrix}, labels, source tag, dataset row count).
 
-    Rows of ``cfg.test_path`` follow the dataset's own rows. A valid matrix
-    in ``cfg.cache_dir`` is read; the rest are extracted from images
-    preprocessed once (only when some matrix is missing) and cached. The
-    images are freed on return. ``stage`` receives the step timings.
+    Rows of ``cfg.test_path`` follow the dataset's own rows. When
+    ``cfg.cache_dir`` holds every matrix and the files agree on labels and
+    row count, they are returned without reading the dataset. Otherwise the
+    dataset is loaded, a cached matrix is kept only if it matches its labels
+    and row count, and the rest are extracted from images preprocessed once
+    and cached. The images are freed on return. ``stage`` receives the step
+    timings.
     """
     t0 = time.perf_counter()
-    images, labels, source = load_run_images(cfg)
+    key, source = run_source(cfg)
+    paths = {}
+    if cfg.cache_dir:  # the test file is hashed once, not once per method
+        test_digest = file_digest(cfg.test_path) if cfg.test_path else None
+        paths = {m: feature_cache_file(cfg.cache_dir, cfg, key, test_digest,
+                                       m, p) for m, p in methods}
+    cached = {m: hit for m, path in paths.items()
+              if (hit := load_feature_cache(path)) is not None}
+    if len(cached) == len(methods):
+        _, labels, n_first = next(iter(cached.values()))
+        if all(rows == n_first and np.array_equal(y, labels)
+               for _, y, rows in cached.values()):
+            stage.update(load=time.perf_counter() - t0, preprocess=0.0,
+                         extract=0.0)
+            return ({m: hit[0] for m, hit in cached.items()}, labels, source,
+                    n_first)
+
+    images, labels = load_run_images(cfg)
     n_first = labels.shape[0]
     if cfg.test_path is not None:
         test_images, test_labels = load_csv(cfg.test_path, cfg.schema,
                                             cfg.side)
         images = np.concatenate([images, test_images])
         labels = np.concatenate([labels, test_labels])
+    matrices = {m: X for m, (X, y, rows) in cached.items()
+                if rows == n_first and np.array_equal(y, labels)}
     stage["load"] = time.perf_counter() - t0
-
-    paths = {}
-    if cfg.cache_dir:  # the test file is hashed once, not once per method
-        test_digest = file_digest(cfg.test_path) if cfg.test_path else None
-        paths = {m: feature_cache_file(cfg.cache_dir, cfg, source,
-                                       test_digest, m, p) for m, p in methods}
-    cached = {m: load_feature_cache(path, labels)
-              for m, path in paths.items()}
-    matrices = {m: hit[0] for m, hit in cached.items() if hit is not None}
 
     t0 = time.perf_counter()
     missing = [(m, p) for m, p in methods if m not in matrices]
@@ -140,55 +161,69 @@ def feature_matrices(cfg: RunConfig, methods, stage: dict):
         matrices[method] = extract_batch(images, method, params or None)
         if paths:
             os.makedirs(cfg.cache_dir, exist_ok=True)
-            save_feature_cache(paths[method], matrices[method], labels)
+            save_feature_cache(paths[method], matrices[method], labels,
+                               n_first)
     stage["extract"] = time.perf_counter() - t0
     return matrices, labels, source, n_first
 
 
+def _run_cell(method, kind, params, X_train, y_train, X_test, y_test,
+              n_classes) -> CellResult:
+    """Fit one classifier on the train rows and score it on the test rows;
+    a failure is recorded in the result, not raised."""
+    t = time.perf_counter()
+    try:
+        clf = make_classifier(kind, **params)
+        clf.fit(X_train, y_train)
+        warnings = []
+        if not getattr(clf, "converged_", True):
+            capped = clf.classes_[clf.n_iter_ >= clf.max_iter].tolist()
+            warnings.append(f"SMO stopped at max_iter={clf.max_iter} "
+                            f"before converging for classes {capped}")
+        report = evaluate(y_test, clf.predict(X_test), n_classes)
+        return CellResult(method, kind, report=report,
+                          seconds=time.perf_counter() - t, warnings=warnings)
+    except Exception as exc:
+        cause = "".join(traceback.format_exception_only(exc)).strip()
+        return CellResult(method, kind, error=cause,
+                          seconds=time.perf_counter() - t)
+
+
 def run_grid(cfg: RunConfig) -> GridResult:
-    """Execute the full feature-by-classifier benchmark grid."""
+    """Execute the full feature-by-classifier benchmark grid.
+
+    Each method's matrix is reordered once, train rows first, and freed
+    when its cells are done; every cell gets contiguous views of it.
+    """
     cfg.validate()
     methods = list(cfg.features)
     if cfg.raw_baseline and RAW_TAG not in [m for m, _ in methods]:
         methods.append((RAW_TAG, {}))
     stage = {}
-    matrices, labels, source, n_first = feature_matrices(cfg, methods, stage)
-    if cfg.test_path is not None:
-        train_idx = np.arange(n_first)
-        test_idx = np.arange(n_first, labels.shape[0])
-    else:
+    matrices, labels, source, n_train = feature_matrices(cfg, methods, stage)
+    order = None  # a test file's rows already follow the dataset's
+    if cfg.test_path is None:
         train_idx, test_idx = split_indices(labels, cfg.split)
-
+        order = np.concatenate([train_idx, test_idx])
+        n_train = train_idx.shape[0]
+        labels = labels[order]
+    y_train, y_test = labels[:n_train], labels[n_train:]
     n_classes = int(labels.max()) + 1
 
     cells = []
     t0 = time.perf_counter()
     for method, _ in methods:
-        X = matrices[method]
+        X = matrices.pop(method)
+        if order is not None:
+            X = X[order]
         for kind, params in cfg.classifiers:
-            t = time.perf_counter()
-            try:
-                clf = make_classifier(kind, **params)
-                clf.fit(X[train_idx], labels[train_idx])
-                warnings = []
-                if not getattr(clf, "converged_", True):
-                    capped = clf.classes_[clf.n_iter_ >= clf.max_iter].tolist()
-                    warnings.append(f"SMO stopped at max_iter={clf.max_iter} "
-                                    f"before converging for classes {capped}")
-                report = evaluate(labels[test_idx], clf.predict(X[test_idx]),
-                                  n_classes)
-                cells.append(CellResult(method, kind, report=report,
-                                        seconds=time.perf_counter() - t,
-                                        warnings=warnings))
-            except Exception as exc:
-                cause = "".join(traceback.format_exception_only(exc)).strip()
-                cells.append(CellResult(method, kind, error=cause,
-                                        seconds=time.perf_counter() - t))
+            cells.append(_run_cell(method, kind, params, X[:n_train], y_train,
+                                   X[n_train:], y_test, n_classes))
     stage["train_eval"] = time.perf_counter() - t0
 
     return GridResult(cells=cells, config=cfg, source=source,
-                      n_train=int(train_idx.shape[0]),
-                      n_test=int(test_idx.shape[0]), stage_seconds=stage)
+                      n_train=int(n_train), n_test=int(y_test.shape[0]),
+                      stage_seconds=stage)
 
 
 def _macro_text(cell: CellResult, attr: str) -> str:

@@ -108,8 +108,11 @@ def _grow_boost_tree(binned: np.ndarray, cuts: list[np.ndarray],
             gl[b] += gl[b - 1]
             hl[b] += hl[b - 1]
         gl, hl = gl[:-1], hl[:-1]
-        gain = gl ** 2 / (hl + lam) + (g_total - gl) ** 2 \
-            / (h_total - hl + lam) - g_total ** 2 / (h_total + lam)
+        # with lam = 0 a cut with an empty side divides by zero; the mask
+        # below overwrites its gain
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gain = gl ** 2 / (hl + lam) + (g_total - gl) ** 2 \
+                / (h_total - hl + lam) - g_total ** 2 / (h_total + lam)
         # both children hold rows exactly for cuts in [min bin, max bin)
         gain[(cut_ids < bins.min(axis=0)) | (cut_ids >= bins.max(axis=0))] \
             = -np.inf

@@ -122,7 +122,7 @@ def cmd_extract(args) -> int:
 
 def cmd_visualize(args) -> int:
     cfg = _config_from_args(args)
-    images, labels, _ = load_run_images(cfg)
+    images, labels = load_run_images(cfg)
     if not 0 <= args.index < len(images):
         raise ParameterError(
             f"--index {args.index} outside [0, {len(images) - 1}]")

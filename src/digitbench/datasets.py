@@ -26,7 +26,7 @@ LABEL_LAST = "label_last"
 SCHEMAS = (LABEL_FIRST, LABEL_LAST)
 
 N_CLASSES = 10
-CACHE_VERSION = 2
+CACHE_VERSION = 3
 
 
 @dataclass
@@ -339,29 +339,29 @@ def synthetic_squares(n_samples: int = 200, seed: int = 0, side: int = 28):
     return images, labels.astype(np.int64)
 
 
-def save_feature_cache(path, features: np.ndarray, labels: np.ndarray):
-    """Write beside ``path``, then rename into place: an interrupted write
+def save_feature_cache(path, features: np.ndarray, labels: np.ndarray,
+                       rows: int):
+    """Store a matrix with its labels and the dataset's row count ``rows``
+    (with a test file, the test rows follow the dataset's).
+
+    Written beside ``path``, then renamed into place: an interrupted write
     leaves no truncated archive under the cache name."""
     tmp = f"{path}.{os.getpid()}.tmp"
     with open(tmp, "wb") as fh:
         np.savez(fh, version=np.array(CACHE_VERSION), features=features,
-                 labels=labels)
+                 labels=labels, rows=np.array(rows))
     os.replace(tmp, path)
 
 
-def load_feature_cache(path, labels=None):
-    """(features, labels), or None when absent, unreadable, from another
-    version, or, given ``labels``, stored for a different row count or
-    labelling."""
+def load_feature_cache(path):
+    """(features, labels, dataset row count), or None when absent,
+    unreadable, from another version or without a row count."""
     if not os.path.exists(path):
         return None
     try:
         with np.load(path, allow_pickle=False) as data:
             if int(data["version"]) != CACHE_VERSION:
                 return None
-            stored = data["labels"]
-            if labels is not None and not np.array_equal(stored, labels):
-                return None
-            return data["features"], stored
+            return data["features"], data["labels"], int(data["rows"])
     except (OSError, ValueError, EOFError, KeyError, zipfile.BadZipFile):
         return None

@@ -15,9 +15,20 @@ from ..base import Estimator, TransformerMixin
 from ..errors import ParameterError
 
 
+# kernel radius limit in pixels: a 2049 x 2049 kernel, far wider than any
+# digit image
+MAX_RADIUS = 1024
+
+
 def bandwidth_sigma(frequency: float, bandwidth: float) -> float:
-    """Envelope sigma for a given half-response spatial-frequency bandwidth."""
-    ratio = (2.0 ** bandwidth + 1.0) / (2.0 ** bandwidth - 1.0)
+    """Envelope sigma for a given half-response spatial-frequency bandwidth.
+
+    From a bandwidth of 54 octaves on the ratio rounds to exactly 1.0, so
+    capping the power at 2**64 changes no result and cannot overflow. A
+    bandwidth so small that the power rounds to 1.0 gives an infinite sigma.
+    """
+    power = 2.0 ** min(bandwidth, 64.0)
+    ratio = (power + 1.0) / (power - 1.0) if power > 1.0 else math.inf
     return (1.0 / (np.pi * frequency)) * math.sqrt(math.log(2.0) / 2.0) * ratio
 
 
@@ -32,6 +43,11 @@ def gabor_kernel(frequency: float = 0.9, theta: float = 0.0,
     if not math.isfinite(theta):
         raise ParameterError(f"theta must be finite, got {theta}")
     sigma = bandwidth_sigma(frequency, bandwidth)
+    if not n_stds * sigma <= MAX_RADIUS:  # inf and NaN fail too
+        raise ParameterError(
+            f"kernel radius n_stds * sigma = {n_stds * sigma} must be at "
+            f"most {MAX_RADIUS} pixels (n_stds={n_stds}, "
+            f"frequency={frequency}, bandwidth={bandwidth})")
     radius = int(math.ceil(n_stds * sigma))
     coords = np.arange(-radius, radius + 1, dtype=np.float64)
     x, y = np.meshgrid(coords, coords)

@@ -3,31 +3,58 @@ import os
 import numpy as np
 import pytest
 
-from digitbench import ParameterError, ParseError, bench
+from digitbench import ParameterError, ParseError, bench, cli
 from digitbench.bench import (best_cells, emit_report, feature_cache_file,
                               format_cells_csv, format_markdown,
                               format_plot_csv, run_grid)
 from digitbench.config import (RunConfig, coerce_scalar, config_from_mapping,
                                parse_config_text)
-from digitbench.datasets import (SplitSpec, file_digest, load_feature_cache,
-                                 preprocess_all, synthetic_glyphs)
+from digitbench.datasets import (CACHE_VERSION, SplitSpec, file_digest,
+                                 load_feature_cache, preprocess_all,
+                                 save_feature_cache, split_indices,
+                                 synthetic_glyphs)
 from digitbench.features import extract_batch, make_descriptor
 from digitbench.imaging import Preprocessor
+
+
+def write_csv(path, images, labels):
+    """A label-first 8-bit CSV of the given images, without a header."""
+    quantized = np.clip(np.rint(images * 255), 0, 255).astype(int)
+    rows = [",".join([str(label)] + [str(v) for v in pixels.ravel()])
+            for label, pixels in zip(labels, quantized)]
+    with open(path, "w") as fh:
+        fh.write("\n".join(rows) + "\n")
 
 
 def split_csvs(tmp_path):
     """Dataset and test-file config keys for 30 + 10 glyph CSV rows."""
     images, labels = synthetic_glyphs(40, seed=0)
-    quantized = np.clip(np.rint(images * 255), 0, 255).astype(int)
     paths = {"dataset_path": str(tmp_path / "train.csv"),
              "test_path": str(tmp_path / "test.csv")}
-    for path, idx in zip(paths.values(), (range(30), range(30, 40))):
-        rows = [",".join([str(labels[i])]
-                         + [str(v) for v in quantized[i].ravel()])
-                for i in idx]
-        with open(path, "w") as fh:
-            fh.write("\n".join(rows) + "\n")
+    write_csv(paths["dataset_path"], images[:30], labels[:30])
+    write_csv(paths["test_path"], images[30:], labels[30:])
     return {"synthetic": None, **paths}
+
+
+def count_calls(monkeypatch, name):
+    """Wrap ``bench.<name>``; returns the list its calls append to."""
+    calls, real = [], getattr(bench, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(bench, name, counted)
+    return calls
+
+
+def forbid_loading(monkeypatch):
+    """Make every way of reading or generating a dataset fail."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a warm run must not load the dataset")
+
+    for name in ("load_csv", "synthetic_glyphs", "synthetic_squares"):
+        monkeypatch.setattr(bench, name, refuse)
 
 
 def small_cfg(**overrides):
@@ -263,6 +290,145 @@ class TestRunGrid:
         assert np.array_equal(again, expect)
         assert os.listdir(tmp_path / "cache") == [path.name]
         assert np.array_equal(load_feature_cache(path)[0], expect)
+
+
+class TestWarmCache:
+    @pytest.mark.parametrize("source", ["csv", "synthetic"])
+    def test_warm_run_loads_no_dataset(self, tmp_path, monkeypatch, capsys,
+                                       source):
+        cache = str(tmp_path / "cache")
+        if source == "csv":
+            images, labels = synthetic_glyphs(40, seed=0)
+            write_csv(tmp_path / "d.csv", images, labels)
+            dataset = {"synthetic": None,
+                       "dataset_path": str(tmp_path / "d.csv")}
+            flags = ["--dataset", str(tmp_path / "d.csv")]
+        else:
+            dataset = {"samples": 40}
+            flags = ["--synthetic", "squares", "--samples", "40"]
+        cfg = small_cfg(**dataset, cache_dir=cache,
+                        classifiers=[("knn", {"k": 1})])
+        cold = run_grid(cfg)
+        forbid_loading(monkeypatch)
+        warm = run_grid(cfg)
+        assert format_cells_csv(warm) == format_cells_csv(cold)
+        assert format_plot_csv(warm) == format_plot_csv(cold)
+        assert warm.source == cold.source
+        assert list(warm.stage_seconds) == ["load", "preprocess", "extract",
+                                            "train_eval"]
+        assert cli.main(["extract", *flags, "--method", "hog",
+                         "--out", cache]) == 0
+        assert "cached 40 x 1296 hog features" in capsys.readouterr().out
+        assert len(os.listdir(cache)) == 2
+
+    def test_warm_run_keeps_test_file_split(self, tmp_path, monkeypatch):
+        cfg = small_cfg(**split_csvs(tmp_path),
+                        cache_dir=str(tmp_path / "cache"),
+                        classifiers=[("knn", {"k": 1}), ("svm", {})])
+        cold = run_grid(cfg)
+        forbid_loading(monkeypatch)
+        warm = run_grid(cfg)
+        assert (warm.n_train, warm.n_test) == (30, 10)
+        assert format_cells_csv(warm) == format_cells_csv(cold)
+
+    @pytest.mark.parametrize("stale", ["version 2", "no row count"])
+    def test_stale_cache_file_is_a_miss_and_rewritten(self, tmp_path,
+                                                      monkeypatch, stale):
+        cfg = small_cfg(samples=40, cache_dir=str(tmp_path / "cache"),
+                        features=[("hog", {})],
+                        classifiers=[("knn", {"k": 1})])
+        cold = run_grid(cfg)
+        (path,) = (tmp_path / "cache").iterdir()
+        X, y, rows = load_feature_cache(path)
+        fields = {"version": np.array(2), "features": X, "labels": y,
+                  "rows": np.array(rows)}
+        if stale == "no row count":
+            fields["version"] = np.array(CACHE_VERSION)
+            del fields["rows"]
+        np.savez(path, **fields)
+        assert load_feature_cache(path) is None
+        loads = count_calls(monkeypatch, "synthetic_squares")
+        warm = run_grid(cfg)
+        assert len(loads) == 1
+        assert format_cells_csv(warm) == format_cells_csv(cold)
+        assert os.listdir(tmp_path / "cache") == [path.name]
+        X2, y2, rows2 = load_feature_cache(path)
+        assert np.array_equal(X2, X) and np.array_equal(y2, y)
+        assert rows2 == rows == 40
+
+    def test_cache_key_holds_the_full_digest(self, tmp_path, monkeypatch):
+        # two files whose digests share the 12 characters a report shows
+        monkeypatch.setattr(bench, "file_digest",
+                            lambda path: "0" * 12 + file_digest(path)[12:])
+        cache = str(tmp_path / "cache")
+        results = []
+        for seed in (0, 1):
+            os.makedirs(tmp_path / str(seed))
+            path = tmp_path / str(seed) / "data.csv"
+            write_csv(path, *synthetic_glyphs(40, seed=seed))
+            results.append(run_grid(small_cfg(
+                synthetic=None, dataset_path=str(path), cache_dir=cache,
+                features=[("hog", {})], classifiers=[("knn", {"k": 1})])))
+        assert len(os.listdir(cache)) == 2
+        assert {r.source for r in results} == {"data.csv:000000000000"}
+
+    @pytest.mark.parametrize("tamper", ["reversed labels", "fewer labels",
+                                        "other row count"])
+    def test_disagreeing_cache_files_fall_back_to_loading(self, tmp_path,
+                                                          monkeypatch,
+                                                          tamper):
+        cache = tmp_path / "cache"
+        cfg = small_cfg(samples=40, cache_dir=str(cache),
+                        features=[("hog", {}), ("lbp", {})],
+                        classifiers=[("knn", {"k": 1})])
+        cold = run_grid(cfg)
+        (lbp,) = cache.glob("features-lbp-*.npz")
+        X, y, rows = load_feature_cache(lbp)
+        save_feature_cache(lbp, X, *{"reversed labels": (y[::-1], rows),
+                                     "fewer labels": (y[:-1], rows),
+                                     "other row count": (y, rows - 1)}[tamper])
+        loads = count_calls(monkeypatch, "synthetic_squares")
+        extracted = count_calls(monkeypatch, "extract_batch")
+        warm = run_grid(cfg)
+        assert len(loads) == 1
+        assert [args[1] for args in extracted] == ["lbp"]
+        assert format_cells_csv(warm) == format_cells_csv(cold)
+        assert np.array_equal(load_feature_cache(lbp)[1], y)
+        assert load_feature_cache(lbp)[2] == rows
+
+    def test_cells_get_views_of_one_reordered_matrix(self, monkeypatch):
+        seen = []
+        real = bench.make_classifier
+
+        class Spy:
+            def __init__(self, clf):
+                self.clf = clf
+
+            def fit(self, X, y):
+                seen.append(X)
+                self.clf.fit(X, y)
+                return self
+
+            def predict(self, X):
+                seen.append(X)
+                return self.clf.predict(X)
+
+        monkeypatch.setattr(bench, "make_classifier",
+                            lambda kind, **params: Spy(real(kind, **params)))
+        cfg = small_cfg(features=[("hog", {})],
+                        classifiers=[("knn", {"k": 1}), ("knn", {"k": 3})])
+        res = run_grid(cfg)
+        assert res.all_ok and len(seen) == 4
+        # fit and predict of both cells see slices of one array
+        base = seen[0].base
+        assert base is not None and all(X.base is base for X in seen)
+        assert all(X.flags.c_contiguous for X in seen)
+        matrices, labels = bench.feature_matrices(cfg, cfg.features, {})[:2]
+        X_all = matrices["hog"]
+        train_idx, test_idx = split_indices(labels, cfg.split)
+        assert np.array_equal(seen[0], X_all[train_idx])
+        assert np.array_equal(seen[1], X_all[test_idx])
+        assert np.array_equal(seen[2], seen[0])
 
 
 class TestFeatureCacheFile:

@@ -129,7 +129,8 @@ class TestPrebinMatchesOracle:
         assert np.array_equal(binned, prebin_oracle(X, 256)[0])
 
 
-# with lam=0 an empty side's 0/0 gain warns before the mask replaces it
+# with lam=0 the oracle's gain for a cut with an empty side divides by zero
+# and warns before its mask replaces it
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning",
                             "ignore:divide by zero:RuntimeWarning")
 class TestBoostTreeMatchesOracle:
@@ -226,6 +227,15 @@ class TestBoostingBehavior:
         assert np.all(np.diff(trace) <= 1e-12)
         assert trace[0] == pytest.approx(math.log(3.0))
         assert trace[-1] < 0.1
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_zero_lambda_fits_without_warnings(self):
+        # reg_lambda = 0 is accepted; the empty-side cuts it divides by
+        # zero for are masked, so it must not warn either
+        X, y = self.blobs(3)
+        clf = GradientBoostingClassifier(n_rounds=3, max_depth=3,
+                                         reg_lambda=0.0).fit(X, y)
+        assert np.mean(clf.predict(X) == y) > 0.9
 
     def test_separable_blobs_learned(self):
         X, y = self.blobs(1)

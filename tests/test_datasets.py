@@ -365,19 +365,12 @@ class TestFeatureCache:
         X = np.random.default_rng(0).random((6, 9))
         y = np.arange(6) % 3
         path = tmp_path / "c.npz"
-        save_feature_cache(path, X, y)
+        save_feature_cache(path, X, y, 4)
         loaded = load_feature_cache(path)
         assert loaded is not None
         assert np.array_equal(loaded[0], X)
         assert np.array_equal(loaded[1], y)
-
-    def test_other_labels_miss(self, tmp_path):
-        path = tmp_path / "c.npz"
-        y = np.arange(6) % 3
-        save_feature_cache(path, np.zeros((6, 2)), y)
-        assert load_feature_cache(path, y) is not None
-        assert load_feature_cache(path, y[::-1]) is None
-        assert load_feature_cache(path, y[:5]) is None
+        assert loaded[2] == 4
 
     def test_missing_or_foreign_version(self, tmp_path):
         assert load_feature_cache(tmp_path / "absent.npz") is None

@@ -322,14 +322,23 @@ def test_nan_parameter_rejected(method, param):
         extract_batch(img, method, {param: math.nan})
 
 
-@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
-@pytest.mark.parametrize("param", ["frequency", "theta", "bandwidth",
-                                   "n_stds"])
+@pytest.mark.parametrize("param, value", [
+    (param, value) for param in ("frequency", "theta", "bandwidth", "n_stds")
+    for value in (math.inf, -math.inf, math.nan)] + [
+    # finite, but the kernel radius would be infinite or beyond any memory
+    ("n_stds", 1e300), ("frequency", 1e-300), ("bandwidth", 1e-300)])
 def test_nonfinite_gabor_parameter_rejected(param, value):
-    # inf used to surface as a bare OverflowError or ValueError, or as a
-    # silent NaN kernel
-    with pytest.raises(ParameterError, match=f"{param} must be"):
+    # these used to surface as a bare OverflowError, ValueError or
+    # ZeroDivisionError, or as a silent NaN kernel
+    with pytest.raises(ParameterError,
+                       match=f"{param} must be|must be .*{param}="):
         gabor_kernel(**{param: value})
+
+
+def test_huge_gabor_bandwidth_saturates():
+    # 2 ** 1100 overflows a float; from 54 octaves on the sigma ratio is 1.0
+    assert np.array_equal(gabor_kernel(bandwidth=1100.0),
+                          gabor_kernel(bandwidth=54.0))
 
 
 class TestDispatch:
