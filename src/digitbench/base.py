@@ -2,8 +2,7 @@
 
 Hyperparameters are the __init__ arguments, stored verbatim; fitted state
 lives in trailing-underscore attributes. ``get_params`` follows the
-scikit-learn contract. Feature cache keys and saved model files are built
-from ``get_params()``.
+scikit-learn contract. Feature cache keys are built from ``get_params()``.
 """
 
 from __future__ import annotations
@@ -65,9 +64,6 @@ class TransformerMixin:
 
 class ClassifierMixin:
     """Adds predict on top of ``predict_scores``."""
-
-    # whether a saved model file must hold the fitted ``trees_`` list
-    _SAVES_TREES = False
 
     def predict(self, X) -> np.ndarray:
         """The class with the highest score, the first of tied ones."""

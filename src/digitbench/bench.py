@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classify import make_classifier
+from .classify import GBDT, RF, SVM, make_classifier
 from .config import RunConfig
 from .datasets import (CACHE_VERSION, file_digest, load_csv,
                        load_feature_cache, preprocess_all,
@@ -43,6 +43,7 @@ class CellResult:
     error: str | None = None
     seconds: float = 0.0
     warnings: list[str] = field(default_factory=list)
+    fitted: dict = field(default_factory=dict)  # ``fit_summary`` of the model
 
     @property
     def ok(self) -> bool:
@@ -167,6 +168,33 @@ def feature_matrices(cfg: RunConfig, methods, stage: dict):
     return matrices, labels, source, n_first
 
 
+def fit_summary(kind: str, clf) -> dict:
+    """Solver and tree-size counts of a fitted classifier; {} for KNN."""
+    if kind == SVM:
+        return {"smo_steps": int(clf.n_iter_.sum()),
+                "converged": bool(clf.converged_),
+                "support_vectors": int(clf.support_vectors_.shape[0])}
+    if kind not in (RF, GBDT):
+        return {}
+    trees = clf.trees_
+    out = {"trees": len(trees), "nodes": sum(t.n_nodes for t in trees),
+           "deepest": max((t.max_depth() for t in trees), default=0)}
+    if kind == GBDT:
+        out["final_loss"] = float(clf.loss_trace_[-1])
+    return out
+
+
+def _fit_text(s: dict) -> str:
+    if "smo_steps" in s:
+        return (f"{s['smo_steps']} SMO steps, "
+                f"{'' if s['converged'] else 'not '}converged, "
+                f"{s['support_vectors']} support vectors")
+    text = f"{s['trees']} trees, {s['nodes']} nodes, deepest {s['deepest']}"
+    if "final_loss" in s:
+        text += f", final training loss {s['final_loss']:.6f}"
+    return text
+
+
 def _run_cell(method, kind, params, X_train, y_train, X_test, y_test,
               n_classes) -> CellResult:
     """Fit one classifier on the train rows and score it on the test rows;
@@ -182,7 +210,8 @@ def _run_cell(method, kind, params, X_train, y_train, X_test, y_test,
                             f"before converging for classes {capped}")
         report = evaluate(y_test, clf.predict(X_test), n_classes)
         return CellResult(method, kind, report=report,
-                          seconds=time.perf_counter() - t, warnings=warnings)
+                          seconds=time.perf_counter() - t, warnings=warnings,
+                          fitted=fit_summary(kind, clf))
     except Exception as exc:
         cause = "".join(traceback.format_exception_only(exc)).strip()
         return CellResult(method, kind, error=cause,
@@ -231,7 +260,7 @@ def _macro_text(cell: CellResult, attr: str) -> str:
 
 
 def format_markdown(res: GridResult) -> str:
-    """Per-classifier tables, best-model summary, optional raw ablation."""
+    """Per-classifier tables, best models, raw ablation, per-cell notes."""
     lines = ["# Benchmark report", "",
              f"- source: `{res.source}`",
              f"- split seed: {res.config.split.seed}",
@@ -285,19 +314,16 @@ def format_markdown(res: GridResult) -> str:
                          f"| {raw.report.accuracy:.6f} | {delta:+.6f} |")
         lines.append("")
 
-    failed = [c for c in res.cells if not c.ok]
-    if failed:
-        lines += ["## Failed cells", ""]
-        lines += [f"- {c.feature} + {c.classifier}: {c.error}"
-                  for c in failed]
-        lines.append("")
-
-    warned = [c for c in res.cells if c.warnings]
-    if warned:
-        lines += ["## Warnings", ""]
-        lines += [f"- {c.feature} + {c.classifier}: {w}"
-                  for c in warned for w in c.warnings]
-        lines.append("")
+    notes = {"Failed cells": [(c, c.error) for c in res.cells if not c.ok],
+             "Warnings": [(c, w) for c in res.cells for w in c.warnings],
+             "Fitted models": [(c, _fit_text(c.fitted)) for c in res.cells
+                               if c.fitted]}
+    for title, items in notes.items():
+        if items:
+            lines += [f"## {title}", ""]
+            lines += [f"- {c.feature} + {c.classifier}: {text}"
+                      for c, text in items]
+            lines.append("")
 
     lines += ["## Stage timings (informational)", ""]
     lines += [f"- {name}: {secs:.2f}s"

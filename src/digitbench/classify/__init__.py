@@ -33,15 +33,8 @@ def make_classifier(kind: str, **params):
     return cls(**params)
 
 
-def classifier_kind(clf) -> str:
-    for kind, cls in _CLASSIFIERS.items():
-        if type(clf) is cls:
-            return kind
-    raise ParameterError(f"unrecognized classifier type {type(clf).__name__}")
-
-
 __all__ = [
     "GBDT", "KINDS", "KNN", "RF", "SVM",
     "GradientBoostingClassifier", "KnnClassifier", "RandomForestClassifier",
-    "SvmClassifier", "classifier_kind", "make_classifier",
+    "SvmClassifier", "make_classifier",
 ]

@@ -140,10 +140,6 @@ class GradientBoostingClassifier(Estimator, ClassifierMixin):
     training log-loss before each round plus the final value.
     """
 
-    _SAVED = {"n_features": "n_features_", "init_scores": "init_scores_",
-              "loss_trace": "loss_trace_"}
-    _SAVES_TREES = True
-
     def __init__(self, n_rounds: int = 200, max_depth: int = 5,
                  learning_rate: float = 0.3, row_subsample: float = 0.8,
                  col_subsample: float = 0.8, reg_lambda: float = 1.0,

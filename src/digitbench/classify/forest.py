@@ -83,9 +83,6 @@ class RandomForestClassifier(Estimator, ClassifierMixin):
     deterministic CART fit, directly comparable to an exhaustive oracle.
     """
 
-    _SAVED = {"n_features": "n_features_"}
-    _SAVES_TREES = True
-
     def __init__(self, n_trees: int = 200, max_depth: int = 10,
                  max_features="sqrt", bootstrap: bool = True, seed: int = 0):
         self.n_trees = n_trees

@@ -35,8 +35,6 @@ class KnnClassifier(Estimator, ClassifierMixin):
     always the argmax of the scores under that tie rule.
     """
 
-    _SAVED = {"train_X": "_X", "train_y": "_y"}
-
     def __init__(self, k: int = 5, minkowski_p: float = 2.0):
         self.k = k
         self.minkowski_p = minkowski_p

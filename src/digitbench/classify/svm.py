@@ -189,10 +189,6 @@ class SvmClassifier(Estimator, ClassifierMixin):
     argmax over classes (lowest index on exact ties).
     """
 
-    _SAVED = {"support": "support_", "support_vectors": "support_vectors_",
-              "dual_coef": "dual_coef_", "intercept": "intercept_",
-              "n_iter": "n_iter_", "gamma": "gamma_", "converged": "converged_"}
-
     def __init__(self, C: float = 10.0, gamma="scale", tol: float = 1e-3,
                  max_iter: int = 200_000):
         self.C = C

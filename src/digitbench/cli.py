@@ -2,8 +2,8 @@
 
 Verbs: ``bench`` runs the feature-by-classifier grid and writes reports,
 ``extract`` precomputes a feature cache, ``visualize`` renders one digit's
-pipeline stages to PGM files, ``inspect-model`` summarizes a saved model.
-Exit status is 0 only when everything asked for succeeded.
+pipeline stages to PGM files. Exit status is 0 only when everything asked
+for succeeded.
 """
 
 from __future__ import annotations
@@ -11,12 +11,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 from . import __version__
 from .bench import emit_report, feature_matrices, load_run_images, run_grid
-from .classify import classifier_kind
-from .classify.io import load_model
 from .config import RunConfig, config_from_mapping, parse_config_text
 from .datasets import SCHEMAS
 from .errors import ParameterError, ParseError, ShapeError, SplitError
@@ -68,10 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="which sample to render")
     viz.add_argument("--method", choices=METHODS, default="hog")
     viz.add_argument("--out", default="viz", help="output directory")
-
-    inspect = sub.add_parser("inspect-model",
-                             help="summarize a saved model file")
-    inspect.add_argument("model", help="path to a saved .npz model")
     return parser
 
 
@@ -134,29 +126,10 @@ def cmd_visualize(args) -> int:
     return 0
 
 
-def cmd_inspect(args) -> int:
-    model = load_model(args.model)
-    kind = classifier_kind(model)
-    print(f"kind: {kind}")
-    print(f"classes: {np.asarray(model.classes_).tolist()}")
-    params = model.get_params()
-    for name in sorted(params):
-        print(f"param {name}: {params[name]}")
-    if hasattr(model, "trees_"):
-        nodes = sum(t.n_nodes for t in model.trees_)
-        print(f"trees: {len(model.trees_)} with {nodes} nodes")
-    if hasattr(model, "support_vectors_"):
-        print(f"support vectors: {model.support_vectors_.shape[0]}")
-        print(f"converged: {model.converged_}")
-    if hasattr(model, "loss_trace_") and len(model.loss_trace_):
-        print(f"final training loss: {model.loss_trace_[-1]:.6f}")
-    return 0
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     handlers = {"bench": cmd_bench, "extract": cmd_extract,
-                "visualize": cmd_visualize, "inspect-model": cmd_inspect}
+                "visualize": cmd_visualize}
     try:
         return handlers[args.verb](args)
     except (ParameterError, ParseError, ShapeError, SplitError,

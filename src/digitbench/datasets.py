@@ -9,6 +9,7 @@ generators stand in for real digit scans where none are available.
 
 from __future__ import annotations
 
+import glob
 import hashlib
 import os
 import warnings
@@ -345,12 +346,24 @@ def save_feature_cache(path, features: np.ndarray, labels: np.ndarray,
     (with a test file, the test rows follow the dataset's).
 
     Written beside ``path``, then renamed into place: an interrupted write
-    leaves no truncated archive under the cache name."""
+    leaves no truncated archive under the cache name. Then every
+    ``features-*.npz`` beside it of another version or without a row count
+    is deleted, so no older version's files pile up."""
     tmp = f"{path}.{os.getpid()}.tmp"
     with open(tmp, "wb") as fh:
         np.savez(fh, version=np.array(CACHE_VERSION), features=features,
                  labels=labels, rows=np.array(rows))
     os.replace(tmp, path)
+    cache_dir = glob.escape(os.path.dirname(path))
+    for other in glob.glob(os.path.join(cache_dir, "features-*.npz")):
+        try:  # reads neither matrix
+            with np.load(other, allow_pickle=False) as data:
+                outdated = (int(data["version"]) != CACHE_VERSION
+                            or "rows" not in data.files)
+            if outdated:
+                os.remove(other)
+        except (OSError, ValueError, EOFError, KeyError, zipfile.BadZipFile):
+            pass  # unreadable, or already removed by another writer
 
 
 def load_feature_cache(path):

@@ -7,6 +7,7 @@ from digitbench import ParameterError, ParseError, bench, cli
 from digitbench.bench import (best_cells, emit_report, feature_cache_file,
                               format_cells_csv, format_markdown,
                               format_plot_csv, run_grid)
+from digitbench.classify import make_classifier
 from digitbench.config import (RunConfig, coerce_scalar, config_from_mapping,
                                parse_config_text)
 from digitbench.datasets import (CACHE_VERSION, SplitSpec, file_digest,
@@ -356,6 +357,25 @@ class TestWarmCache:
         assert np.array_equal(X2, X) and np.array_equal(y2, y)
         assert rows2 == rows == 40
 
+    def test_write_deletes_other_versions_files(self, tmp_path):
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        fields = {"features": np.zeros((2, 3)), "labels": np.arange(2),
+                  "rows": np.array(2)}
+        np.savez(cache / "features-hog-0000000000000000.npz",
+                 version=np.array(2), **fields)
+        np.savez(cache / "features-lbp-1111111111111111.npz",
+                 version=np.array(CACHE_VERSION), **fields)
+        (cache / "features-hog-2222222222222222.npz.7.tmp").write_text("")
+        assert cli.main(["extract", "--synthetic", "squares", "--samples",
+                         "40", "--method", "hog", "--out", str(cache)]) == 0
+        kept = {"features-hog-2222222222222222.npz.7.tmp",
+                "features-lbp-1111111111111111.npz"}
+        (written,) = set(os.listdir(cache)) - kept
+        assert written != "features-hog-0000000000000000.npz"
+        assert len(os.listdir(cache)) == 3
+        assert load_feature_cache(cache / written)[0].shape == (40, 1296)
+
     def test_cache_key_holds_the_full_digest(self, tmp_path, monkeypatch):
         # two files whose digests share the 12 characters a report shows
         monkeypatch.setattr(bench, "file_digest",
@@ -531,3 +551,63 @@ class TestReports:
         res.cells = []
         with pytest.raises(ParameterError):
             emit_report(res)
+
+
+class TestFitSummary:
+    def test_summary_matches_models_fitted_directly(self):
+        params = {"svm": {}, "rf": {"n_trees": 3, "max_depth": 4},
+                  "gbdt": {"n_rounds": 2, "max_depth": 2}}
+        cfg = small_cfg(features=[("hog", {})],
+                        classifiers=list(params.items()))
+        res = run_grid(cfg)
+        matrices, labels = bench.feature_matrices(cfg, cfg.features, {})[:2]
+        train_idx, _ = split_indices(labels, cfg.split)
+        X, y = matrices["hog"][train_idx], labels[train_idx]
+        direct = {kind: make_classifier(kind, **p).fit(X, y)
+                  for kind, p in params.items()}
+        by_kind = {c.classifier: c.fitted for c in res.cells}
+        svm, rf, gbdt = direct["svm"], direct["rf"], direct["gbdt"]
+        assert by_kind["svm"] == {
+            "smo_steps": int(svm.n_iter_.sum()), "converged": True,
+            "support_vectors": svm.support_vectors_.shape[0]}
+        assert by_kind["rf"]["trees"] == 3
+        assert by_kind["gbdt"]["trees"] == 2 * 2  # rounds x classes
+        for kind in ("rf", "gbdt"):
+            trees = direct[kind].trees_
+            assert by_kind[kind]["nodes"] == sum(t.n_nodes for t in trees)
+            assert 1 <= by_kind[kind]["deepest"] <= params[kind]["max_depth"]
+        text = format_markdown(res)
+        assert text.index("## Fitted models") > text.index("## Best model")
+        assert (f"- hog + svm: {int(svm.n_iter_.sum())} SMO steps, "
+                f"converged, {svm.support_vectors_.shape[0]} support "
+                "vectors") in text
+        assert "- hog + rf: 3 trees," in text
+        assert (f"- hog + gbdt: 4 trees, {by_kind['gbdt']['nodes']} nodes, "
+                f"deepest {by_kind['gbdt']['deepest']}, final training loss "
+                f"{gbdt.loss_trace_[-1]:.6f}") in text
+        for fmt in (format_cells_csv, format_plot_csv):
+            assert "trees" not in fmt(res) and "SMO" not in fmt(res)
+
+    def test_failed_and_knn_cells_print_no_line(self):
+        cfg = small_cfg(features=[("hog", {})],
+                        classifiers=[("knn", {"k": 1}), ("svm", {"C": -1.0}),
+                                     ("rf", {"n_trees": 2})])
+        res = run_grid(cfg)
+        assert [c.fitted == {} for c in res.cells] == [True, True, False]
+        section = format_markdown(res).split("## Fitted models\n")[1]
+        section = section.split("\n## ")[0]
+        assert section.strip().splitlines() == [
+            f"- hog + rf: 2 trees, {res.cells[2].fitted['nodes']} nodes, "
+            f"deepest {res.cells[2].fitted['deepest']}"]
+
+    def test_knn_only_grid_has_no_section(self):
+        res = run_grid(small_cfg(classifiers=[("knn", {"k": 1})]))
+        assert "## Fitted models" not in format_markdown(res)
+
+    def test_capped_svm_not_converged(self):
+        res = run_grid(small_cfg(classifiers=[("svm", {"max_iter": 5})]))
+        text = format_markdown(res)
+        for cell in res.cells:
+            assert cell.fitted["converged"] is False
+            assert (f"- {cell.feature} + svm: {cell.fitted['smo_steps']} SMO "
+                    "steps, not converged,") in text

@@ -1,11 +1,8 @@
 import os
 
-import numpy as np
 import pytest
 
 from digitbench import bench
-from digitbench.classify import make_classifier
-from digitbench.classify.io import save_model
 from digitbench.cli import main
 from digitbench.imaging import Preprocessor
 
@@ -159,34 +156,6 @@ class TestOtherVerbs:
         monkeypatch.setattr(bench, "extract_batch", no_preprocessing)
         assert main(["bench", "--config", str(cfg)]) == 0
         assert len(os.listdir(cache)) == 1
-
-    def test_inspect_model(self, tmp_path, capsys):
-        rng = np.random.default_rng(0)
-        model = make_classifier("svm").fit(rng.random((20, 3)),
-                                           rng.integers(0, 2, 20))
-        path = tmp_path / "m.npz"
-        save_model(model, path)
-        assert main(["inspect-model", str(path)]) == 0
-        out = capsys.readouterr().out
-        assert "kind: svm" in out
-        assert "support vectors:" in out
-
-    def test_inspect_garbage_exit_two(self, tmp_path, capsys):
-        p = tmp_path / "junk.npz"
-        p.write_text("nope")
-        assert main(["inspect-model", str(p)]) == 2
-        assert "error:" in capsys.readouterr().err
-
-    def test_inspect_damaged_exit_two(self, tmp_path, capsys):
-        rng = np.random.default_rng(0)
-        model = make_classifier("svm").fit(rng.random((20, 3)),
-                                           rng.integers(0, 2, 20))
-        save_model(model, tmp_path / "m.npz")
-        with np.load(tmp_path / "m.npz") as data:
-            arrays = {k: data[k] for k in data.files if k != "gamma"}
-        np.savez(tmp_path / "damaged.npz", **arrays)
-        assert main(["inspect-model", str(tmp_path / "damaged.npz")]) == 2
-        assert "not a recognized model file" in capsys.readouterr().err
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as info:
