@@ -11,7 +11,8 @@ import inspect
 
 import numpy as np
 
-from .validation import check_image_batch
+from .errors import StateError
+from .validation import check_image_batch, check_matrix, check_X_y
 
 # images per call of a stacked kernel: enough to amortise NumPy's per-call
 # overhead, few enough that a block's temporaries stay small at any batch size
@@ -63,7 +64,29 @@ class TransformerMixin:
 
 
 class ClassifierMixin:
-    """Adds predict on top of ``predict_scores``."""
+    """The input contract of every classifier, and predict over
+    ``predict_scores``.
+
+    ``fit`` starts with ``_fit_data`` and sets ``n_features_`` last, so a
+    fit that raises leaves the model unfitted. ``predict_scores`` starts
+    with ``_predict_data``.
+    """
+
+    def _fit_data(self, X, y) -> tuple[np.ndarray, np.ndarray]:
+        """Checked (X, class index of each row); sets ``classes_``."""
+        vars(self).pop("n_features_", None)
+        X, y = check_X_y(X, y)
+        if X.shape[0] == 0:
+            raise StateError("cannot fit on an empty training set")
+        self.classes_, y_idx = np.unique(y, return_inverse=True)
+        return X, y_idx
+
+    def _predict_data(self, X) -> np.ndarray:
+        """X checked against the fitted column count."""
+        if not hasattr(self, "n_features_"):
+            raise StateError(
+                f"{type(self).__name__} is not fitted; call fit first")
+        return check_matrix(X, expected_cols=self.n_features_)
 
     def predict(self, X) -> np.ndarray:
         """The class with the highest score, the first of tied ones."""

@@ -5,13 +5,12 @@ when ``x[feature] < threshold`` and right otherwise; every node carries a
 payload row (class counts for the forest's classification trees, a single
 leaf value for the boosting ensemble's regression trees).
 
-Both learners grow their trees with ``grow_tree``, which owns the recursion,
-the depth and two-row stops and the preorder node numbering. A learner
+Both learners grow their trees with ``grow_tree``, which owns the node
+stack, the depth and two-row stops and the preorder node numbering. A learner
 supplies only its payload and its split search: Gini over midpoints between
 a node's own adjacent values for the forest, second-order gain over global
 pre-binned cuts for boosting (uint8 bins, bin-major gradient and hessian
 histograms, and a node's min and max bin per column in place of counts).
-A tree's split-search scratch is freed when ``grow_tree`` returns.
 """
 
 from __future__ import annotations
@@ -73,29 +72,28 @@ def grow_tree(rows: np.ndarray, max_depth: int,
     ``find_split(rows)`` returns None; otherwise the returned
     ``(feature, threshold, go_left)`` splits it, ``go_left`` being a boolean
     mask over ``rows``. Nodes are numbered in preorder, so children follow
-    their parent and the left subtree precedes the right one.
+    their parent and the left subtree precedes the right one. Nodes are
+    grown from an explicit stack, so no depth meets the recursion limit.
     """
     nodes: list[list] = []  # [feature, threshold, left, right] per node
     values: list[np.ndarray] = []
-
-    def grow(rows: np.ndarray, depth: int) -> int:
+    # (rows, depth, parent, slot of the child's id in the parent's node)
+    stack = [(rows, 0, None, 0)]
+    while stack:
+        rows, depth, parent, slot = stack.pop()
         node = len(nodes)
+        if parent is not None:
+            nodes[parent][slot] = node
         nodes.append([LEAF, 0.0, LEAF, LEAF])
         values.append(np.asarray(node_value(rows), dtype=np.float64))
         split = None if depth >= max_depth or rows.shape[0] < 2 \
             else find_split(rows)
         if split is not None:
             feature, threshold, go_left = split
-            # list items evaluate left to right: the left subtree comes first
-            nodes[node] = [int(feature), float(threshold),
-                           grow(rows[go_left], depth + 1),
-                           grow(rows[~go_left], depth + 1)]
-        return node
-
-    grow(rows, 0)
-    # grow refers to itself; breaking that cycle frees the split search's
-    # scratch now rather than at the next cyclic garbage collection
-    del grow
+            nodes[node][:2] = int(feature), float(threshold)
+            # the left child is popped first, so its subtree comes first
+            stack.append((rows[~go_left], depth + 1, node, 3))
+            stack.append((rows[go_left], depth + 1, node, 2))
     feature, threshold, left, right = zip(*nodes)
     return Tree(feature=np.asarray(feature, dtype=np.int32),
                 threshold=np.asarray(threshold, dtype=np.float64),

@@ -21,8 +21,7 @@ import math
 import numpy as np
 
 from ..base import ClassifierMixin, Estimator
-from ..errors import ParameterError, StateError
-from ..validation import check_is_fitted, check_matrix, check_X_y
+from ..validation import check_float, check_int
 from ._tree import Tree, grow_tree
 
 _PROB_FLOOR = 1e-12
@@ -153,54 +152,36 @@ class GradientBoostingClassifier(Estimator, ClassifierMixin):
         self.max_bins = max_bins
         self.seed = seed
 
-    def _check_params(self):
-        if int(self.n_rounds) < 1:
-            raise ParameterError(f"n_rounds must be >= 1, got {self.n_rounds}")
-        if int(self.max_depth) < 1:
-            raise ParameterError(f"max_depth must be >= 1, got {self.max_depth}")
-        if not float(self.learning_rate) > 0:
-            raise ParameterError(
-                f"learning_rate must be > 0, got {self.learning_rate}")
-        for name in ("row_subsample", "col_subsample"):
-            frac = float(getattr(self, name))
-            if not 0.0 < frac <= 1.0:
-                raise ParameterError(f"{name} must lie in (0, 1], got {frac}")
-        if not float(self.reg_lambda) >= 0:  # NaN fails too
-            raise ParameterError(
-                f"reg_lambda must be >= 0, got {self.reg_lambda}")
-        if not 2 <= int(self.max_bins) <= 256:
-            raise ParameterError(
-                f"max_bins must lie in [2, 256], got {self.max_bins}")
-
     def fit(self, X, y):
-        self._check_params()
-        X, y = check_X_y(X, y)
+        X, y_idx = self._fit_data(X, y)
+        rounds = check_int(self.n_rounds, "n_rounds", 1)
+        max_depth = check_int(self.max_depth, "max_depth", 1)
+        lr = check_float(self.learning_rate, "learning_rate", gt=0)
+        row_frac = check_float(self.row_subsample, "row_subsample", gt=0, le=1)
+        col_frac = check_float(self.col_subsample, "col_subsample", gt=0, le=1)
+        lam = check_float(self.reg_lambda, "reg_lambda", ge=0)
+        max_bins = check_int(self.max_bins, "max_bins", 2, 256)
+        seed = check_int(self.seed, "seed", 0)
         n, d = X.shape
-        if n == 0:
-            raise StateError("cannot fit on an empty training set")
-        self.classes_, y_idx = np.unique(y, return_inverse=True)
-        self.n_features_ = d
         n_classes = self.classes_.shape[0]
-        rounds = int(self.n_rounds)
-        lr = float(self.learning_rate)
-        lam = float(self.reg_lambda)
 
         priors = np.bincount(y_idx, minlength=n_classes) / n
         self.init_scores_ = np.log(np.maximum(priors, _PROB_FLOOR))
         if n_classes < 2:
             self.trees_ = []
             self.loss_trace_ = np.zeros(rounds + 1)
+            self.n_features_ = d
             return self
 
-        binned, cuts = prebin_features(X, int(self.max_bins))
+        binned, cuts = prebin_features(X, max_bins)
         # histograms as wide as the most-cut column; at least one cut slot,
         # so a split search on all-constant columns finds nothing
         width = max(2, 1 + max(c.shape[0] for c in cuts))
         scores = np.tile(self.init_scores_, (n, 1))
         onehot = np.zeros((n, n_classes))
         onehot[np.arange(n), y_idx] = 1.0
-        row_count = math.ceil(float(self.row_subsample) * n)
-        col_count = math.ceil(float(self.col_subsample) * d)
+        row_count = math.ceil(row_frac * n)
+        col_count = math.ceil(col_frac * d)
 
         trees: list[Tree] = []
         trace = np.empty(rounds + 1)
@@ -208,7 +189,7 @@ class GradientBoostingClassifier(Estimator, ClassifierMixin):
             p = softmax(scores)
             trace[r] = self._log_loss(p, y_idx)
             for c in range(n_classes):
-                rng = np.random.default_rng([int(self.seed), r, c])
+                rng = np.random.default_rng([seed, r, c])
                 if row_count < n:
                     rows = np.sort(rng.choice(n, row_count, replace=False))
                 else:
@@ -220,14 +201,14 @@ class GradientBoostingClassifier(Estimator, ClassifierMixin):
                 g = p[:, c] - onehot[:, c]
                 h = p[:, c] * (1.0 - p[:, c])
                 tree = _grow_boost_tree(binned, cuts, cols, rows, g[rows],
-                                        h[rows], int(self.max_depth), lam,
-                                        width)
+                                        h[rows], max_depth, lam, width)
                 scores[:, c] += lr * tree.leaf_values(X)[:, 0]
                 trees.append(tree)
         trace[rounds] = self._log_loss(softmax(scores), y_idx)
 
         self.trees_ = trees
         self.loss_trace_ = trace
+        self.n_features_ = d
         return self
 
     @staticmethod
@@ -237,8 +218,7 @@ class GradientBoostingClassifier(Estimator, ClassifierMixin):
 
     def predict_scores(self, X) -> np.ndarray:
         """Additive ensemble scores per class (pre-softmax)."""
-        check_is_fitted(self, "trees_")
-        X = check_matrix(X, expected_cols=self.n_features_)
+        X = self._predict_data(X)
         n_classes = self.classes_.shape[0]
         scores = np.tile(self.init_scores_, (X.shape[0], 1))
         lr = float(self.learning_rate)

@@ -14,8 +14,7 @@ import math
 import numpy as np
 
 from ..base import ClassifierMixin, Estimator
-from ..errors import ParameterError, StateError
-from ..validation import check_is_fitted, check_matrix, check_X_y
+from ..validation import check_int
 from ._tree import Tree, grow_tree
 
 
@@ -98,39 +97,30 @@ class RandomForestClassifier(Estimator, ClassifierMixin):
         if mf == "sqrt":
             # ceil(sqrt(d)) in exact integer arithmetic
             return math.isqrt(n_features - 1) + 1
-        count = int(mf)
-        if not 1 <= count <= n_features:
-            raise ParameterError(
-                f"max_features must lie in [1, {n_features}], got {count}")
-        return count
+        return check_int(mf, "max_features", 1, n_features)
 
     def fit(self, X, y):
-        if int(self.n_trees) < 1:
-            raise ParameterError(f"n_trees must be >= 1, got {self.n_trees}")
-        if int(self.max_depth) < 1:
-            raise ParameterError(f"max_depth must be >= 1, got {self.max_depth}")
-        X, y = check_X_y(X, y)
-        if X.shape[0] == 0:
-            raise StateError("cannot fit on an empty training set")
-        self.classes_, y_idx = np.unique(y, return_inverse=True)
-        self.n_features_ = X.shape[1]
+        X, y_idx = self._fit_data(X, y)
+        n_trees = check_int(self.n_trees, "n_trees", 1)
+        max_depth = check_int(self.max_depth, "max_depth", 1)
+        seed = check_int(self.seed, "seed", 0)
         n_classes = self.classes_.shape[0]
         n = X.shape[0]
         n_candidates = self._candidate_count(X.shape[1])
 
         trees = []
-        for t in range(int(self.n_trees)):
-            rng = np.random.default_rng([int(self.seed), t])
+        for t in range(n_trees):
+            rng = np.random.default_rng([seed, t])
             rows = rng.integers(0, n, n) if self.bootstrap else np.arange(n)
-            trees.append(_grow_tree(X, y_idx, rows, n_classes,
-                                    int(self.max_depth), n_candidates, rng))
+            trees.append(_grow_tree(X, y_idx, rows, n_classes, max_depth,
+                                    n_candidates, rng))
         self.trees_ = trees
+        self.n_features_ = X.shape[1]
         return self
 
     def predict_scores(self, X) -> np.ndarray:
         """Per-class vote counts over the ensemble."""
-        check_is_fitted(self, "trees_")
-        X = check_matrix(X, expected_cols=self.n_features_)
+        X = self._predict_data(X)
         n_classes = self.classes_.shape[0]
         votes = np.zeros((X.shape[0], n_classes))
         rows = np.arange(X.shape[0])

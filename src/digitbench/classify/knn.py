@@ -5,8 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..base import ClassifierMixin, Estimator
-from ..errors import ParameterError, StateError
-from ..validation import check_is_fitted, check_matrix, check_X_y
+from ..validation import check_float, check_int
 
 # elements per distance block (at least one query), which holds three
 # temporaries this size; chosen by measurement on HOG rows, where it was
@@ -40,17 +39,12 @@ class KnnClassifier(Estimator, ClassifierMixin):
         self.minkowski_p = minkowski_p
 
     def fit(self, X, y):
-        if int(self.k) < 1:
-            raise ParameterError(f"k must be >= 1, got {self.k}")
-        if not float(self.minkowski_p) >= 1.0:  # NaN fails too
-            raise ParameterError(
-                f"minkowski_p must be >= 1, got {self.minkowski_p}")
-        X, y = check_X_y(X, y)
-        if X.shape[0] == 0:
-            raise StateError("cannot fit on an empty training set")
-        self.classes_ = np.unique(y)
+        X, y_idx = self._fit_data(X, y)
+        check_int(self.k, "k", 1)
+        check_float(self.minkowski_p, "minkowski_p", ge=1)
         self._X = X
-        self._y = y
+        self._y = y_idx  # class index of each training row
+        self.n_features_ = X.shape[1]
         return self
 
     def _neighbor_order(self, Q: np.ndarray) -> np.ndarray:
@@ -118,15 +112,11 @@ class KnnClassifier(Estimator, ClassifierMixin):
         return out
 
     def predict_scores(self, X) -> np.ndarray:
-        check_is_fitted(self, "_X")
-        Q = check_matrix(X, expected_cols=self._X.shape[1])
-        k = int(self.k)
-        if k > self._X.shape[0]:
-            raise ParameterError(
-                f"k={k} exceeds the training set size {self._X.shape[0]}")
-        ranked = self._neighbor_order(Q)
+        Q = self._predict_data(X)
+        # k may not exceed the training set size
+        k = check_int(self.k, "k", 1, self._X.shape[0])
+        labels = self._y[self._neighbor_order(Q)]  # (nq, k) class indices
         n_classes = self.classes_.shape[0]
-        labels = np.searchsorted(self.classes_, self._y[ranked])  # (nq, k)
         rows = np.arange(Q.shape[0])
         votes = np.zeros((Q.shape[0], n_classes))
         bonus = np.zeros_like(votes)

@@ -15,8 +15,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..base import ClassifierMixin, Estimator
-from ..errors import ParameterError, StateError
-from ..validation import check_is_fitted, check_matrix, check_X_y
+from ..errors import StateError
+from ..validation import check_float, check_int
 
 SV_THRESHOLD = 1e-8
 _QUAD_FLOOR = 1e-12
@@ -52,10 +52,7 @@ def resolve_gamma(X: np.ndarray, gamma) -> float:
         var = float(X.var())
         d = X.shape[1]
         return 1.0 / (d * var) if var > 0 else 1.0 / d
-    value = float(gamma)
-    if not value > 0:  # NaN fails too
-        raise ParameterError(f"gamma must be positive, got {value}")
-    return value
+    return check_float(gamma, "gamma", gt=0)
 
 
 def _apply_clips(a_i, a_j, rules):
@@ -197,18 +194,12 @@ class SvmClassifier(Estimator, ClassifierMixin):
         self.max_iter = max_iter
 
     def fit(self, X, y):
-        C = float(self.C)
-        if not C > 0:  # NaN fails too
-            raise ParameterError(f"C must be positive, got {C}")
-        if not float(self.tol) > 0:
-            raise ParameterError(f"tol must be positive, got {self.tol}")
-        if int(self.max_iter) < 1:
-            raise ParameterError(f"max_iter must be >= 1, got {self.max_iter}")
-        X, y = check_X_y(X, y)
-        if X.shape[0] == 0:
-            raise StateError("cannot fit on an empty training set")
-        classes, y_idx = np.unique(y, return_inverse=True)
-        if classes.shape[0] < 2:
+        X, y_idx = self._fit_data(X, y)
+        C = check_float(self.C, "C", gt=0)
+        tol = check_float(self.tol, "tol", gt=0)
+        max_iter = check_int(self.max_iter, "max_iter", 1)
+        n_classes = self.classes_.shape[0]
+        if n_classes < 2:
             raise StateError("SVM training needs at least two classes")
 
         gamma = resolve_gamma(X, self.gamma)
@@ -217,14 +208,13 @@ class SvmClassifier(Estimator, ClassifierMixin):
         K = rbf_kernel(X, X, gamma)
         np.fill_diagonal(K, 1.0)
 
-        Y = np.where(y_idx[None, :] == np.arange(classes.shape[0])[:, None],
+        Y = np.where(y_idx[None, :] == np.arange(n_classes)[:, None],
                      1.0, -1.0)
         alpha, intercepts, iteration_counts, converged = smo_solve(
-            K, Y, C, float(self.tol), int(self.max_iter))
+            K, Y, C, tol, max_iter)
         coefs = alpha * Y
 
         support = np.nonzero(np.any(np.abs(coefs) > SV_THRESHOLD, axis=0))[0]
-        self.classes_ = classes
         self.gamma_ = gamma
         self.support_ = support
         self.support_vectors_ = X[support]
@@ -232,11 +222,11 @@ class SvmClassifier(Estimator, ClassifierMixin):
         self.intercept_ = intercepts
         self.n_iter_ = iteration_counts
         self.converged_ = bool(converged.all())
+        self.n_features_ = X.shape[1]
         return self
 
     def predict_scores(self, X) -> np.ndarray:
         """(n_samples, n_classes) one-vs-rest decision values."""
-        check_is_fitted(self, "support_vectors_")
-        Q = check_matrix(X, expected_cols=self.support_vectors_.shape[1])
+        Q = self._predict_data(X)
         Kq = rbf_kernel(self.support_vectors_, Q, self.gamma_)
         return (self.dual_coef_ @ Kq).T + self.intercept_[None, :]

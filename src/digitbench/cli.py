@@ -18,6 +18,7 @@ from .datasets import SCHEMAS
 from .errors import ParameterError, ParseError, ShapeError, SplitError
 from .features import METHODS
 from .imaging import Preprocessor
+from .validation import check_int
 from .viz import visualize
 
 
@@ -115,9 +116,7 @@ def cmd_extract(args) -> int:
 def cmd_visualize(args) -> int:
     cfg = _config_from_args(args)
     images, labels = load_run_images(cfg)
-    if not 0 <= args.index < len(images):
-        raise ParameterError(
-            f"--index {args.index} outside [0, {len(images) - 1}]")
+    check_int(args.index, "--index", 0, len(images) - 1)
     stem = f"sample{args.index}-label{labels[args.index]}"
     paths = visualize(images[args.index], args.method, out_dir=args.out,
                       stem=stem, pre=Preprocessor(**cfg.preprocess))

@@ -21,6 +21,7 @@ import numpy as np
 from .errors import ParameterError, ParseError, SplitError
 from .base import IMAGE_BLOCK
 from .imaging import Preprocessor, _blur, _sample_bilinear
+from .validation import check_float, check_int
 
 LABEL_FIRST = "label_first"
 LABEL_LAST = "label_last"
@@ -39,10 +40,8 @@ class SplitSpec:
     stratified: bool = True
 
     def __post_init__(self):
-        frac = float(self.train_fraction)
-        if not 0.0 < frac < 1.0:
-            raise ParameterError(
-                f"train_fraction must lie in (0, 1), got {frac}")
+        check_float(self.train_fraction, "train_fraction", gt=0, lt=1)
+        check_int(self.seed, "seed", 0)
 
 
 def file_digest(path) -> str:
@@ -167,9 +166,7 @@ def load_csv(path, schema: str = LABEL_FIRST, side: int = 28):
     """
     if schema not in SCHEMAS:
         raise ParameterError(f"schema must be one of {SCHEMAS}, got {schema!r}")
-    side = int(side)
-    if side < 1:
-        raise ParameterError(f"side must be >= 1, got {side}")
+    side = check_int(side, "side", 1)
     n_fields = side * side + 1
     data = _read_matrix(path, n_fields)
     if data is None or _first_bad_row(*_columns(data, schema)):
@@ -256,8 +253,7 @@ _DIGIT_SEGMENTS = {
 
 def glyph_template(digit: int, side: int = 28) -> np.ndarray:
     """Clean seven-segment rendering of a digit, white on black."""
-    if digit not in _DIGIT_SEGMENTS:
-        raise ParameterError(f"digit must lie in [0, 9], got {digit}")
+    digit = check_int(digit, "digit", 0, 9)
     scale = side / 28.0
     img = np.zeros((side, side))
     for name in _DIGIT_SEGMENTS[digit]:
@@ -286,12 +282,11 @@ def synthetic_glyphs(n_samples: int = 2000, seed: int = 0, side: int = 28,
     deterministic for a given (n_samples, seed, side, noise). Per-image
     contrast and brightness vary so scans of different exposure coexist.
     """
-    if int(n_samples) < 1:
-        raise ParameterError(f"n_samples must be >= 1, got {n_samples}")
-    rng = np.random.default_rng(int(seed))
+    n_samples = check_int(n_samples, "n_samples", 1)
+    rng = np.random.default_rng(check_int(seed, "seed", 0))
     templates = np.stack([glyph_template(d, side) for d in range(N_CLASSES)])
-    labels = np.arange(int(n_samples)) % N_CLASSES
-    images = np.empty((int(n_samples), side, side))
+    labels = np.arange(n_samples) % N_CLASSES
+    images = np.empty((n_samples, side, side))
     for start in range(0, len(labels), IMAGE_BLOCK):
         digits = labels[start:start + IMAGE_BLOCK]
         mats, exposure, pixel_noise = [], [], []
@@ -322,11 +317,10 @@ def synthetic_squares(n_samples: int = 200, seed: int = 0, side: int = 28):
     Near-centred with small size and position jitter, so every reasonable
     feature/classifier pairing separates the classes.
     """
-    if int(n_samples) < 1:
-        raise ParameterError(f"n_samples must be >= 1, got {n_samples}")
-    rng = np.random.default_rng(int(seed))
-    labels = np.arange(int(n_samples)) % 2
-    images = np.zeros((int(n_samples), side, side))
+    n_samples = check_int(n_samples, "n_samples", 1)
+    rng = np.random.default_rng(check_int(seed, "seed", 0))
+    labels = np.arange(n_samples) % 2
+    images = np.zeros((n_samples, side, side))
     centre = (side - 14) // 2
     for i, hollow in enumerate(labels):
         size = int(rng.integers(13, 16))

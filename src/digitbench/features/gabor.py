@@ -13,6 +13,7 @@ import numpy as np
 
 from ..base import Estimator, TransformerMixin
 from ..errors import ParameterError
+from ..validation import check_float
 
 
 # kernel radius limit in pixels: a 2049 x 2049 kernel, far wider than any
@@ -35,13 +36,10 @@ def bandwidth_sigma(frequency: float, bandwidth: float) -> float:
 def gabor_kernel(frequency: float = 0.9, theta: float = 0.0,
                  bandwidth: float = 1.0, n_stds: float = 3.0) -> np.ndarray:
     """Complex Gabor kernel, sized to cover n_stds envelope deviations."""
-    for name, value in (("frequency", frequency), ("bandwidth", bandwidth),
-                        ("n_stds", n_stds)):
-        if not 0 < value < math.inf:  # NaN fails too
-            raise ParameterError(
-                f"{name} must be positive and finite, got {value}")
-    if not math.isfinite(theta):
-        raise ParameterError(f"theta must be finite, got {theta}")
+    frequency = check_float(frequency, "frequency", gt=0)
+    bandwidth = check_float(bandwidth, "bandwidth", gt=0)
+    n_stds = check_float(n_stds, "n_stds", gt=0)
+    theta = check_float(theta, "theta")
     sigma = bandwidth_sigma(frequency, bandwidth)
     if not n_stds * sigma <= MAX_RADIUS:  # inf and NaN fail too
         raise ParameterError(

@@ -12,6 +12,7 @@ import numpy as np
 
 from ..base import Estimator, TransformerMixin
 from ..errors import ParameterError
+from ..validation import check_int
 
 L2_HYS_CLIP = 0.2
 _NORM_EPS = 1e-12
@@ -57,22 +58,14 @@ class HogDescriptor(Estimator, TransformerMixin):
         self.signed_gradients = signed_gradients
 
     def _check_geometry(self, h: int, w: int) -> tuple[int, int]:
-        cs = int(self.cell_side)
-        bs = int(self.block_side)
-        stride = int(self.block_stride)
-        if cs < 1:
-            raise ParameterError(f"cell_side must be >= 1, got {cs}")
-        if int(self.n_bins) < 2:
-            raise ParameterError(f"n_bins must be >= 2, got {self.n_bins}")
-        if stride < 1:
-            raise ParameterError(f"block_stride must be >= 1, got {stride}")
+        cs = check_int(self.cell_side, "cell_side", 1)
+        check_int(self.n_bins, "n_bins", 2)
+        check_int(self.block_stride, "block_stride", 1)
         if h % cs or w % cs:
             raise ParameterError(
                 f"cell_side {cs} must divide the image sides, got {h}x{w}")
         cells_y, cells_x = h // cs, w // cs
-        if bs < 1 or bs > min(cells_y, cells_x):
-            raise ParameterError(
-                f"block_side {bs} must lie in [1, cells per side {min(cells_y, cells_x)}]")
+        check_int(self.block_side, "block_side", 1, min(cells_y, cells_x))
         return cells_y, cells_x
 
     def _cell_histograms(self, stack: np.ndarray) -> np.ndarray:

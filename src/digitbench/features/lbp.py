@@ -12,6 +12,7 @@ import numpy as np
 from ..base import Estimator, TransformerMixin
 from ..errors import ParameterError
 from ..imaging import _sample_bilinear
+from ..validation import check_float, check_int
 
 MODES = ("flat", "histogram")
 
@@ -39,24 +40,18 @@ class LbpDescriptor(Estimator, TransformerMixin):
         self.radius = radius
         self.mode = mode
 
-    def _check_params(self) -> tuple[int, float]:
-        p = int(self.neighbors)
-        r = float(self.radius)
-        if not 1 <= p <= 24:
-            raise ParameterError(f"neighbors must lie in [1, 24], got {p}")
-        if not r > 0:
-            raise ParameterError(f"radius must be positive, got {r}")
+    def _check_params(self) -> int:
+        """The checked neighbor count; the radius is checked per image size."""
         if self.mode not in MODES:
             raise ParameterError(f"mode must be one of {MODES}, got {self.mode!r}")
-        return p, r
+        return check_int(self.neighbors, "neighbors", 1, 24)
 
     def _codes(self, stack: np.ndarray) -> np.ndarray:
         """Integer code per pixel of each image; border pixels get 0."""
-        p, r = self._check_params()
+        p = self._check_params()
         _, h, w = stack.shape
-        if 2.0 * r >= min(h, w):
-            raise ParameterError(
-                f"radius {r} too large for a {h}x{w} image (needs 2*radius < side)")
+        # the ring fits in the image: 2 * radius < side
+        r = check_float(self.radius, "radius", gt=0, lt=min(h, w) / 2)
         dy, dx = ring_offsets(p, r)
 
         # only the interior band keeps its ring inside the image; every
@@ -75,7 +70,7 @@ class LbpDescriptor(Estimator, TransformerMixin):
         return codes
 
     def _transform_stack(self, stack: np.ndarray) -> np.ndarray:
-        p, _ = self._check_params()
+        p = self._check_params()
         codes = self._codes(stack).reshape(len(stack), -1)
         n_codes = 1 << p
         if self.mode == "histogram":

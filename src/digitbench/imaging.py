@@ -13,8 +13,7 @@ import math
 import numpy as np
 
 from .base import Estimator, TransformerMixin
-from .errors import ParameterError
-from .validation import check_positive
+from .validation import check_float, check_int
 
 
 def _sample_bilinear(img: np.ndarray, ys: np.ndarray, xs: np.ndarray,
@@ -72,7 +71,7 @@ def _resize(stack: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
 
 def gaussian_kernel_1d(sigma: float) -> np.ndarray:
     """Discrete Gaussian of radius ceil(3*sigma), normalized to sum 1."""
-    sigma = check_positive(sigma, "sigma")
+    sigma = check_float(sigma, "sigma", gt=0)
     radius = math.ceil(3.0 * sigma)
     offsets = np.arange(-radius, radius + 1, dtype=np.float64)
     kernel = np.exp(-(offsets**2) / (2.0 * sigma * sigma))
@@ -144,9 +143,8 @@ class Preprocessor(Estimator, TransformerMixin):
         self.deskew_enabled = deskew_enabled
 
     def _check_params(self) -> None:
-        if int(self.target_side) < 8:
-            raise ParameterError(f"target_side must be >= 8, got {self.target_side}")
-        check_positive(self.gaussian_sigma, "gaussian_sigma")
+        check_int(self.target_side, "target_side", 8)
+        check_float(self.gaussian_sigma, "gaussian_sigma", gt=0)
 
     def _transform_stack(self, stack: np.ndarray) -> np.ndarray:
         self._check_params()

@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import math
+import operator
+
 import numpy as np
 
-from .errors import ParameterError, ShapeError, StateError
+from .errors import ParameterError, ShapeError
+
+_COMPARE = {">": operator.gt, ">=": operator.ge, "<": operator.lt,
+            "<=": operator.le}
 
 
 def check_image_batch(images, name: str = "images") -> np.ndarray:
@@ -58,13 +64,47 @@ def check_X_y(X, y) -> tuple[np.ndarray, np.ndarray]:
     return X, y
 
 
-def check_is_fitted(est, attr: str) -> None:
-    if not hasattr(est, attr):
-        raise StateError(f"{type(est).__name__} is not fitted; call fit first")
+def check_float(value, name: str, *, gt=None, ge=None, lt=None,
+                le=None) -> float:
+    """``value`` as a finite float within every bound given.
+
+    NaN and +-inf fail whatever the bounds, so a NaN cannot slip through a
+    comparison and an infinity cannot reach the arithmetic.
+    """
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        x = math.nan
+    bounds = [(op, b) for op, b in ((">", gt), (">=", ge), ("<", lt),
+                                    ("<=", le)) if b is not None]
+    if math.isfinite(x) and all(_COMPARE[op](x, b) for op, b in bounds):
+        return x
+    words = ["positive" if (op, b) == (">", 0) else f"{op} {b:g}"
+             for op, b in bounds]
+    if len(words) < 2:  # with bounds on both sides, finite goes unsaid
+        words.append("finite")
+    raise ParameterError(f"{name} must be {' and '.join(words)}, got {value}")
 
 
-def check_positive(value, name: str) -> float:
-    value = float(value)
-    if not value > 0:
-        raise ParameterError(f"{name} must be > 0, got {value}")
-    return value
+def check_int(value, name: str, low: int, high: int | None = None) -> int:
+    """``value`` as an int in [low, high] (no upper bound when high is None).
+
+    Integers and floats without a fractional part pass; 2.5, NaN and +-inf
+    fail.
+    """
+    n = _whole(value)
+    if n is not None and low <= n and (high is None or n <= high):
+        return n
+    span = f">= {low}" if high is None else f"in [{low}, {high}]"
+    raise ParameterError(
+        f"{name} must be {span} and a whole number, got {value}")
+
+
+def _whole(value) -> int | None:
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        return None
+    return int(x) if x.is_integer() else None

@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from digitbench import ParameterError
+from digitbench import ParameterError, StateError
 from digitbench.classify import GBDT, KNN, RF, SVM, make_classifier
 
 
@@ -13,6 +15,10 @@ def three_clusters(seed=0, n_per=12):
                    for c in centers])
     y = np.repeat([2, 5, 9], n_per)
     return X, y
+
+
+# enough to fit the three clusters, fewer trees than the defaults
+_CHEAP = {RF: {"n_trees": 3}, GBDT: {"n_rounds": 3}}
 
 
 class TestFactory:
@@ -45,3 +51,42 @@ class TestCrossCutting:
         clf = make_classifier(kind, **params).fit(X, y)
         assert np.mean(clf.predict(X) == y) == 1.0
 
+    @pytest.mark.parametrize("kind, params, one_class", [
+        (KNN, {"k": 0}, False),
+        (SVM, {}, True),
+        (RF, {"max_features": 4}, False),  # the data has 3 columns
+        (GBDT, {"learning_rate": math.inf}, False),
+    ])
+    def test_failed_fit_leaves_model_unfitted(self, kind, params, one_class):
+        # a new model, and one refitted after a good fit: predict must say
+        # "not fitted", not fail on a half-set attribute or use stale state
+        X, y = three_clusters(n_per=4)
+        fitted = make_classifier(kind, **_CHEAP.get(kind, {})).fit(X, y)
+        for clf in (make_classifier(kind), fitted):
+            for name, value in params.items():
+                setattr(clf, name, value)
+            with pytest.raises((ParameterError, StateError)):
+                clf.fit(X, np.zeros_like(y) if one_class else y)
+            with pytest.raises(StateError, match="not fitted"):
+                clf.predict(X)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, 2.5])
+@pytest.mark.parametrize("kind, name", [
+    (KNN, "k"), (RF, "n_trees"), (RF, "max_depth"), (GBDT, "n_rounds"),
+    (GBDT, "max_depth"), (GBDT, "max_bins"), (SVM, "max_iter")])
+def test_integer_hyperparameter_must_be_whole(kind, name, value):
+    # int() used to truncate 2.5 to 2 without a word and to raise a bare
+    # ValueError or OverflowError for NaN and inf
+    X, y = three_clusters(n_per=4)
+    with pytest.raises(ParameterError, match=f"{name} must be .*whole"):
+        make_classifier(kind, **{name: value}).fit(X, y)
+
+
+@pytest.mark.parametrize("kind", [RF, GBDT])
+def test_negative_seed_rejected(kind):
+    # numpy's generator takes no negative seed; this used to surface as its
+    # bare ValueError
+    X, y = three_clusters(n_per=4)
+    with pytest.raises(ParameterError, match="seed must be >= 0"):
+        make_classifier(kind, seed=-1).fit(X, y)

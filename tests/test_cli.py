@@ -90,6 +90,24 @@ class TestBenchVerb:
         assert main(["bench", "--config", str(cfg)]) == 2
         assert "error: config key 'dataset.samples'" in capsys.readouterr().err
 
+    def test_infinite_gaussian_sigma_exit_two(self, tmp_path, capsys):
+        # used to end in a bare OverflowError traceback from the kernel size
+        cfg = tmp_path / "run.cfg"
+        write_cfg(cfg, "preprocess.gaussian_sigma = inf\n")
+        assert main(["bench", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "error: gaussian_sigma must be" in capsys.readouterr().err
+
+    def test_negative_seed_exit_two(self, tmp_path, capsys):
+        # used to end in numpy's bare "expected non-negative integer"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("dataset.synthetic = squares\nsplit.seed = -1\n")
+        for args in (["--config", str(cfg)],
+                     ["--synthetic", "squares", "--seed", "-1"]):
+            assert main(["bench", *args, "--samples", "20",
+                         "--out", str(tmp_path / "out")]) == 2
+            assert "error: seed must be >= 0" in capsys.readouterr().err
+
 
 class TestOtherVerbs:
     def test_visualize_three_files(self, tmp_path, capsys):

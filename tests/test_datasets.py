@@ -291,6 +291,10 @@ class TestSplit:
         with pytest.raises(ParameterError):
             SplitSpec(train_fraction=0.0)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ParameterError, match="seed must be >= 0"):
+            SplitSpec(seed=-1)
+
 
 class TestPreprocessAll:
     def test_count_conserved_and_composition(self):

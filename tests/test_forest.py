@@ -147,3 +147,12 @@ class TestTreePlumbing:
                     right=np.array([2, 4, LEAF, LEAF, LEAF], dtype=np.int32),
                     value=np.array([[0.0], [0.0], [1.0], [2.0], [3.0]]))
         assert tree.max_depth() == 2
+
+    def test_deep_tree_grows_without_recursion(self):
+        # alternating labels on one column: every split peels off one row,
+        # a chain 2,999 nodes deep, far past Python's recursion limit
+        X = np.arange(3000.0)[:, None]
+        y = np.arange(3000) % 2
+        clf, tree = single_cart_tree(X, y, max_depth=100_000)
+        assert tree.max_depth() == 2999
+        assert np.array_equal(clf.predict(X), y)

@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from oracles import (dual_objective, kkt_satisfied, random_feasible_alpha,
                      smo_oracle, ten_class_problem, two_class_problem)
 
-from digitbench import ParameterError, ShapeError, StateError
+from digitbench import ParameterError, Preprocessor, ShapeError, StateError
 from digitbench.classify import GBDT, KNN, SVM, SvmClassifier, make_classifier
 from digitbench.classify.svm import rbf_kernel, resolve_gamma, smo_solve
 
@@ -202,10 +204,19 @@ class TestRbfKernel:
 
 
 @pytest.mark.parametrize("kind, name", [
-    (SVM, "C"), (SVM, "gamma"), (SVM, "tol"), (GBDT, "reg_lambda"),
-    (KNN, "minkowski_p")])
+    (SVM, "C"), (SVM, "gamma"), (SVM, "tol"), (GBDT, "learning_rate"),
+    (GBDT, "reg_lambda"), (KNN, "minkowski_p"),
+    ("preprocess", "gaussian_sigma")])
 def test_nan_hyperparameter_rejected(kind, name):
-    # NaN fails every comparison, so a "<= 0" style check would let it by
-    X = np.random.default_rng(0).random((20, 3))
-    with pytest.raises(ParameterError, match=name):
-        make_classifier(kind, **{name: float("nan")}).fit(X, np.arange(20) % 2)
+    # NaN fails every comparison, so a "<= 0" style check would let it by;
+    # inf passes such a check and then zeroes every distance, predicts one
+    # class or overflows
+    rng = np.random.default_rng(0)
+    for value in (math.nan, math.inf):
+        with pytest.raises(ParameterError, match=f"{name} must be"):
+            if kind == "preprocess":
+                Preprocessor(**{name: value}).transform(
+                    rng.random((2, 28, 28)))
+            else:
+                make_classifier(kind, **{name: value}).fit(
+                    rng.random((20, 3)), np.arange(20) % 2)
