@@ -291,7 +291,8 @@ def format_markdown(res: GridResult) -> str:
         if cell is not None:
             lines.append(f"| {kind} | {cell.feature} "
                          f"| {_macro_text(cell, 'accuracy')} |")
-    overall = max((c for c in res.cells if c.ok),
+    # ties go to the first in config order, as in best_cells
+    overall = max((c for c in res.cells if best.get(c.classifier) is c),
                   key=lambda c: c.report.accuracy, default=None)
     if overall is not None:
         lines += ["", f"Overall best: **{overall.feature} + "

@@ -137,6 +137,8 @@ class GradientBoostingClassifier(Estimator, ClassifierMixin):
     one flat list in round-major order: tree ``r * n_classes + c`` belongs to
     round r, class c (empty for a single class). ``loss_trace_`` records the
     training log-loss before each round plus the final value.
+    ``learning_rate_`` is the rate the trees were fitted with, which
+    ``predict_scores`` applies.
     """
 
     def __init__(self, n_rounds: int = 200, max_depth: int = 5,
@@ -167,6 +169,7 @@ class GradientBoostingClassifier(Estimator, ClassifierMixin):
 
         priors = np.bincount(y_idx, minlength=n_classes) / n
         self.init_scores_ = np.log(np.maximum(priors, _PROB_FLOOR))
+        self.learning_rate_ = lr
         if n_classes < 2:
             self.trees_ = []
             self.loss_trace_ = np.zeros(rounds + 1)
@@ -221,7 +224,7 @@ class GradientBoostingClassifier(Estimator, ClassifierMixin):
         X = self._predict_data(X)
         n_classes = self.classes_.shape[0]
         scores = np.tile(self.init_scores_, (X.shape[0], 1))
-        lr = float(self.learning_rate)
+        lr = self.learning_rate_
         for i, tree in enumerate(self.trees_):
             scores[:, i % n_classes] += lr * tree.leaf_values(X)[:, 0]
         return scores

@@ -53,81 +53,66 @@ def file_digest(path) -> str:
     return h.hexdigest()
 
 
-def _parse_csv_rows(path, n_fields: int):
-    """Line-by-line parse with 1-based row numbers in every error: the error
-    and fallback path of ``load_csv``.
-
-    A single leading row that does not parse as numbers is treated as a
-    header and skipped. A UTF-8 byte-order mark is not part of the first row.
-    Fields go through Python ``float()``, so spellings that ``np.loadtxt``
-    rejects (non-ASCII digits, ``1_0``) load here, only slower.
-    """
-    rows = []
-    with open(path, encoding="utf-8-sig") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            try:
-                values = [float(p) for p in parts]
-            except ValueError:
-                if lineno == 1:
-                    continue
-                raise ParseError(
-                    f"row {lineno}: non-numeric field") from None
-            if len(values) != n_fields:
-                raise ParseError(
-                    f"row {lineno}: expected {n_fields} fields, "
-                    f"got {len(values)}")
-            rows.append((lineno, values))
-    if not rows:
-        raise ParseError("no data rows found")
-    return rows
-
-
 # np.loadtxt strips these ASCII separators around a field and float() does
-# not, so a line holding one is left to the line parser
+# not: a line that still holds one once stripped is malformed, not data
 _LOADTXT_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
 
 
-def _float_lines(fh):
-    """The lines of ``fh``; ValueError at one that np.loadtxt would read
-    where ``float()`` would not."""
-    for line in fh:
-        for ch in _LOADTXT_ONLY_SPACE:
-            if ch in line:
-                raise ValueError(f"line holds {ch!r}")
-        yield line
+def _data_lines(fh):
+    """(line number, stripped line) of each data row of a CSV opened as text.
+
+    Blank and whitespace-only lines are skipped, and so is line 1 when
+    ``float()`` cannot read one of its fields (the header rule): no row that
+    ``float()`` reads is dropped as a header.
+    """
+    for lineno, line in enumerate(fh, start=1):
+        line = line.strip()
+        if lineno == 1:
+            try:
+                [float(p) for p in line.split(",")]
+            except ValueError:
+                continue  # a header or a blank line 1
+        if line:
+            yield lineno, line
 
 
-def _read_matrix(path, n_fields: int):
-    """The data rows as one float64 matrix from a single ``np.loadtxt``
-    pass, or None where the line parser has to decide: a field loadtxt
-    cannot read, no rows, or a field count other than ``n_fields``.
+def _guarded(line: str) -> str:
+    if any(ch in line for ch in _LOADTXT_ONLY_SPACE):
+        raise ValueError(f"line holds a separator: {line!r}")
+    return line
 
-    Line 1 is skipped when it alone does not parse as numbers (the header
-    rule); loadtxt skips empty lines itself.
+
+def _parse(lines) -> np.ndarray:
+    """One float64 matrix row per line, through ``np.loadtxt``; ValueError at
+    a field it cannot read."""
+    with warnings.catch_warnings():
+        # no rows: the line scan reports it
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        return np.loadtxt(map(_guarded, lines), dtype=np.float64,
+                          delimiter=",", comments=None, ndmin=2)
+
+
+def _row_error(path, n_fields: int, bad=None) -> ParseError:
+    """The error naming the row that made the single parse fail.
+
+    With ``bad``, the (row index, reason) of ``_first_bad_row``, that row's
+    line; otherwise the first line that does not parse alone or does not
+    hold ``n_fields`` fields. Reads the file again and keeps no row.
     """
     with open(path, encoding="utf-8-sig") as fh:
-        first = fh.readline()
-        try:
-            [float(p) for p in first.strip().split(",")]
-            fh.seek(0)
-        except ValueError:
-            pass  # a header or a blank line 1: start after it
-        try:
-            with warnings.catch_warnings():
-                # no rows: the line parser reports it
-                warnings.filterwarnings(
-                    "ignore", "loadtxt: input contained no data")
-                data = np.loadtxt(_float_lines(fh), dtype=np.float64,
-                                  delimiter=",", comments=None, ndmin=2)
-        except ValueError:
-            return None
-    if data.shape[0] == 0 or data.shape[1] != n_fields:
-        return None
-    return data
+        for at, (lineno, line) in enumerate(_data_lines(fh)):
+            if bad is not None:
+                if at == bad[0]:
+                    return ParseError(f"row {lineno}: {bad[1]}")
+                continue
+            try:
+                width = _parse([line]).shape[1]
+            except ValueError:
+                return ParseError(f"row {lineno}: non-numeric field")
+            if width != n_fields:
+                return ParseError(
+                    f"row {lineno}: expected {n_fields} fields, got {width}")
+    return ParseError("no data rows found")
 
 
 def _columns(data, schema):
@@ -159,23 +144,25 @@ def load_csv(path, schema: str = LABEL_FIRST, side: int = 28):
     exceeding 1. Labels outside [0, 9], ragged rows, and non-numeric fields
     raise a parse error naming the offending row.
 
-    A well-formed file is read by one vectorised ``np.loadtxt`` parse. Any
-    file that parse cannot read, and any file that fails a label or pixel
-    check, is read again by the line parser, which names the row of an
-    error and accepts every spelling ``float()`` does.
+    The rows are read by one ``np.loadtxt`` pass over the data lines, so a
+    field is a number as loadtxt spells it (non-ASCII digits and ``1_0`` are
+    not). When that pass fails, or a label or pixel is out of range, the
+    file is scanned again only to name the row.
     """
     if schema not in SCHEMAS:
         raise ParameterError(f"schema must be one of {SCHEMAS}, got {schema!r}")
     side = check_int(side, "side", 1)
     n_fields = side * side + 1
-    data = _read_matrix(path, n_fields)
-    if data is None or _first_bad_row(*_columns(data, schema)):
-        rows = _parse_csv_rows(path, n_fields)
-        data = np.array([values for _, values in rows])
-        bad = _first_bad_row(*_columns(data, schema))
-        if bad:
-            at, reason = bad
-            raise ParseError(f"row {rows[at][0]}: {reason}")
+    with open(path, encoding="utf-8-sig") as fh:
+        try:
+            data = _parse(line for _, line in _data_lines(fh))
+        except ValueError:
+            data = None
+    if data is None or data.shape[0] == 0 or data.shape[1] != n_fields:
+        raise _row_error(path, n_fields)
+    bad = _first_bad_row(*_columns(data, schema))
+    if bad:
+        raise _row_error(path, n_fields, bad)
     labels, pixels = _columns(data, schema)
     if pixels.size and pixels.max() > 1.0:
         pixels = pixels / 255.0
@@ -281,8 +268,12 @@ def synthetic_glyphs(n_samples: int = 2000, seed: int = 0, side: int = 28,
     Balanced over the ten classes (remainder goes to the low digits),
     deterministic for a given (n_samples, seed, side, noise). Per-image
     contrast and brightness vary so scans of different exposure coexist.
+    ``side`` is at least 1 pixel and ``noise``, the pixel-noise standard
+    deviation, at least 0.
     """
     n_samples = check_int(n_samples, "n_samples", 1)
+    side = check_int(side, "side", 1)
+    noise = check_float(noise, "noise", ge=0)
     rng = np.random.default_rng(check_int(seed, "seed", 0))
     templates = np.stack([glyph_template(d, side) for d in range(N_CLASSES)])
     labels = np.arange(n_samples) % N_CLASSES

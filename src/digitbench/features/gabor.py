@@ -12,13 +12,7 @@ import math
 import numpy as np
 
 from ..base import Estimator, TransformerMixin
-from ..errors import ParameterError
-from ..validation import check_float
-
-
-# kernel radius limit in pixels: a 2049 x 2049 kernel, far wider than any
-# digit image
-MAX_RADIUS = 1024
+from ..validation import check_float, check_radius
 
 
 def bandwidth_sigma(frequency: float, bandwidth: float) -> float:
@@ -41,12 +35,8 @@ def gabor_kernel(frequency: float = 0.9, theta: float = 0.0,
     n_stds = check_float(n_stds, "n_stds", gt=0)
     theta = check_float(theta, "theta")
     sigma = bandwidth_sigma(frequency, bandwidth)
-    if not n_stds * sigma <= MAX_RADIUS:  # inf and NaN fail too
-        raise ParameterError(
-            f"kernel radius n_stds * sigma = {n_stds * sigma} must be at "
-            f"most {MAX_RADIUS} pixels (n_stds={n_stds}, "
-            f"frequency={frequency}, bandwidth={bandwidth})")
-    radius = int(math.ceil(n_stds * sigma))
+    radius = check_radius(n_stds * sigma, "n_stds * sigma", n_stds=n_stds,
+                          frequency=frequency, bandwidth=bandwidth)
     coords = np.arange(-radius, radius + 1, dtype=np.float64)
     x, y = np.meshgrid(coords, coords)
     rot_x = x * np.cos(theta) + y * np.sin(theta)

@@ -8,12 +8,10 @@ datasets).
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .base import Estimator, TransformerMixin
-from .validation import check_float, check_int
+from .validation import check_float, check_int, check_radius
 
 
 def _sample_bilinear(img: np.ndarray, ys: np.ndarray, xs: np.ndarray,
@@ -72,7 +70,7 @@ def _resize(stack: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
 def gaussian_kernel_1d(sigma: float) -> np.ndarray:
     """Discrete Gaussian of radius ceil(3*sigma), normalized to sum 1."""
     sigma = check_float(sigma, "sigma", gt=0)
-    radius = math.ceil(3.0 * sigma)
+    radius = check_radius(3.0 * sigma, "3 * sigma", sigma=sigma)
     offsets = np.arange(-radius, radius + 1, dtype=np.float64)
     kernel = np.exp(-(offsets**2) / (2.0 * sigma * sigma))
     return kernel / kernel.sum()

@@ -12,6 +12,10 @@ from .errors import ParameterError, ShapeError
 _COMPARE = {">": operator.gt, ">=": operator.ge, "<": operator.lt,
             "<=": operator.le}
 
+# kernel radius limit in pixels: a kernel 2049 pixels across, far wider
+# than any digit image
+MAX_RADIUS = 1024
+
 
 def check_image_batch(images, name: str = "images") -> np.ndarray:
     """Validate a nonempty (n, H, W) image stack and return it as float64.
@@ -84,6 +88,18 @@ def check_float(value, name: str, *, gt=None, ge=None, lt=None,
     if len(words) < 2:  # with bounds on both sides, finite goes unsaid
         words.append("finite")
     raise ParameterError(f"{name} must be {' and '.join(words)}, got {value}")
+
+
+def check_radius(extent: float, name: str, **given) -> int:
+    """``ceil(extent)`` as a kernel radius in pixels; a ParameterError naming
+    ``name`` and the ``given`` parameters when it exceeds MAX_RADIUS (inf
+    and NaN fail too)."""
+    if not extent <= MAX_RADIUS:
+        params = ", ".join(f"{k}={v}" for k, v in given.items())
+        raise ParameterError(
+            f"kernel radius {name} = {extent} must be at most {MAX_RADIUS} "
+            f"pixels ({params})")
+    return math.ceil(extent)
 
 
 def check_int(value, name: str, low: int, high: int | None = None) -> int:

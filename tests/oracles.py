@@ -11,6 +11,40 @@ import numpy as np
 
 from digitbench.classify._tree import LEAF
 from digitbench.classify.svm import rbf_kernel
+from digitbench.errors import ParseError
+
+
+def csv_oracle(path, n_fields: int):
+    """Line-by-line CSV parse with 1-based row numbers in every error: a
+    list of (row number, field values) for each data row.
+
+    A single leading row that does not parse as numbers is treated as a
+    header and skipped. A UTF-8 byte-order mark is not part of the first row.
+    Fields go through Python ``float()``, so it also reads spellings that
+    ``np.loadtxt`` rejects (non-ASCII digits, ``1_0``).
+    """
+    rows = []
+    with open(path, encoding="utf-8-sig") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            parts = line.split(",")
+            try:
+                values = [float(p) for p in parts]
+            except ValueError:
+                if lineno == 1:
+                    continue
+                raise ParseError(
+                    f"row {lineno}: non-numeric field") from None
+            if len(values) != n_fields:
+                raise ParseError(
+                    f"row {lineno}: expected {n_fields} fields, "
+                    f"got {len(values)}")
+            rows.append((lineno, values))
+    if not rows:
+        raise ParseError("no data rows found")
+    return rows
 
 
 def knn_oracle(X_train, y_train, queries, k, p):

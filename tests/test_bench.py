@@ -1,12 +1,13 @@
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from digitbench import ParameterError, ParseError, bench, cli
-from digitbench.bench import (best_cells, emit_report, feature_cache_file,
-                              format_cells_csv, format_markdown,
-                              format_plot_csv, run_grid)
+from digitbench.bench import (CellResult, GridResult, best_cells, emit_report,
+                              feature_cache_file, format_cells_csv,
+                              format_markdown, format_plot_csv, run_grid)
 from digitbench.classify import make_classifier
 from digitbench.config import (RunConfig, coerce_scalar, config_from_mapping,
                                parse_config_text)
@@ -505,6 +506,20 @@ class TestReports:
         b.report = a.report
         best = best_cells(res)
         assert best[a.classifier].feature == a.feature
+
+    def test_overall_best_excludes_raw_pixels(self):
+        def cell(feature, accuracy):
+            report = SimpleNamespace(accuracy=accuracy, macro_precision=0.5,
+                                     macro_recall=0.5, macro_f1=0.5)
+            return CellResult(feature, "knn", report)
+
+        cfg = small_cfg(features=[("hog", {})], classifiers=[("knn", {})],
+                        raw_baseline=True)
+        res = GridResult([cell("hog", 0.75), cell("raw", 1.0)], cfg,
+                         "synthetic", 8, 4)
+        text = format_markdown(res)
+        assert "| knn | hog | 0.750000 |" in text
+        assert "Overall best: **hog + knn** at 0.750000." in text
 
     def test_markdown_sections(self):
         res = run_grid(small_cfg(raw_baseline=True))

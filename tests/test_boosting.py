@@ -1,5 +1,6 @@
 import gc
 import math
+import warnings
 import weakref
 
 import numpy as np
@@ -299,6 +300,17 @@ class TestBoostingBehavior:
         p = softmax(scores)
         assert np.all(p > 0)
         assert p.sum(axis=1) == pytest.approx(np.ones(20))
+
+    def test_predict_uses_fitted_learning_rate(self):
+        # the rate read at predict time used to rescale every tree
+        rng = np.random.default_rng(31)
+        X, y = rng.random((30, 4)), rng.integers(0, 3, 30)
+        clf = GradientBoostingClassifier(n_rounds=3).fit(X, y)
+        want = clf.predict_scores(X)
+        clf.learning_rate = math.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert clf.predict_scores(X).tobytes() == want.tobytes()
 
     def test_errors(self):
         X = np.zeros((4, 2))

@@ -98,6 +98,15 @@ class TestBenchVerb:
                      "--out", str(tmp_path / "out")]) == 2
         assert "error: gaussian_sigma must be" in capsys.readouterr().err
 
+    def test_huge_gaussian_sigma_exit_two(self, tmp_path, capsys):
+        # finite, but no machine holds its kernel: used to end in a bare
+        # ValueError traceback
+        cfg = tmp_path / "run.cfg"
+        write_cfg(cfg, "preprocess.gaussian_sigma = 1e300\n")
+        assert main(["bench", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "error: kernel radius 3 * sigma" in capsys.readouterr().err
+
     def test_negative_seed_exit_two(self, tmp_path, capsys):
         # used to end in numpy's bare "expected non-negative integer"
         cfg = tmp_path / "run.cfg"

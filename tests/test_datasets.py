@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
+from oracles import csv_oracle
 
-from digitbench import (ParameterError, ParseError, ShapeError, SplitError,
-                        datasets)
+from digitbench import ParameterError, ParseError, ShapeError, SplitError
 from digitbench.base import IMAGE_BLOCK
 from digitbench.datasets import (LABEL_FIRST, LABEL_LAST, N_CLASSES, SplitSpec,
                                  file_digest, glyph_template, load_csv,
@@ -152,88 +154,97 @@ def _with(lines, at, field, value):
 HEADER = "label,p0,p1,p2,p3"
 BENGALI = str.maketrans("0123456789", "০১২৩৪৫৬৭৮৯")
 
-# (case, CSV text, whether the vectorised parse reads it, the ParseError
-# message or None)
+# (case, CSV text, the ParseError message or None where the file loads)
 DIFFERENTIAL = [
-    ("ints", _text(_rows(0)), True, None),
-    ("decimals", _text(_rows(1, lambda v: repr(v / 255))), True, None),
-    ("exponents", _text(_rows(2, lambda v: f"{v:.4e}")), True, None),
-    ("overflow", _text(_with(_rows(3), 2, 3, "1e400")), True,
+    ("ints", _text(_rows(0)), None),
+    ("decimals", _text(_rows(1, lambda v: repr(v / 255))), None),
+    ("exponents", _text(_rows(2, lambda v: f"{v:.4e}")), None),
+    ("overflow", _text(_with(_rows(3), 2, 3, "1e400")),
      "row 3: pixel value inf outside [0, 255]"),
     ("signs_and_padding", _text(_with(
         _rows(4, lambda v: f" +{v} " if v % 2 else f"\t{v}"), 1, 2, "-0")),
-     True, None),
-    ("nan_pixel", _text(_with(_rows(5), 4, 1, "nan")), True,
+     None),
+    ("nan_pixel", _text(_with(_rows(5), 4, 1, "nan")),
      "row 5: pixel value nan outside [0, 255]"),
-    ("nan_label", _text(_with(_rows(6), 1, 0, "nan")), True,
+    ("nan_label", _text(_with(_rows(6), 1, 0, "nan")),
      "row 2: label nan outside [0, 9]"),
-    ("inf_pixel", _text(_with(_rows(7), 0, 2, "-inf")), True,
+    ("inf_pixel", _text(_with(_rows(7), 0, 2, "-inf")),
      "row 1: pixel value -inf outside [0, 255]"),
+    # float() reads these and np.loadtxt does not: not numbers in a CSV
     ("bengali_digits", _text([r.translate(BENGALI) for r in _rows(8)]),
-     False, None),
-    ("underscore", _text(_with(_rows(9), 3, 4, "1_0")), False, None),
-    ("hash_field", _text(_with(_rows(10), 2, 1, "#")), False,
-     "row 3: non-numeric field"),
-    ("hash_line", _text(_rows(11)[:3] + ["# note"] + _rows(11)[3:]), False,
+     "row 1: non-numeric field"),
+    ("underscore", _text(_with(_rows(9), 3, 4, "1_0")),
      "row 4: non-numeric field"),
-    ("crlf", _text([HEADER] + _rows(12), "\r\n"), True, None),
+    ("hash_field", _text(_with(_rows(10), 2, 1, "#")),
+     "row 3: non-numeric field"),
+    ("hash_line", _text(_rows(11)[:3] + ["# note"] + _rows(11)[3:]),
+     "row 4: non-numeric field"),
+    ("crlf", _text([HEADER] + _rows(12), "\r\n"), None),
     ("blank_lines",
-     _text(_rows(13)[:2] + ["", ""] + _rows(13)[2:] + ["", ""]), True, None),
+     _text(_rows(13)[:2] + ["", ""] + _rows(13)[2:] + ["", ""]), None),
     ("whitespace_line", _text(_rows(14)[:3] + [" \t"] + _rows(14)[3:]),
-     False, None),
+     None),
     ("label_after_blank_lines",
-     _text([HEADER, "", ""] + _with(_rows(15), 3, 0, "12")), True,
+     _text([HEADER, "", ""] + _with(_rows(15), 3, 0, "12")),
      "row 7: label 12 outside [0, 9]"),
     ("pixel_after_blank_lines",
      _text(_rows(16)[:2] + ["", ""] + _with(_rows(16), 3, 2, "256")[2:]),
-     True, "row 6: pixel value 256.0 outside [0, 255]"),
-    ("header_only", _text([HEADER]), False, "no data rows found"),
-    ("blank_first_line_then_header", _text(["", HEADER] + _rows(17)), False,
+     "row 6: pixel value 256.0 outside [0, 255]"),
+    ("header_only", _text([HEADER]), "no data rows found"),
+    ("blank_first_line_then_header", _text(["", HEADER] + _rows(17)),
      "row 2: non-numeric field"),
-    ("byte_order_mark", "\ufeff" + _text([HEADER] + _rows(18)), True, None),
-    ("ragged_last_row", _text(_rows(19) + ["1,2,3,4"]), False,
+    ("byte_order_mark", "\ufeff" + _text([HEADER] + _rows(18)), None),
+    ("ragged_last_row", _text(_rows(19) + ["1,2,3,4"]),
      "row 7: expected 5 fields, got 4"),
-    ("no_final_newline", _text(_rows(20))[:-1], True, None),
-    ("every_row_short", _text(["1,2,3,4"] * 3), False,
+    ("no_final_newline", _text(_rows(20))[:-1], None),
+    ("every_row_short", _text(["1,2,3,4"] * 3),
      "row 1: expected 5 fields, got 4"),
     # np.loadtxt strips these around a field, float() does not
-    ("separator_padded", _text(_with(_rows(21), 2, 3, "\x1c7")), False,
+    ("separator_padded", _text(_with(_rows(21), 2, 3, "\x1c7")),
      "row 3: non-numeric field"),
     # ... and str.strip() drops them at the end of a line: data, not header
     ("separator_ends_line_1", _text([_rows(22)[0] + "\x1c"] + _rows(22)[1:]),
-     False, None),
+     None),
 ]
 
 
+def oracle_arrays(path):
+    """What ``load_csv(path, LABEL_FIRST, side=2)`` returns, built from the
+    rows of the line-by-line reference parser."""
+    data = np.array([values for _, values in csv_oracle(path, 5)])
+    pixels = data[:, 1:]
+    if pixels.max() > 1.0:
+        pixels = pixels / 255.0
+    return pixels.reshape(-1, 2, 2), data[:, 0].astype(np.int64)
+
+
 class TestLoadCsvDifferential:
-    """The vectorised parse and the line parser alone give the same arrays,
-    or the same error."""
+    """Each case loads to the reference parser's arrays, byte for byte, or
+    fails with its ParseError message."""
 
-    @staticmethod
-    def _outcome(path):
-        try:
-            return load_csv(path, LABEL_FIRST, side=2)
-        except ParseError as exc:
-            return str(exc)
-
-    @pytest.mark.parametrize("text, vectorised, error",
-                             [c[1:] for c in DIFFERENTIAL],
+    @pytest.mark.parametrize("text, error", [c[1:] for c in DIFFERENTIAL],
                              ids=[c[0] for c in DIFFERENTIAL])
-    def test_same_as_line_parser(self, tmp_path, monkeypatch, text,
-                                 vectorised, error):
+    def test_same_as_line_parser(self, tmp_path, text, error):
         p = tmp_path / "d.csv"
         p.write_bytes(text.encode("utf-8"))
-        assert (datasets._read_matrix(p, 5) is not None) == vectorised
-        got = self._outcome(p)
-        monkeypatch.setattr(datasets, "_read_matrix", lambda path, n: None)
-        want = self._outcome(p)
         if error is not None:
-            assert got == want == error
-        else:
-            (images, labels), (want_images, want_labels) = got, want
-            assert images.shape == want_images.shape == (6, 2, 2)
-            assert images.tobytes() == want_images.tobytes()
-            assert labels.tobytes() == want_labels.tobytes()
+            with pytest.raises(ParseError) as exc:
+                load_csv(p, LABEL_FIRST, side=2)
+            assert str(exc.value) == error
+            return
+        images, labels = load_csv(p, LABEL_FIRST, side=2)
+        want_images, want_labels = oracle_arrays(p)
+        assert images.shape == want_images.shape == (6, 2, 2)
+        assert images.tobytes() == want_images.tobytes()
+        assert labels.tobytes() == want_labels.tobytes()
+
+    def test_trailing_whitespace_line_ignored(self, tmp_path):
+        clean, padded = tmp_path / "clean.csv", tmp_path / "padded.csv"
+        clean.write_text(_text(_rows(23)))
+        padded.write_text(_text(_rows(23) + [" \t"]))
+        for got, want in zip(load_csv(padded, LABEL_FIRST, side=2),
+                             load_csv(clean, LABEL_FIRST, side=2)):
+            assert got.tobytes() == want.tobytes()
 
 
 class TestSplit:
@@ -350,6 +361,13 @@ class TestSynthetic:
         assert set(labels.tolist()) == {0, 1}
         # hollow squares carry less ink than their filled siblings
         assert images[labels == 0].sum() > images[labels == 1].sum()
+
+    @pytest.mark.parametrize("kwargs", [
+        {"noise": -1.0}, {"noise": math.nan}, {"side": 0}])
+    def test_glyph_inputs_validated(self, kwargs):
+        # used to die in numpy ("scale < 0", np.pad) or return NaN images
+        with pytest.raises(ParameterError):
+            synthetic_glyphs(10, **kwargs)
 
     def test_glyph_template_distinct(self):
         renders = [glyph_template(d).tobytes() for d in range(10)]

@@ -97,6 +97,14 @@ class TestGaussianBlur:
         with pytest.raises(ParameterError):
             gaussian_kernel_1d(0.0)
 
+    @pytest.mark.parametrize("sigma", [400.0, 1e300])
+    def test_radius_capped(self, sigma):
+        # radius 1,200 used to be built, and 1e300 ended in numpy's bare
+        # "Maximum allowed size exceeded"
+        with pytest.raises(ParameterError, match="at most 1024 pixels"):
+            gaussian_kernel_1d(sigma)
+        assert len(gaussian_kernel_1d(341.0)) == 2 * 1023 + 1
+
 
 class TestDeskew:
     def vertical_bar(self):
