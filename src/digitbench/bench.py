@@ -205,8 +205,9 @@ def _run_cell(method, kind, params, X_train, y_train, X_test, y_test,
         clf.fit(X_train, y_train)
         warnings = []
         if not getattr(clf, "converged_", True):
-            capped = clf.classes_[clf.n_iter_ >= clf.max_iter].tolist()
-            warnings.append(f"SMO stopped at max_iter={clf.max_iter} "
+            cap = int(clf.n_iter_.max())  # max_iter as fit validated it
+            capped = clf.classes_[clf.n_iter_ >= cap].tolist()
+            warnings.append(f"SMO stopped at max_iter={cap} "
                             f"before converging for classes {capped}")
         report = evaluate(y_test, clf.predict(X_test), n_classes)
         return CellResult(method, kind, report=report,

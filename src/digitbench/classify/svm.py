@@ -12,6 +12,8 @@ fitted state.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..base import ClassifierMixin, Estimator
@@ -55,45 +57,52 @@ def resolve_gamma(X: np.ndarray, gamma) -> float:
     return check_float(gamma, "gamma", gt=0)
 
 
-def _apply_clips(a_i, a_j, rules):
-    """Set (a_i, a_j) to (clip_i, clip_j) wherever cond holds; the conds of
-    one call exclude each other."""
-    new_i, new_j = a_i, a_j
-    for cond, clip_i, clip_j in rules:
-        new_i = np.where(cond, clip_i, new_i)
-        new_j = np.where(cond, clip_j, new_j)
-    return new_i, new_j
+def _sides(y, a, v, C):
+    """(up, low) entries of an alpha a with violation v: v where a may still
+    move up (low: down) along y, -inf (low: +inf) where it may not."""
+    up, down = (a < C, a > 0) if y > 0 else (a > 0, a < C)
+    return v if up else -math.inf, v if down else math.inf
 
 
-def _clip_pair(opposite, old_i, old_j, a_i, a_j, C):
-    """Clip each unconstrained pair step (a_i, a_j) back into [0, C]^2.
-
-    Opposite labels keep a_i - a_j, equal labels keep a_i + a_j. The second
-    round of rules tests the outcome of the first.
-    """
-    diff = old_i - old_j
-    total = old_i + old_j
-    grow = diff > 0
-    big = total > C
-    same = ~opposite
-    a_i, a_j = _apply_clips(a_i, a_j, (
-        (opposite & grow & (a_j < 0), diff, 0.0),
-        (opposite & ~grow & (a_i < 0), 0.0, -diff),
-        (same & big & (a_i > C), C, total - C),
-        (same & ~big & (a_j < 0), total, 0.0)))
-    return _apply_clips(a_i, a_j, (
-        (opposite & grow & (a_i > C), C, C - diff),
-        (opposite & ~grow & (a_j > C), C + diff, C),
-        (same & big & (a_j > C), total - C, C),
-        (same & ~big & (a_i < 0), 0.0, total)))
-
-
-def _pair_masks(pos, alpha, C):
-    """Additive selection masks: 0 where alpha may still move up (low: down)
-    along y, -inf (low: +inf) where it may not."""
-    can_grow, can_shrink = alpha < C, alpha > 0
-    return (np.where(np.where(pos, can_grow, can_shrink), 0.0, -np.inf),
-            np.where(np.where(pos, can_shrink, can_grow), 0.0, np.inf))
+def _pair_update(C, v_i, v_j, y_i, y_j, old_i, old_j, k_ii, k_jj, k_ij):
+    """One problem's SMO step on its pair, in plain floats and branch for
+    branch as smo_oracle: the clip keeps a_i + a_j for equal labels and
+    a_i - a_j for opposite ones. v is the violation -y * grad. Returns the new
+    (a_i, a_j), the (up, low) entries of each and the two y * (a - old)."""
+    # curvature along the feasible pair direction is ||phi_i - phi_j||^2 in
+    # kernel space for either label pair
+    quad = max(k_ii + k_jj - 2.0 * k_ij, _QUAD_FLOOR)
+    g_i, g_j = -y_i * v_i, -y_j * v_j
+    if y_i == y_j:
+        delta = (g_i - g_j) / quad
+        a_i, a_j = old_i - delta, old_j + delta
+        total = old_i + old_j
+        if total > C:
+            if a_i > C:
+                a_i, a_j = C, total - C
+            if a_j > C:
+                a_i, a_j = total - C, C
+        else:
+            if a_j < 0:
+                a_i, a_j = total, 0.0
+            if a_i < 0:
+                a_i, a_j = 0.0, total
+    else:
+        delta = (-g_i - g_j) / quad
+        a_i, a_j = old_i + delta, old_j + delta
+        diff = old_i - old_j
+        if diff > 0:
+            if a_j < 0:
+                a_i, a_j = diff, 0.0
+            if a_i > C:
+                a_i, a_j = C, C - diff
+        else:
+            if a_i < 0:
+                a_i, a_j = 0.0, -diff
+            if a_j > C:
+                a_i, a_j = C + diff, C
+    return (a_i, a_j, *_sides(y_i, a_i, v_i, C), *_sides(y_j, a_j, v_j, C),
+            y_i * (a_i - old_i), y_j * (a_j - old_j))
 
 
 def smo_solve(K: np.ndarray, Y: np.ndarray, C: float, tol: float,
@@ -117,18 +126,20 @@ def smo_solve(K: np.ndarray, Y: np.ndarray, C: float, tol: float,
 
     live = np.arange(n_problems)  # problem of each row of the state below
     alpha = np.zeros((n_problems, n))
-    grad = -np.ones((n_problems, n))  # d/da of the dual at alpha = 0
-    neg_y = -Y
-    up_mask, low_mask = _pair_masks(Y > 0, alpha, C)
+    # v = -y * grad (grad = -1 at alpha = 0) is kept where alpha may still
+    # move up along y in v_up (-inf elsewhere), where it may move down in
+    # v_low (+inf elsewhere); every alpha is in one set at least. As +-1
+    # factors are exact and rounding is symmetric in sign, subtracting
+    # y * (grad step) gives -y * (new grad) bit for bit, bar zero's sign
+    v_up = np.where(Y > 0, Y, -np.inf)  # every alpha starts at 0 < C
+    v_low = np.where(Y > 0, np.inf, Y)
     m = M = np.zeros(n_problems)
 
     for step in range(1, max_iter + 1):
         rows = np.arange(live.shape[0])
-        v = neg_y * grad
-        # v is finite, so a mask only hides entries from argmax/argmin
-        i = np.argmax(v + up_mask, axis=1)
-        j = np.argmin(v + low_mask, axis=1)
-        m, M = v[rows, i], v[rows, j]
+        i = np.argmax(v_up, axis=1)
+        j = np.argmin(v_low, axis=1)
+        m, M = v_up[rows, i], v_low[rows, j]
         done = m - M <= tol
         if done.any():
             finished = live[done]
@@ -136,42 +147,29 @@ def smo_solve(K: np.ndarray, Y: np.ndarray, C: float, tol: float,
             bias_out[finished] = (m[done] + M[done]) / 2.0
             iters_out[finished] = step - 1
             converged_out[finished] = True
-            keep = ~done
-            if not keep.any():
+            if done.all():
                 break
-            live, Y, neg_y, alpha, grad, up_mask, low_mask = (
-                a[keep] for a in (live, Y, neg_y, alpha, grad, up_mask,
-                                  low_mask))
-            i, j, m, M = i[keep], j[keep], m[keep], M[keep]
+            live, Y, alpha, v_up, v_low, i, j, m, M = (
+                a[~done] for a in (live, Y, alpha, v_up, v_low, i, j, m, M))
             rows = rows[:live.shape[0]]
 
-        K_i, K_j = K[i], K[j]
-        y_i, y_j = Y[rows, i], Y[rows, j]
-        g_i, g_j = grad[rows, i], grad[rows, j]
-        old_i, old_j = alpha[rows, i], alpha[rows, j]
-        # curvature along the feasible pair direction is ||phi_i - phi_j||^2
-        # in kernel space for either label combination
-        quad = np.maximum(K_i[rows, i] + K_j[rows, j] - 2.0 * K_i[rows, j],
-                          _QUAD_FLOOR)
-        opposite = y_i != y_j
-        delta = np.where(opposite, -g_i - g_j, g_i - g_j) / quad
-        a_i, a_j = _clip_pair(
-            opposite, old_i, old_j,
-            np.where(opposite, old_i + delta, old_i - delta), old_j + delta, C)
-        for idx, y_idx, a in ((i, y_i, a_i), (j, y_j, a_j)):
-            alpha[rows, idx] = a
-            up_mask[rows, idx], low_mask[rows, idx] = _pair_masks(
-                y_idx > 0, a, C)
-        # grad += q_i * (a_i - old_i) + q_j * (a_j - old_j) with
-        # q_i = y * (y_i * K_i), computed in place in the gathered rows
-        K_i *= y_i[:, None]
-        K_i *= Y
-        K_i *= (a_i - old_i)[:, None]
-        K_j *= y_j[:, None]
-        K_j *= Y
-        K_j *= (a_j - old_j)[:, None]
-        K_i += K_j
-        grad += K_i
+        r = live.shape[0]  # i != j in every live row, as m > M there
+        K_ij = K[np.concatenate((i, j))]  # rows K[i], then rows K[j]
+        updates = [_pair_update(C, *args) for args in zip(
+            m.tolist(), M.tolist(), Y[rows, i].tolist(), Y[rows, j].tolist(),
+            alpha[rows, i].tolist(), alpha[rows, j].tolist(),
+            K_ij[rows, i].tolist(), K_ij[rows + r, j].tolist(),
+            K_ij[rows, j].tolist())]
+        a_i, a_j, up_i, low_i, up_j, low_j, step_i, step_j = zip(*updates)
+        alpha[rows, i], alpha[rows, j] = a_i, a_j
+        v_up[rows, i], v_low[rows, i] = up_i, low_i
+        v_up[rows, j], v_low[rows, j] = up_j, low_j
+        # y * (grad step) = y_i * (a_i - old_i) * K_i + the same for j, in
+        # place in the gathered rows; an infinite entry stays infinite
+        K_ij *= np.array(step_i + step_j)[:, None]
+        K_ij[:r] += K_ij[r:]
+        v_up -= K_ij[:r]
+        v_low -= K_ij[:r]
     else:
         alpha_out[live] = alpha
         bias_out[live] = (m + M) / 2.0

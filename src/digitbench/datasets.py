@@ -147,7 +147,8 @@ def load_csv(path, schema: str = LABEL_FIRST, side: int = 28):
     The rows are read by one ``np.loadtxt`` pass over the data lines, so a
     field is a number as loadtxt spells it (non-ASCII digits and ``1_0`` are
     not). When that pass fails, or a label or pixel is out of range, the
-    file is scanned again only to name the row.
+    file is scanned again only to name the row. The images are a strided
+    view into the parsed matrix, scaled in place, so no second matrix exists.
     """
     if schema not in SCHEMAS:
         raise ParameterError(f"schema must be one of {SCHEMAS}, got {schema!r}")
@@ -165,7 +166,7 @@ def load_csv(path, schema: str = LABEL_FIRST, side: int = 28):
         raise _row_error(path, n_fields, bad)
     labels, pixels = _columns(data, schema)
     if pixels.size and pixels.max() > 1.0:
-        pixels = pixels / 255.0
+        np.divide(pixels, 255.0, out=pixels)
     return pixels.reshape(-1, side, side), labels.astype(np.int64)
 
 

@@ -544,6 +544,17 @@ class TestReports:
         for fmt in (format_cells_csv, format_plot_csv):
             assert "max_iter" not in fmt(res)
 
+    def test_capped_svm_warning_prints_validated_max_iter(self):
+        # the config file's 5.0 is fitted as 5 steps and reported as 5
+        cfg = config_from_mapping(parse_config_text(
+            "dataset.synthetic = squares\ndataset.samples = 80\n"
+            "features = hog\nclassifiers = svm\n"
+            "classifier.svm.max_iter = 5.0\n"))
+        assert cfg.classifiers == [("svm", {"max_iter": 5.0})]
+        text = format_markdown(run_grid(cfg))
+        assert ("- hog + svm: SMO stopped at max_iter=5 before converging "
+                "for classes [0, 1]") in text
+
     def test_single_cell_singleton_tables(self):
         cfg = small_cfg(features=[("hog", {})],
                         classifiers=[("knn", {"k": 1})])

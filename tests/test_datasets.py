@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -119,6 +120,21 @@ class TestLoadCsv:
     def test_bad_schema_rejected(self, tmp_path):
         with pytest.raises(ParameterError):
             load_csv(tmp_path / "d.csv", "label_middle", side=3)
+
+    def test_eight_bit_load_holds_one_matrix(self, tmp_path):
+        # the 8-bit pixels are scaled in place, not into a second matrix
+        images, labels = synthetic_glyphs(2000, seed=0)
+        p = tmp_path / "d.csv"
+        write_csv(p, np.column_stack(
+            [labels, np.rint(images.reshape(2000, -1) * 255)]).astype(int))
+        tracemalloc.start()
+        try:
+            loaded, _ = load_csv(p, LABEL_FIRST, side=28)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert loaded.max() == 1.0
+        assert peak < 1.5 * 2000 * 785 * 8  # the parsed float64 matrix
 
     def test_digest_tracks_content(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -10,6 +10,26 @@ from digitbench.classify import GBDT, KNN, SVM, SvmClassifier, make_classifier
 from digitbench.classify.svm import rbf_kernel, resolve_gamma, smo_solve
 
 
+def ten_class_gram():
+    """Exactly symmetric training Gram and one-vs-rest label matrix of
+    ``ten_class_problem``."""
+    X, y, _ = ten_class_problem()
+    K = rbf_kernel(X, X, resolve_gamma(X, "scale"))
+    np.fill_diagonal(K, 1.0)
+    return K, np.where(y == np.arange(10)[:, None], 1.0, -1.0)
+
+
+# (C, max_iter, converged). At C = 10 the ten problems converge after 77 to
+# 365 steps: a cap of 5 stops all of them, 200 some, 200_000 none
+ORACLE_CASES = [
+    pytest.param(10.0, 5, {False}, id="5-converged0"),
+    pytest.param(10.0, 200, {False, True}, id="200-converged1"),
+    pytest.param(10.0, 200_000, {True}, id="200000-converged2"),
+    pytest.param(0.05, 200_000, {True}, id="C0.05-200000"),
+    pytest.param(1000.0, 200_000, {True}, id="C1000-200000"),
+]
+
+
 class TestSmoSolver:
     def test_separable_1d_signs(self):
         X = np.array([[-2.0], [-1.0], [1.0], [2.0]])
@@ -51,24 +71,30 @@ class TestSmoSolver:
                                           max_iter=3)
         assert not ok and iters == 3
 
-    # the ten problems converge after 77 to 365 steps: a cap of 5 stops all
-    # of them, 200 some, 200_000 none
-    @pytest.mark.parametrize("max_iter, converged", [
-        (5, {False}), (200, {False, True}), (200_000, {True})])
-    def test_lockstep_matches_scalar_oracle(self, max_iter, converged):
-        X, y, _ = ten_class_problem()
-        K = rbf_kernel(X, X, resolve_gamma(X, "scale"))
-        np.fill_diagonal(K, 1.0)
-        Y = np.where(y == np.arange(10)[:, None], 1.0, -1.0)
-        alpha, bias, iters, ok = smo_solve(K, Y, C=10.0, tol=1e-3,
+    @pytest.mark.parametrize("C, max_iter, converged", ORACLE_CASES)
+    def test_lockstep_matches_scalar_oracle(self, C, max_iter, converged):
+        K, Y = ten_class_gram()
+        alpha, bias, iters, ok = smo_solve(K, Y, C=C, tol=1e-3,
                                            max_iter=max_iter)
         assert set(ok.tolist()) == converged
         for c in range(10):
-            a_c, b_c, it_c, ok_c = smo_oracle(K, Y[c], C=10.0, tol=1e-3,
+            a_c, b_c, it_c, ok_c = smo_oracle(K, Y[c], C=C, tol=1e-3,
                                               max_iter=max_iter)
             assert alpha[c].tobytes() == a_c.tobytes()
             assert bias[c].tobytes() == np.float64(b_c).tobytes()
             assert (iters[c], ok[c]) == (it_c, ok_c)
+
+    def test_oracle_cases_reach_bound_and_free_alphas(self):
+        # the oracle cases must keep reaching the clips to C as well as free
+        # alphas: converged, C = 0.05 / 10 / 1000 leave 349 / 46 / 0 alphas
+        # at C and 115 / 168 / 194 free
+        K, Y = ten_class_gram()
+        at_bound = free = 0
+        for C in sorted({case.values[0] for case in ORACLE_CASES}):
+            alpha = smo_solve(K, Y, C=C, tol=1e-3, max_iter=200_000)[0]
+            at_bound += int(np.sum(alpha == C))
+            free += int(np.sum((alpha > 0) & (alpha < C)))
+        assert at_bound > 0 and free > 0
 
 
 class TestSvmClassifier:
