@@ -1,12 +1,12 @@
 """Benchmark grid: preprocess, extract, train, evaluate, report.
 
 One run loads a dataset, preprocesses it once and extracts every configured
-feature once (none of which happens when the feature cache holds every
-configured matrix), then fits every (feature, classifier) cell on the train side and
-scores it on the test side. Cells run one after another in config order;
-a failing cell records its cause and the grid continues. Reports carry no
-timing data in the CSV outputs, so identical configs produce byte-identical
-files.
+feature once (a feature cache skips the matrices it holds, and its cached
+preprocessed stack skips the load and the preprocessing), then fits every
+(feature, classifier) cell on the train side and scores it on the test
+side. Cells run one after another in config order; a failing cell records
+its cause and the grid continues. Reports carry no timing data in the CSV
+outputs, so identical configs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -111,57 +111,84 @@ def feature_cache_file(cache_dir, cfg: RunConfig, source: str,
     return os.path.join(cache_dir, f"features-{method}-{digest[:16]}.npz")
 
 
+def _agrees(hit, labels, rows: int) -> bool:
+    """Whether a cache entry holds these labels and dataset row count."""
+    return hit[2] == rows and np.array_equal(hit[1], labels)
+
+
 def feature_matrices(cfg: RunConfig, methods, stage: dict):
     """({method: matrix}, labels, source tag, dataset row count).
 
     Rows of ``cfg.test_path`` follow the dataset's own rows. When
     ``cfg.cache_dir`` holds every matrix and the files agree on labels and
-    row count, they are returned without reading the dataset. Otherwise the
-    dataset is loaded, a cached matrix is kept only if it matches its labels
-    and row count, and the rest are extracted from images preprocessed once
-    and cached. The images are freed on return. ``stage`` receives the step
-    timings.
+    row count, they are returned and nothing else is read. Otherwise the
+    missing matrices are extracted from the preprocessed stack, which is
+    the ``raw`` method's cache entry. It is read once and used when it
+    agrees with every cached matrix. Failing that, the dataset is loaded,
+    a cache entry is kept only if it matches the loaded labels and row
+    count, and unless the stack was kept the images are preprocessed once
+    and cached as the stack. The images are freed on return. ``stage``
+    receives the step timings; preprocess is 0.0 when the stack was read.
     """
     t0 = time.perf_counter()
     key, source = run_source(cfg)
-    paths = {}
+    paths, stack_path = {}, None
     if cfg.cache_dir:  # the test file is hashed once, not once per method
         test_digest = file_digest(cfg.test_path) if cfg.test_path else None
         paths = {m: feature_cache_file(cfg.cache_dir, cfg, key, test_digest,
                                        m, p) for m, p in methods}
-    cached = {m: hit for m, path in paths.items()
-              if (hit := load_feature_cache(path)) is not None}
+        stack_path = feature_cache_file(cfg.cache_dir, cfg, key,
+                                        test_digest, RAW_TAG)
+    hits = {m: load_feature_cache(path) for m, path in paths.items()}
+    cached = {m: hit for m, hit in hits.items() if hit is not None}
     if len(cached) == len(methods):
         _, labels, n_first = next(iter(cached.values()))
-        if all(rows == n_first and np.array_equal(y, labels)
-               for _, y, rows in cached.values()):
+        if all(_agrees(hit, labels, n_first) for hit in cached.values()):
             stage.update(load=time.perf_counter() - t0, preprocess=0.0,
                          extract=0.0)
             return ({m: hit[0] for m, hit in cached.items()}, labels, source,
                     n_first)
 
-    images, labels = load_run_images(cfg)
-    n_first = labels.shape[0]
-    if cfg.test_path is not None:
-        test_images, test_labels = load_csv(cfg.test_path, cfg.schema,
-                                            cfg.side)
-        images = np.concatenate([images, test_images])
-        labels = np.concatenate([labels, test_labels])
-    matrices = {m: X for m, (X, y, rows) in cached.items()
-                if rows == n_first and np.array_equal(y, labels)}
+    pre = Preprocessor(**cfg.preprocess)
+    side = int(pre.target_side)
+    stack = None  # the raw entry is the stack: read at most once
+    if stack_path:
+        stack = hits[RAW_TAG] if RAW_TAG in hits \
+            else load_feature_cache(stack_path)
+    if stack is not None and all(_agrees(hit, stack[1], stack[2])
+                                 for hit in cached.values()):
+        _, labels, n_first = stack
+    else:
+        images, labels = load_run_images(cfg)
+        n_first = labels.shape[0]
+        if cfg.test_path is not None:
+            test_images, test_labels = load_csv(cfg.test_path, cfg.schema,
+                                                cfg.side)
+            images = np.concatenate([images, test_images])
+            labels = np.concatenate([labels, test_labels])
+        if stack is not None and not _agrees(stack, labels, n_first):
+            stack = None
+    matrices = {m: hit[0] for m, hit in cached.items()
+                if _agrees(hit, labels, n_first)}
     stage["load"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     missing = [(m, p) for m, p in methods if m not in matrices]
-    if missing:
-        images = preprocess_all(images, Preprocessor(**cfg.preprocess))
-    stage["preprocess"] = time.perf_counter() - t0
+    if stack is not None:
+        images = stack[0].reshape(len(labels), side, side)
+    elif missing:
+        images = preprocess_all(images, pre)
+        if stack_path:
+            os.makedirs(cfg.cache_dir, exist_ok=True)
+            save_feature_cache(stack_path, images.reshape(len(images), -1),
+                               labels, n_first)
+    stage["preprocess"] = 0.0 if stack is not None \
+        else time.perf_counter() - t0
 
     t0 = time.perf_counter()
     for method, params in missing:
         matrices[method] = extract_batch(images, method, params or None)
-        if paths:
-            os.makedirs(cfg.cache_dir, exist_ok=True)
+        if paths and method != RAW_TAG:  # raw's file is the stack above
             save_feature_cache(paths[method], matrices[method], labels,
                                n_first)
     stage["extract"] = time.perf_counter() - t0

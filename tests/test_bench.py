@@ -59,6 +59,13 @@ def forbid_loading(monkeypatch):
         monkeypatch.setattr(bench, name, refuse)
 
 
+def forbid_preprocessing(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the cached stack must not be preprocessed")
+
+    monkeypatch.setattr(bench, "preprocess_all", refuse)
+
+
 def small_cfg(**overrides):
     base = dict(synthetic="squares", samples=80,
                 features=[("hog", {}), ("gabor", {})],
@@ -246,7 +253,8 @@ class TestRunGrid:
                            features=[("hog", {}), ("lbp", {}), ("gabor", {})],
                            classifiers=[("knn", {"k": 1})]))
         assert hashed.count(paths["test_path"]) == 1
-        assert len(os.listdir(tmp_path / "cache")) == 3
+        # three methods and the features-raw-* stack entry
+        assert len(os.listdir(tmp_path / "cache")) == 4
 
     def test_feature_cache_reused(self, tmp_path):
         cache = tmp_path / "cache"
@@ -255,7 +263,7 @@ class TestRunGrid:
                         classifiers=[("knn", {"k": 1})])
         first = run_grid(cfg)
         files = sorted(os.listdir(cache))
-        assert len(files) == 1
+        assert len(files) == 2  # hog and the features-raw-* stack entry
         second = run_grid(small_cfg(cache_dir=str(cache), samples=40,
                                     features=[("hog", {})],
                                     classifiers=[("knn", {"k": 1})]))
@@ -271,7 +279,7 @@ class TestRunGrid:
                                cache_dir=str(cache), features=[("hog", {})],
                                classifiers=[("knn", {"k": 1})],
                                preprocess={"deskew_enabled": deskew}))
-        files = sorted(os.listdir(cache))
+        files = sorted(p.name for p in cache.glob("features-hog-*"))
         assert len(files) == 2
         on, off = (load_feature_cache(cache / f)[0] for f in files)
         assert not np.array_equal(on, off)
@@ -285,12 +293,14 @@ class TestRunGrid:
         cfg = small_cfg(cache_dir=str(tmp_path / "cache"), samples=40,
                         features=[("hog", {})])
         expect = bench.feature_matrices(cfg, cfg.features, {})[0]["hog"]
-        (path,) = (tmp_path / "cache").iterdir()
+        (path,) = (tmp_path / "cache").glob("features-hog-*")
+        (stack,) = (tmp_path / "cache").glob("features-raw-*")
         path.write_bytes(path.read_bytes()[:100])
         assert load_feature_cache(path) is None
         again = bench.feature_matrices(cfg, cfg.features, {})[0]["hog"]
         assert np.array_equal(again, expect)
-        assert os.listdir(tmp_path / "cache") == [path.name]
+        assert sorted(os.listdir(tmp_path / "cache")) == sorted(
+            [path.name, stack.name])
         assert np.array_equal(load_feature_cache(path)[0], expect)
 
 
@@ -321,7 +331,8 @@ class TestWarmCache:
         assert cli.main(["extract", *flags, "--method", "hog",
                          "--out", cache]) == 0
         assert "cached 40 x 1296 hog features" in capsys.readouterr().out
-        assert len(os.listdir(cache)) == 2
+        # hog, gabor and the features-raw-* stack entry
+        assert len(os.listdir(cache)) == 3
 
     def test_warm_run_keeps_test_file_split(self, tmp_path, monkeypatch):
         cfg = small_cfg(**split_csvs(tmp_path),
@@ -340,7 +351,8 @@ class TestWarmCache:
                         features=[("hog", {})],
                         classifiers=[("knn", {"k": 1})])
         cold = run_grid(cfg)
-        (path,) = (tmp_path / "cache").iterdir()
+        (path,) = (tmp_path / "cache").glob("features-hog-*")
+        (stack,) = (tmp_path / "cache").glob("features-raw-*")
         X, y, rows = load_feature_cache(path)
         fields = {"version": np.array(2), "features": X, "labels": y,
                   "rows": np.array(rows)}
@@ -351,9 +363,10 @@ class TestWarmCache:
         assert load_feature_cache(path) is None
         loads = count_calls(monkeypatch, "synthetic_squares")
         warm = run_grid(cfg)
-        assert len(loads) == 1
+        assert len(loads) == 0  # hog is extracted from the cached stack
         assert format_cells_csv(warm) == format_cells_csv(cold)
-        assert os.listdir(tmp_path / "cache") == [path.name]
+        assert sorted(os.listdir(tmp_path / "cache")) == sorted(
+            [path.name, stack.name])
         X2, y2, rows2 = load_feature_cache(path)
         assert np.array_equal(X2, X) and np.array_equal(y2, y)
         assert rows2 == rows == 40
@@ -372,9 +385,10 @@ class TestWarmCache:
                          "40", "--method", "hog", "--out", str(cache)]) == 0
         kept = {"features-hog-2222222222222222.npz.7.tmp",
                 "features-lbp-1111111111111111.npz"}
-        (written,) = set(os.listdir(cache)) - kept
+        (written,) = {p.name for p in cache.glob("features-hog-*")} - kept
         assert written != "features-hog-0000000000000000.npz"
-        assert len(os.listdir(cache)) == 3
+        # plus the features-raw-* stack entry
+        assert len(os.listdir(cache)) == 4
         assert load_feature_cache(cache / written)[0].shape == (40, 1296)
 
     def test_cache_key_holds_the_full_digest(self, tmp_path, monkeypatch):
@@ -390,11 +404,12 @@ class TestWarmCache:
             results.append(run_grid(small_cfg(
                 synthetic=None, dataset_path=str(path), cache_dir=cache,
                 features=[("hog", {})], classifiers=[("knn", {"k": 1})])))
-        assert len(os.listdir(cache)) == 2
+        # a hog file and a features-raw-* stack entry per dataset
+        assert len(os.listdir(cache)) == 4
         assert {r.source for r in results} == {"data.csv:000000000000"}
 
     @pytest.mark.parametrize("tamper", ["reversed labels", "fewer labels",
-                                        "other row count"])
+                                        "other row count", "stack labels"])
     def test_disagreeing_cache_files_fall_back_to_loading(self, tmp_path,
                                                           monkeypatch,
                                                           tamper):
@@ -407,7 +422,13 @@ class TestWarmCache:
         X, y, rows = load_feature_cache(lbp)
         save_feature_cache(lbp, X, *{"reversed labels": (y[::-1], rows),
                                      "fewer labels": (y[:-1], rows),
-                                     "other row count": (y, rows - 1)}[tamper])
+                                     "other row count": (y, rows - 1),
+                                     "stack labels": (y[::-1], rows)}[tamper])
+        if tamper == "stack labels":
+            # the stack then agrees with the lbp file but not the hog file
+            (stack,) = cache.glob("features-raw-*.npz")
+            save_feature_cache(stack, load_feature_cache(stack)[0], y[::-1],
+                               rows)
         loads = count_calls(monkeypatch, "synthetic_squares")
         extracted = count_calls(monkeypatch, "extract_batch")
         warm = run_grid(cfg)
@@ -416,6 +437,72 @@ class TestWarmCache:
         assert format_cells_csv(warm) == format_cells_csv(cold)
         assert np.array_equal(load_feature_cache(lbp)[1], y)
         assert load_feature_cache(lbp)[2] == rows
+        if tamper == "stack labels":  # preprocessed again and rewritten
+            assert np.array_equal(load_feature_cache(stack)[1], y)
+
+    @pytest.mark.parametrize("test_file", [False, True])
+    @pytest.mark.parametrize("method", ["hog", "lbp", "gabor"])
+    def test_matrix_from_cached_stack_is_identical(self, tmp_path,
+                                                   monkeypatch, method,
+                                                   test_file):
+        paths = split_csvs(tmp_path)
+        if not test_file:
+            paths["test_path"] = None
+        other = "lbp" if method == "hog" else "hog"
+
+        def matrix(m, cache_dir, stage):
+            cfg = small_cfg(**paths, cache_dir=cache_dir, features=[(m, {})])
+            return bench.feature_matrices(cfg, cfg.features, stage)[0][m]
+
+        cold = matrix(method, None, {})
+        cache = str(tmp_path / "cache")
+        matrix(other, cache, {})  # writes the stack
+        forbid_loading(monkeypatch)
+        forbid_preprocessing(monkeypatch)
+        stage = {}
+        warm = matrix(method, cache, stage)
+        assert warm.shape == cold.shape and warm.dtype == cold.dtype
+        assert warm.tobytes() == cold.tobytes()
+        assert stage["preprocess"] == 0.0
+
+    def test_second_extract_reads_the_cached_stack(self, tmp_path,
+                                                   monkeypatch, capsys):
+        write_csv(tmp_path / "d.csv", *synthetic_glyphs(40, seed=0))
+        argv = ["extract", "--dataset", str(tmp_path / "d.csv"),
+                "--out", str(tmp_path / "cache")]
+        assert cli.main([*argv, "--method", "hog"]) == 0
+        forbid_loading(monkeypatch)
+        forbid_preprocessing(monkeypatch)
+        assert cli.main([*argv, "--method", "lbp"]) == 0
+        assert "cached 40 x 784 lbp features" in capsys.readouterr().out
+
+    def test_raw_baseline_file_is_the_stack(self, tmp_path, monkeypatch):
+        # read and written at most once per run
+        cache = tmp_path / "cache"
+        cfg = small_cfg(samples=40, cache_dir=str(cache), raw_baseline=True,
+                        classifiers=[("knn", {"k": 1})])
+        writes = count_calls(monkeypatch, "save_feature_cache")
+        cold = run_grid(cfg)
+        assert sorted(str(args[0]) for args in writes) == sorted(
+            map(str, cache.iterdir()))
+        assert len(writes) == 3  # hog, gabor and raw
+        (hog,) = cache.glob("features-hog-*")
+        hog.unlink()
+        reads = count_calls(monkeypatch, "load_feature_cache")
+        forbid_loading(monkeypatch)
+        warm = run_grid(cfg)
+        assert len(reads) == 3
+        assert format_cells_csv(warm) == format_cells_csv(cold)
+
+    def test_all_hit_run_reads_no_stack(self, tmp_path, monkeypatch):
+        cfg = small_cfg(samples=40, cache_dir=str(tmp_path / "cache"),
+                        classifiers=[("knn", {"k": 1})])
+        run_grid(cfg)
+        (stack,) = (tmp_path / "cache").glob("features-raw-*")
+        reads = count_calls(monkeypatch, "load_feature_cache")
+        run_grid(cfg)
+        assert len(reads) == len(cfg.features)
+        assert str(stack) not in [str(args[0]) for args in reads]
 
     def test_cells_get_views_of_one_reordered_matrix(self, monkeypatch):
         seen = []

@@ -140,7 +140,7 @@ class TestOtherVerbs:
                      "--method", "lbp", "--out", str(out_dir),
                      "--jobs", "1"]) == 0
         assert "cached 20 x 784 lbp features" in capsys.readouterr().out
-        assert len(os.listdir(out_dir)) == 1
+        assert len(os.listdir(out_dir)) == 2  # lbp and the features-raw-* stack
 
     def test_extract_reuses_warm_cache(self, tmp_path, monkeypatch, capsys):
         argv = ["extract", "--synthetic", "squares", "--samples", "20",
@@ -182,7 +182,7 @@ class TestOtherVerbs:
         monkeypatch.setattr(bench, "preprocess_all", no_preprocessing)
         monkeypatch.setattr(bench, "extract_batch", no_preprocessing)
         assert main(["bench", "--config", str(cfg)]) == 0
-        assert len(os.listdir(cache)) == 1
+        assert len(os.listdir(cache)) == 2  # hog and the features-raw-* stack
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as info:
