@@ -112,8 +112,10 @@ def feature_cache_file(cache_dir, cfg: RunConfig, source: str,
 
 
 def _agrees(hit, labels, rows: int) -> bool:
-    """Whether a cache entry holds these labels and dataset row count."""
-    return hit[2] == rows and np.array_equal(hit[1], labels)
+    """Whether a cache entry holds these labels and dataset row count, and a
+    matrix with one row per label."""
+    return (hit[2] == rows and hit[0].shape[:1] == labels.shape
+            and np.array_equal(hit[1], labels))
 
 
 def feature_matrices(cfg: RunConfig, methods, stage: dict):
@@ -156,7 +158,7 @@ def feature_matrices(cfg: RunConfig, methods, stage: dict):
         stack = hits[RAW_TAG] if RAW_TAG in hits \
             else load_feature_cache(stack_path)
     if stack is not None and all(_agrees(hit, stack[1], stack[2])
-                                 for hit in cached.values()):
+                                 for hit in [stack, *cached.values()]):
         _, labels, n_first = stack
     else:
         images, labels = load_run_images(cfg)

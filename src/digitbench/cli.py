@@ -132,7 +132,7 @@ def main(argv=None) -> int:
     try:
         return handlers[args.verb](args)
     except (ParameterError, ParseError, ShapeError, SplitError,
-            FileNotFoundError, OSError) as exc:
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -29,6 +29,7 @@ SCHEMAS = (LABEL_FIRST, LABEL_LAST)
 
 N_CLASSES = 10
 CACHE_VERSION = 3
+SYNTHETIC_SIDE = 28  # the side of every synthetic image
 
 
 @dataclass
@@ -184,7 +185,8 @@ def split_indices(labels, spec: SplitSpec):
     """Seeded train/test index arrays (each sorted ascending).
 
     Stratified mode draws round-half-up ``train_fraction`` of every class;
-    classes with fewer than two samples cannot be stratified.
+    classes with fewer than two samples cannot be stratified. A
+    ``train_fraction`` that leaves either side empty is a ``SplitError``.
     """
     labels = np.asarray(labels)
     n = labels.shape[0]
@@ -192,27 +194,28 @@ def split_indices(labels, spec: SplitSpec):
         raise SplitError(f"need at least 2 samples to split, got {n}")
     rng = np.random.default_rng(int(spec.seed))
     frac = float(spec.train_fraction)
-    if not spec.stratified:
-        perm = rng.permutation(n)
-        n_train = int(np.floor(frac * n + 0.5))
-        return np.sort(perm[:n_train]), np.sort(perm[n_train:])
-    train_parts, test_parts = [], []
-    for cls in np.unique(labels):
-        idx = np.flatnonzero(labels == cls)
+    groups = [np.flatnonzero(labels == cls) for cls in np.unique(labels)] \
+        if spec.stratified else [np.arange(n)]
+    train, test = [], []
+    for idx in groups:
         if idx.shape[0] < 2:
             raise SplitError(
-                f"class {cls} has {idx.shape[0]} sample(s); stratified "
-                f"splitting needs at least 2")
+                f"class {labels[idx[0]]} has {idx.shape[0]} sample(s); "
+                f"stratified splitting needs at least 2")
         perm = rng.permutation(idx)
         n_train = int(np.floor(frac * idx.shape[0] + 0.5))
-        train_parts.append(perm[:n_train])
-        test_parts.append(perm[n_train:])
-    return (np.sort(np.concatenate(train_parts)),
-            np.sort(np.concatenate(test_parts)))
+        train.append(perm[:n_train])
+        test.append(perm[n_train:])
+    train, test = np.concatenate(train), np.concatenate(test)
+    for side, idx in (("train", train), ("test", test)):
+        if idx.shape[0] == 0:
+            raise SplitError(f"train_fraction {frac:g} leaves the {side} "
+                             f"side of {n} samples empty")
+    return np.sort(train), np.sort(test)
 
 
 # seven-segment layout: (row_start, row_stop, col_start, col_stop) on a
-# 28-pixel canvas, two-pixel stroke
+# SYNTHETIC_SIDE canvas, two-pixel stroke
 _SEGMENTS = {
     "top": (4, 6, 8, 20),
     "mid": (13, 15, 8, 20),
@@ -239,13 +242,12 @@ _DIGIT_SEGMENTS = {
 }
 
 
-def glyph_template(digit: int, side: int = 28) -> np.ndarray:
+def glyph_template(digit: int) -> np.ndarray:
     """Clean seven-segment rendering of a digit, white on black."""
     digit = check_int(digit, "digit", 0, 9)
-    scale = side / 28.0
-    img = np.zeros((side, side))
+    img = np.zeros((SYNTHETIC_SIDE, SYNTHETIC_SIDE))
     for name in _DIGIT_SEGMENTS[digit]:
-        r0, r1, c0, c1 = (int(round(v * scale)) for v in _SEGMENTS[name])
+        r0, r1, c0, c1 = _SEGMENTS[name]
         img[r0:r1, c0:c1] = 1.0
     return img
 
@@ -262,22 +264,22 @@ def _warp_affine(stack: np.ndarray, mats: np.ndarray) -> np.ndarray:
     return _sample_bilinear(stack, src_y, src_x, fill=0.0)
 
 
-def synthetic_glyphs(n_samples: int = 2000, seed: int = 0, side: int = 28,
+def synthetic_glyphs(n_samples: int = 2000, seed: int = 0,
                      noise: float = 0.12):
     """Digit-glyph image set with affine, exposure, and pixel-noise jitter.
 
-    Balanced over the ten classes (remainder goes to the low digits),
-    deterministic for a given (n_samples, seed, side, noise). Per-image
-    contrast and brightness vary so scans of different exposure coexist.
-    ``side`` is at least 1 pixel and ``noise``, the pixel-noise standard
-    deviation, at least 0.
+    Images are ``SYNTHETIC_SIDE`` pixels square, balanced over the ten
+    classes (remainder goes to the low digits) and deterministic for a given
+    (n_samples, seed, noise). Per-image contrast and brightness vary so
+    scans of different exposure coexist. ``noise``, the pixel-noise standard
+    deviation, is at least 0.
     """
     n_samples = check_int(n_samples, "n_samples", 1)
-    side = check_int(side, "side", 1)
     noise = check_float(noise, "noise", ge=0)
     rng = np.random.default_rng(check_int(seed, "seed", 0))
-    templates = np.stack([glyph_template(d, side) for d in range(N_CLASSES)])
+    templates = np.stack([glyph_template(d) for d in range(N_CLASSES)])
     labels = np.arange(n_samples) % N_CLASSES
+    side = SYNTHETIC_SIDE
     images = np.empty((n_samples, side, side))
     for start in range(0, len(labels), IMAGE_BLOCK):
         digits = labels[start:start + IMAGE_BLOCK]
@@ -303,7 +305,7 @@ def synthetic_glyphs(n_samples: int = 2000, seed: int = 0, side: int = 28,
     return images, labels.astype(np.int64)
 
 
-def synthetic_squares(n_samples: int = 200, seed: int = 0, side: int = 28):
+def synthetic_squares(n_samples: int = 200, seed: int = 0):
     """Two-class toy set: filled squares (0) versus hollow squares (1).
 
     Near-centred with small size and position jitter, so every reasonable
@@ -312,6 +314,7 @@ def synthetic_squares(n_samples: int = 200, seed: int = 0, side: int = 28):
     n_samples = check_int(n_samples, "n_samples", 1)
     rng = np.random.default_rng(check_int(seed, "seed", 0))
     labels = np.arange(n_samples) % 2
+    side = SYNTHETIC_SIDE
     images = np.zeros((n_samples, side, side))
     centre = (side - 14) // 2
     for i, hollow in enumerate(labels):

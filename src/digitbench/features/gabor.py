@@ -12,6 +12,7 @@ import math
 import numpy as np
 
 from ..base import Estimator, TransformerMixin
+from ..imaging import convolve2d_reflect
 from ..validation import check_float, check_radius
 
 
@@ -43,26 +44,6 @@ def gabor_kernel(frequency: float = 0.9, theta: float = 0.0,
     rot_y = -x * np.sin(theta) + y * np.cos(theta)
     envelope = np.exp(-(rot_x ** 2 + rot_y ** 2) / (2.0 * sigma ** 2))
     return envelope * np.exp(1j * 2.0 * np.pi * frequency * rot_x)
-
-
-def convolve2d_reflect(img: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """Same-size 2-D convolution with reflect padding.
-
-    Convolves one (H, W) image or every image of a stack (..., H, W).
-    """
-    kh, kw = kernel.shape
-    ry, rx = kh // 2, kw // 2
-    lead = ((0, 0),) * (img.ndim - 2)
-    padded = np.pad(img, lead + ((ry, ry), (rx, rx)), mode="reflect")
-    flipped = kernel[::-1, ::-1]
-    h, w = img.shape[-2:]
-    out = np.zeros(img.shape, dtype=np.float64)
-    for i in range(kh):
-        for j in range(kw):
-            weight = flipped[i, j]
-            if weight != 0.0:
-                out += weight * padded[..., i:i + h, j:j + w]
-    return out
 
 
 class GaborDescriptor(Estimator, TransformerMixin):

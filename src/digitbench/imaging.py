@@ -1,9 +1,10 @@
 """Grayscale image preprocessing: resize, denoise, deskew.
 
-Every kernel takes and returns an (n, H, W) float64 stack with intensities
-in [0, 1], and ``Preprocessor.transform`` runs them over blocks of such a
-stack. 8-bit inputs are expected to be divided by 255 at ingestion (see
-datasets).
+Every preprocessing kernel takes and returns an (n, H, W) float64 stack with
+intensities in [0, 1], and ``Preprocessor.transform`` runs them over blocks
+of such a stack. 8-bit inputs are expected to be divided by 255 at ingestion
+(see datasets). The features share two primitives defined here: bilinear
+sampling (LBP) and reflect-padded convolution (Gabor, and the blur).
 """
 
 from __future__ import annotations
@@ -58,6 +59,26 @@ def _sample_bilinear(img: np.ndarray, ys: np.ndarray, xs: np.ndarray,
     return top + fy * (bot - top)
 
 
+def convolve2d_reflect(img: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """Same-size 2-D convolution with reflect padding.
+
+    Convolves one (H, W) image or every image of a stack (..., H, W).
+    """
+    kh, kw = kernel.shape
+    ry, rx = kh // 2, kw // 2
+    lead = ((0, 0),) * (img.ndim - 2)
+    padded = np.pad(img, lead + ((ry, ry), (rx, rx)), mode="reflect")
+    flipped = kernel[::-1, ::-1]
+    h, w = img.shape[-2:]
+    out = np.zeros(img.shape, dtype=np.float64)
+    for i in range(kh):
+        for j in range(kw):
+            weight = flipped[i, j]
+            if weight != 0.0:
+                out += weight * padded[..., i:i + h, j:j + w]
+    return out
+
+
 def _resize(stack: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     """Bilinear resize; ``src = (dst + 0.5) * (in / out) - 0.5``, clamped."""
     _, h, w = stack.shape
@@ -77,20 +98,12 @@ def gaussian_kernel_1d(sigma: float) -> np.ndarray:
 
 
 def _blur(stack: np.ndarray, sigma: float) -> np.ndarray:
-    """Separable Gaussian convolution with reflect padding; shape is kept."""
-    kernel = gaussian_kernel_1d(sigma)
-    radius = (len(kernel) - 1) // 2
-    padded = np.pad(stack, ((0, 0), (radius, radius), (radius, radius)),
-                    mode="reflect")
-    n, h, w = stack.shape
-    # columns then rows; a normalized separable kernel keeps constants exact
-    tmp = np.zeros((n, h + 2 * radius, w), dtype=np.float64)
-    for k, wk in enumerate(kernel):
-        tmp += wk * padded[:, :, k:k + w]
-    out = np.zeros((n, h, w), dtype=np.float64)
-    for k, wk in enumerate(kernel):
-        out += wk * tmp[:, k:k + h, :]
-    return np.clip(out, 0.0, 1.0)
+    """Separable Gaussian convolution with reflect padding; shape is kept.
+
+    Columns, then rows: the other order rounds differently."""
+    k = gaussian_kernel_1d(sigma)
+    return np.clip(convolve2d_reflect(convolve2d_reflect(stack, k[None, :]),
+                                      k[:, None]), 0.0, 1.0)
 
 
 def _skew(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

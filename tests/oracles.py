@@ -47,6 +47,23 @@ def csv_oracle(path, n_fields: int):
     return rows
 
 
+def blur_oracle(stack, kernel):
+    """Separable reflect-padded blur of an (n, H, W) stack by a symmetric
+    1-D kernel, clipped to [0, 1]: one padded copy, then a column pass and a
+    row pass of tap accumulation, in the order and rounding ``_blur`` keeps."""
+    radius = (len(kernel) - 1) // 2
+    padded = np.pad(stack, ((0, 0), (radius, radius), (radius, radius)),
+                    mode="reflect")
+    n, h, w = stack.shape
+    tmp = np.zeros((n, h + 2 * radius, w), dtype=np.float64)
+    for k, wk in enumerate(kernel):
+        tmp += wk * padded[:, :, k:k + w]
+    out = np.zeros((n, h, w), dtype=np.float64)
+    for k, wk in enumerate(kernel):
+        out += wk * tmp[:, k:k + h, :]
+    return np.clip(out, 0.0, 1.0)
+
+
 def knn_oracle(X_train, y_train, queries, k, p):
     """Quadratic scan with the documented tie rules."""
     labels = np.empty(len(queries), dtype=np.int64)

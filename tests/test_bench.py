@@ -409,26 +409,35 @@ class TestWarmCache:
         assert {r.source for r in results} == {"data.csv:000000000000"}
 
     @pytest.mark.parametrize("tamper", ["reversed labels", "fewer labels",
-                                        "other row count", "stack labels"])
+                                        "other row count", "stack labels",
+                                        "short matrix", "short stack"])
     def test_disagreeing_cache_files_fall_back_to_loading(self, tmp_path,
                                                           monkeypatch,
                                                           tamper):
+        # "short matrix" used to end in an IndexError at the reorder, and
+        # "short stack" in a ValueError at its reshape
         cache = tmp_path / "cache"
         cfg = small_cfg(samples=40, cache_dir=str(cache),
                         features=[("hog", {}), ("lbp", {})],
                         classifiers=[("knn", {"k": 1})])
         cold = run_grid(cfg)
         (lbp,) = cache.glob("features-lbp-*.npz")
+        (stack,) = cache.glob("features-raw-*.npz")
         X, y, rows = load_feature_cache(lbp)
-        save_feature_cache(lbp, X, *{"reversed labels": (y[::-1], rows),
-                                     "fewer labels": (y[:-1], rows),
-                                     "other row count": (y, rows - 1),
-                                     "stack labels": (y[::-1], rows)}[tamper])
+        images = load_feature_cache(stack)[0]
+        if tamper == "short stack":
+            # true labels and row count, one image short; lbp comes from it
+            save_feature_cache(stack, images[:-1], y, rows)
+            os.remove(lbp)
+        else:
+            save_feature_cache(lbp, *{"reversed labels": (X, y[::-1], rows),
+                                      "fewer labels": (X, y[:-1], rows),
+                                      "other row count": (X, y, rows - 1),
+                                      "stack labels": (X, y[::-1], rows),
+                                      "short matrix": (X[:-1], y, rows)}[tamper])
         if tamper == "stack labels":
             # the stack then agrees with the lbp file but not the hog file
-            (stack,) = cache.glob("features-raw-*.npz")
-            save_feature_cache(stack, load_feature_cache(stack)[0], y[::-1],
-                               rows)
+            save_feature_cache(stack, images, y[::-1], rows)
         loads = count_calls(monkeypatch, "synthetic_squares")
         extracted = count_calls(monkeypatch, "extract_batch")
         warm = run_grid(cfg)
@@ -437,8 +446,10 @@ class TestWarmCache:
         assert format_cells_csv(warm) == format_cells_csv(cold)
         assert np.array_equal(load_feature_cache(lbp)[1], y)
         assert load_feature_cache(lbp)[2] == rows
-        if tamper == "stack labels":  # preprocessed again and rewritten
+        assert load_feature_cache(lbp)[0].tobytes() == X.tobytes()
+        if tamper in ("stack labels", "short stack"):  # preprocessed again
             assert np.array_equal(load_feature_cache(stack)[1], y)
+            assert load_feature_cache(stack)[0].tobytes() == images.tobytes()
 
     @pytest.mark.parametrize("test_file", [False, True])
     @pytest.mark.parametrize("method", ["hog", "lbp", "gabor"])

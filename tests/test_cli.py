@@ -117,6 +117,24 @@ class TestBenchVerb:
                          "--out", str(tmp_path / "out")]) == 2
             assert "error: seed must be >= 0" in capsys.readouterr().err
 
+    def test_empty_test_side_exit_two(self, tmp_path, monkeypatch, capsys):
+        # used to fit every cell, fail each with "confusion matrix is
+        # empty", report train/test 20/0 and exit 1
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("dataset.synthetic = squares\ndataset.samples = 20\n"
+                       "features = hog\nclassifiers = knn, svm\n"
+                       "split.train_fraction = 0.96\n")
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a cell ran on an empty split side")
+
+        monkeypatch.setattr(bench, "make_classifier", no_fit)
+        assert main(["bench", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "error: train_fraction 0.96 leaves the test side" in err
+        assert not (tmp_path / "out").exists()
+
 
 class TestOtherVerbs:
     def test_visualize_three_files(self, tmp_path, capsys):

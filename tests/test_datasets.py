@@ -288,6 +288,12 @@ class TestSplit:
             y[:6] = [0, 0, 1, 1, 2, 2]  # every class populated twice
             spec = SplitSpec(float(rng.uniform(0.2, 0.9)), seed=trial,
                              stratified=bool(trial % 2))
+            sizes = np.bincount(y) if spec.stratified else np.array([n])
+            n_train = np.floor(spec.train_fraction * sizes + 0.5).sum()
+            if n_train in (0, n):  # a side would be empty
+                with pytest.raises(SplitError, match="train_fraction"):
+                    split_indices(y, spec)
+                continue
             train, test = split_indices(y, spec)
             merged = np.concatenate([train, test])
             assert merged.size == n
@@ -311,6 +317,16 @@ class TestSplit:
         train, test = split_indices(y, SplitSpec(0.8, seed=0,
                                                  stratified=False))
         assert train.size + test.size == 3
+
+    @pytest.mark.parametrize("frac, stratified, side", [
+        (0.02, True, "train"), (0.02, False, "train"),
+        (0.96, True, "test"), (0.98, False, "test")])
+    def test_empty_side_rejected(self, frac, stratified, side):
+        # used to return an empty side, which every cell then failed on
+        y = np.arange(20) % 2
+        with pytest.raises(SplitError, match=f"train_fraction {frac} leaves "
+                                             f"the {side} side of 20"):
+            split_indices(y, SplitSpec(frac, seed=0, stratified=stratified))
 
     def test_fraction_validation(self):
         with pytest.raises(ParameterError):
@@ -379,7 +395,7 @@ class TestSynthetic:
         assert images[labels == 0].sum() > images[labels == 1].sum()
 
     @pytest.mark.parametrize("kwargs", [
-        {"noise": -1.0}, {"noise": math.nan}, {"side": 0}])
+        {"noise": -1.0}, {"noise": math.nan}])
     def test_glyph_inputs_validated(self, kwargs):
         # used to die in numpy ("scale < 0", np.pad) or return NaN images
         with pytest.raises(ParameterError):

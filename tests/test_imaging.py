@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
+from oracles import blur_oracle
 
 from digitbench import (ParameterError, Preprocessor, ShapeError,
                         gaussian_kernel_1d, imaging)
 from digitbench.imaging import _blur, _deskew, _resize, _sample_bilinear, _skew
 
 
-def blur_oracle(img, sigma):
+def direct_blur(img, sigma):
     # direct 2-D convolution with the outer-product kernel, reflect padding
     k1 = gaussian_kernel_1d(sigma)
     k2 = np.outer(k1, k1)
@@ -82,8 +83,16 @@ class TestGaussianBlur:
     def test_matches_direct_convolution(self):
         rng = np.random.default_rng(5)
         img = rng.random((12, 14))
-        assert np.allclose(_blur(img[None], 0.8)[0], blur_oracle(img, 0.8),
+        assert np.allclose(_blur(img[None], 0.8)[0], direct_blur(img, 0.8),
                            atol=1e-12)
+
+    @pytest.mark.parametrize("sigma", [0.6, 0.8, 2.0, 12.5])
+    @pytest.mark.parametrize("shape", [(32, 28, 28), (1, 28, 28), (4, 9, 13)])
+    def test_matches_blur_oracle_bytes(self, shape, sigma):
+        # at sigma 12.5 the radius, 38, exceeds every side
+        stack = np.random.default_rng(10).random(shape)
+        expect = blur_oracle(stack, gaussian_kernel_1d(sigma))
+        assert _blur(stack, sigma).tobytes() == expect.tobytes()
 
     def test_commutes_with_flips(self):
         rng = np.random.default_rng(6)
