@@ -31,7 +31,7 @@ class Estimator:
             if name != "self" and p.kind not in (p.VAR_POSITIONAL, p.VAR_KEYWORD)
         ]
 
-    def get_params(self, deep: bool = True) -> dict:
+    def get_params(self) -> dict:
         return {name: getattr(self, name) for name in self._param_names()}
 
     def __repr__(self) -> str:

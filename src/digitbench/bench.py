@@ -111,90 +111,88 @@ def feature_cache_file(cache_dir, cfg: RunConfig, source: str,
     return os.path.join(cache_dir, f"features-{method}-{digest[:16]}.npz")
 
 
-def _agrees(hit, labels, rows: int) -> bool:
+def _agrees(hit, labels, rows: int, width: int) -> bool:
     """Whether a cache entry holds these labels and dataset row count, and a
-    matrix with one row per label."""
-    return (hit[2] == rows and hit[0].shape[:1] == labels.shape
+    matrix of one ``width``-column row per label."""
+    return (hit[2] == rows and hit[0].shape == (labels.shape[0], width)
             and np.array_equal(hit[1], labels))
 
 
-def feature_matrices(cfg: RunConfig, methods, stage: dict):
-    """({method: matrix}, labels, source tag, dataset row count).
+def feature_phases(cfg: RunConfig, methods, stage: dict):
+    """The two phases of ``feature_matrices``, one per ``next``.
 
-    Rows of ``cfg.test_path`` follow the dataset's own rows. When
-    ``cfg.cache_dir`` holds every matrix and the files agree on labels and
-    row count, they are returned and nothing else is read. Otherwise the
-    missing matrices are extracted from the preprocessed stack, which is
-    the ``raw`` method's cache entry. It is read once and used when it
-    agrees with every cached matrix. Failing that, the dataset is loaded,
-    a cache entry is kept only if it matches the loaded labels and row
-    count, and unless the stack was kept the images are preprocessed once
-    and cached as the stack. The images are freed on return. ``stage``
-    receives the step timings; preprocess is 0.0 when the stack was read.
+    Phase 1 yields ({method: cached matrix}, labels, source tag, dataset
+    row count); ``cfg.test_path``'s rows follow the dataset's. An entry is
+    kept if it agrees (``_agrees``) with the reference, at a width of side²
+    for the stack (the ``raw`` entry) and a method's column count on one
+    zero image: the method entries when all agree, else the stack when all
+    entries read agree with it, else the dataset, loaded once. Phase 2
+    extracts each missing matrix into that dict and caches it, from the
+    stack or the images preprocessed once (cached as the stack; preprocess
+    time is 0.0 when nothing was). Whatever else it held is then freed.
     """
     t0 = time.perf_counter()
     key, source = run_source(cfg)
-    paths, stack_path = {}, None
+    side = int(Preprocessor(**cfg.preprocess).target_side)
+    paths, widths = {}, {}
     if cfg.cache_dir:  # the test file is hashed once, not once per method
         test_digest = file_digest(cfg.test_path) if cfg.test_path else None
-        paths = {m: feature_cache_file(cfg.cache_dir, cfg, key, test_digest,
-                                       m, p) for m, p in methods}
-        stack_path = feature_cache_file(cfg.cache_dir, cfg, key,
-                                        test_digest, RAW_TAG)
-    hits = {m: load_feature_cache(path) for m, path in paths.items()}
-    cached = {m: hit for m, hit in hits.items() if hit is not None}
-    if len(cached) == len(methods):
-        _, labels, n_first = next(iter(cached.values()))
-        if all(_agrees(hit, labels, n_first) for hit in cached.values()):
-            stage.update(load=time.perf_counter() - t0, preprocess=0.0,
-                         extract=0.0)
-            return ({m: hit[0] for m, hit in cached.items()}, labels, source,
-                    n_first)
+        for m, p in [(RAW_TAG, {}), *methods]:
+            paths[m] = feature_cache_file(cfg.cache_dir, cfg, key,
+                                          test_digest, m, p)
+            widths[m] = make_descriptor(m, p).transform(
+                np.zeros((1, side, side))).shape[1]
+    hits = {m: load_feature_cache(paths[m]) for m, _ in methods if paths}
 
-    pre = Preprocessor(**cfg.preprocess)
-    side = int(pre.target_side)
-    stack = None  # the raw entry is the stack: read at most once
-    if stack_path:
-        stack = hits[RAW_TAG] if RAW_TAG in hits \
-            else load_feature_cache(stack_path)
-    if stack is not None and all(_agrees(hit, stack[1], stack[2])
-                                 for hit in [stack, *cached.values()]):
-        _, labels, n_first = stack
+    def agreeing(labels, rows):  # {method: matrix} of the agreeing entries
+        return {m: hit[0] for m, hit in hits.items()
+                if hit and _agrees(hit, labels, rows, widths[m])}
+
+    ref = next((hit for hit in hits.values() if hit), None)
+    if paths and (not ref or len(agreeing(*ref[1:])) < len(methods)):
+        if RAW_TAG not in hits:  # the stack is read at most once
+            hits[RAW_TAG] = load_feature_cache(paths[RAW_TAG])
+        ref = hits[RAW_TAG]
+    if ref and len(agreeing(*ref[1:])) == sum(map(bool, hits.values())):
+        images, (labels, rows) = None, ref[1:]
     else:
         images, labels = load_run_images(cfg)
-        n_first = labels.shape[0]
+        rows = labels.shape[0]
         if cfg.test_path is not None:
-            test_images, test_labels = load_csv(cfg.test_path, cfg.schema,
-                                                cfg.side)
-            images = np.concatenate([images, test_images])
-            labels = np.concatenate([labels, test_labels])
-        if stack is not None and not _agrees(stack, labels, n_first):
-            stack = None
-    matrices = {m: hit[0] for m, hit in cached.items()
-                if _agrees(hit, labels, n_first)}
+            test_x, test_y = load_csv(cfg.test_path, cfg.schema, cfg.side)
+            images = np.concatenate([images, test_x])
+            labels = np.concatenate([labels, test_y])
+    matrices = agreeing(labels, rows)
     stage["load"] = time.perf_counter() - t0
+    yield matrices, labels, source, rows
 
     t0 = time.perf_counter()
     missing = [(m, p) for m, p in methods if m not in matrices]
-    if stack is not None:
-        images = stack[0].reshape(len(labels), side, side)
+    stage["preprocess"] = 0.0
+    if RAW_TAG in matrices:
+        images = matrices[RAW_TAG].reshape(-1, side, side)
     elif missing:
-        images = preprocess_all(images, pre)
-        if stack_path:
+        images = preprocess_all(images, Preprocessor(**cfg.preprocess))
+        if paths:
             os.makedirs(cfg.cache_dir, exist_ok=True)
-            save_feature_cache(stack_path, images.reshape(len(images), -1),
-                               labels, n_first)
-    stage["preprocess"] = 0.0 if stack is not None \
-        else time.perf_counter() - t0
+            save_feature_cache(paths[RAW_TAG], images.reshape(len(images), -1),
+                               labels, rows)
+        stage["preprocess"] = time.perf_counter() - t0
+    if RAW_TAG not in dict(methods):
+        matrices.pop(RAW_TAG, None)
 
     t0 = time.perf_counter()
     for method, params in missing:
         matrices[method] = extract_batch(images, method, params or None)
-        if paths and method != RAW_TAG:  # raw's file is the stack above
-            save_feature_cache(paths[method], matrices[method], labels,
-                               n_first)
+        if paths and method != RAW_TAG:  # raw's file is the stack
+            save_feature_cache(paths[method], matrices[method], labels, rows)
     stage["extract"] = time.perf_counter() - t0
-    return matrices, labels, source, n_first
+
+
+def feature_matrices(cfg: RunConfig, methods, stage: dict):
+    """The tuple phase 1 of ``feature_phases`` yields, after phase 2 ran."""
+    (found,) = feature_phases(cfg, methods, stage)  # runs both phases
+    return found
 
 
 def fit_summary(kind: str, clf) -> dict:
@@ -259,13 +257,15 @@ def run_grid(cfg: RunConfig) -> GridResult:
     if cfg.raw_baseline and RAW_TAG not in [m for m, _ in methods]:
         methods.append((RAW_TAG, {}))
     stage = {}
-    matrices, labels, source, n_train = feature_matrices(cfg, methods, stage)
+    phases = feature_phases(cfg, methods, stage)
+    matrices, labels, source, n_train = next(phases)
     order = None  # a test file's rows already follow the dataset's
-    if cfg.test_path is None:
+    if cfg.test_path is None:  # before extraction: a bad split costs none
         train_idx, test_idx = split_indices(labels, cfg.split)
         order = np.concatenate([train_idx, test_idx])
         n_train = train_idx.shape[0]
         labels = labels[order]
+    next(phases, None)  # phase 2 extracts the missing matrices
     y_train, y_test = labels[:n_train], labels[n_train:]
     n_classes = int(labels.max()) + 1
 

@@ -1,4 +1,5 @@
 import os
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -410,12 +411,15 @@ class TestWarmCache:
 
     @pytest.mark.parametrize("tamper", ["reversed labels", "fewer labels",
                                         "other row count", "stack labels",
-                                        "short matrix", "short stack"])
+                                        "short matrix", "short stack",
+                                        "narrow matrix", "wide matrix",
+                                        "narrow stack"])
     def test_disagreeing_cache_files_fall_back_to_loading(self, tmp_path,
                                                           monkeypatch,
                                                           tamper):
         # "short matrix" used to end in an IndexError at the reorder, and
-        # "short stack" in a ValueError at its reshape
+        # "short stack" and "narrow stack" in a ValueError at its reshape;
+        # a narrow or wide matrix used to be fitted as it was
         cache = tmp_path / "cache"
         cfg = small_cfg(samples=40, cache_dir=str(cache),
                         features=[("hog", {}), ("lbp", {})],
@@ -425,16 +429,21 @@ class TestWarmCache:
         (stack,) = cache.glob("features-raw-*.npz")
         X, y, rows = load_feature_cache(lbp)
         images = load_feature_cache(stack)[0]
-        if tamper == "short stack":
-            # true labels and row count, one image short; lbp comes from it
-            save_feature_cache(stack, images[:-1], y, rows)
+        if tamper in ("short stack", "narrow stack"):
+            # true labels and row count, one image or one pixel column
+            # short; lbp comes from it
+            save_feature_cache(stack, images[:-1] if tamper == "short stack"
+                               else images[:, :-1], y, rows)
             os.remove(lbp)
         else:
+            wide = np.hstack([X, X[:, :1]])
             save_feature_cache(lbp, *{"reversed labels": (X, y[::-1], rows),
                                       "fewer labels": (X, y[:-1], rows),
                                       "other row count": (X, y, rows - 1),
                                       "stack labels": (X, y[::-1], rows),
-                                      "short matrix": (X[:-1], y, rows)}[tamper])
+                                      "short matrix": (X[:-1], y, rows),
+                                      "narrow matrix": (X[:, :5], y, rows),
+                                      "wide matrix": (wide, y, rows)}[tamper])
         if tamper == "stack labels":
             # the stack then agrees with the lbp file but not the hog file
             save_feature_cache(stack, images, y[::-1], rows)
@@ -447,7 +456,8 @@ class TestWarmCache:
         assert np.array_equal(load_feature_cache(lbp)[1], y)
         assert load_feature_cache(lbp)[2] == rows
         assert load_feature_cache(lbp)[0].tobytes() == X.tobytes()
-        if tamper in ("stack labels", "short stack"):  # preprocessed again
+        if tamper in ("stack labels", "short stack", "narrow stack"):
+            # preprocessed again
             assert np.array_equal(load_feature_cache(stack)[1], y)
             assert load_feature_cache(stack)[0].tobytes() == images.tobytes()
 
@@ -514,6 +524,41 @@ class TestWarmCache:
         run_grid(cfg)
         assert len(reads) == len(cfg.features)
         assert str(stack) not in [str(args[0]) for args in reads]
+
+    def test_cached_matrix_is_freed_before_the_first_fit(self, tmp_path,
+                                                          monkeypatch):
+        # the cells fit on the reordered copy; nothing else may keep the
+        # matrix read from the cache alive through the fits
+        cfg = small_cfg(samples=40, cache_dir=str(tmp_path / "cache"),
+                        features=[("hog", {})],
+                        classifiers=[("knn", {"k": 1})])
+        run_grid(cfg)
+        read, real_load = [], bench.load_feature_cache
+
+        def load(path):
+            hit = real_load(path)
+            read.append(weakref.ref(hit[0]))
+            return hit
+
+        freed, real = [], bench.make_classifier
+
+        class Spy:
+            def __init__(self, clf):
+                self.clf = clf
+
+            def fit(self, X, y):
+                freed.append(read[0]() is None)
+                self.clf.fit(X, y)
+                return self
+
+            def predict(self, X):
+                return self.clf.predict(X)
+
+        monkeypatch.setattr(bench, "load_feature_cache", load)
+        monkeypatch.setattr(bench, "make_classifier",
+                            lambda kind, **params: Spy(real(kind, **params)))
+        assert run_grid(cfg).all_ok
+        assert len(read) == 1 and freed == [True]
 
     def test_cells_get_views_of_one_reordered_matrix(self, monkeypatch):
         seen = []

@@ -119,21 +119,25 @@ class TestBenchVerb:
 
     def test_empty_test_side_exit_two(self, tmp_path, monkeypatch, capsys):
         # used to fit every cell, fail each with "confusion matrix is
-        # empty", report train/test 20/0 and exit 1
+        # empty", report train/test 20/0 and exit 1; then to extract and
+        # cache every feature before the split failed
         cfg = tmp_path / "run.cfg"
         cfg.write_text("dataset.synthetic = squares\ndataset.samples = 20\n"
-                       "features = hog\nclassifiers = knn, svm\n"
-                       "split.train_fraction = 0.96\n")
+                       "features = hog, lbp, gabor\nclassifiers = knn, svm\n"
+                       "split.train_fraction = 0.96\n"
+                       f"output.cache_dir = {tmp_path / 'cache'}\n")
 
-        def no_fit(*args, **kwargs):
-            raise AssertionError("a cell ran on an empty split side")
+        def refuse(*args, **kwargs):
+            raise AssertionError("ran on an empty split side")
 
-        monkeypatch.setattr(bench, "make_classifier", no_fit)
+        for name in ("make_classifier", "extract_batch", "preprocess_all"):
+            monkeypatch.setattr(bench, name, refuse)
         assert main(["bench", "--config", str(cfg),
                      "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert "error: train_fraction 0.96 leaves the test side" in err
         assert not (tmp_path / "out").exists()
+        assert not (tmp_path / "cache").exists()
 
 
 class TestOtherVerbs:
