@@ -1,13 +1,14 @@
 """Minimal estimator plumbing.
 
-Hyperparameters are the __init__ arguments, stored verbatim; fitted state
-lives in trailing-underscore attributes. ``get_params`` follows the
-scikit-learn contract. Feature cache keys are built from ``get_params()``.
+Every ``Estimator`` subclass is a dataclass whose fields are its
+hyperparameters; fitted state lives in trailing-underscore attributes.
+``get_params`` follows the scikit-learn contract. Feature cache keys are
+built from ``get_params()``.
 """
 
 from __future__ import annotations
 
-import inspect
+import dataclasses
 
 import numpy as np
 
@@ -20,23 +21,20 @@ IMAGE_BLOCK = 32
 
 
 class Estimator:
-    """Base class providing get_params over __init__ arguments."""
+    """Base class: each subclass is made a dataclass of its hyperparameters.
 
-    @classmethod
-    def _param_names(cls) -> list[str]:
-        sig = inspect.signature(cls.__init__)
-        return [
-            name
-            for name, p in sig.parameters.items()
-            if name != "self" and p.kind not in (p.VAR_POSITIONAL, p.VAR_KEYWORD)
-        ]
+    ``eq=False`` keeps identity equality and hashing, so two estimators
+    with equal hyperparameters are still distinct objects.
+    """
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        dataclasses.dataclass(cls, eq=False)
 
     def get_params(self) -> dict:
-        return {name: getattr(self, name) for name in self._param_names()}
-
-    def __repr__(self) -> str:
-        args = ", ".join(f"{k}={v!r}" for k, v in self.get_params().items())
-        return f"{type(self).__name__}({args})"
+        """Hyperparameters by name, in declaration order."""
+        return {f.name: getattr(self, f.name)
+                for f in dataclasses.fields(self)}
 
 
 class TransformerMixin:

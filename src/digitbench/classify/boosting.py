@@ -141,18 +141,14 @@ class GradientBoostingClassifier(Estimator, ClassifierMixin):
     ``predict_scores`` applies.
     """
 
-    def __init__(self, n_rounds: int = 200, max_depth: int = 5,
-                 learning_rate: float = 0.3, row_subsample: float = 0.8,
-                 col_subsample: float = 0.8, reg_lambda: float = 1.0,
-                 max_bins: int = 256, seed: int = 0):
-        self.n_rounds = n_rounds
-        self.max_depth = max_depth
-        self.learning_rate = learning_rate
-        self.row_subsample = row_subsample
-        self.col_subsample = col_subsample
-        self.reg_lambda = reg_lambda
-        self.max_bins = max_bins
-        self.seed = seed
+    n_rounds: int = 200
+    max_depth: int = 5
+    learning_rate: float = 0.3
+    row_subsample: float = 0.8
+    col_subsample: float = 0.8
+    reg_lambda: float = 1.0
+    max_bins: int = 256
+    seed: int = 0
 
     def fit(self, X, y):
         X, y_idx = self._fit_data(X, y)
@@ -181,8 +177,6 @@ class GradientBoostingClassifier(Estimator, ClassifierMixin):
         # so a split search on all-constant columns finds nothing
         width = max(2, 1 + max(c.shape[0] for c in cuts))
         scores = np.tile(self.init_scores_, (n, 1))
-        onehot = np.zeros((n, n_classes))
-        onehot[np.arange(n), y_idx] = 1.0
         row_count = math.ceil(row_frac * n)
         col_count = math.ceil(col_frac * d)
 
@@ -201,7 +195,7 @@ class GradientBoostingClassifier(Estimator, ClassifierMixin):
                     cols = np.sort(rng.choice(d, col_count, replace=False))
                 else:
                     cols = np.arange(d)
-                g = p[:, c] - onehot[:, c]
+                g = p[:, c] - (y_idx == c)
                 h = p[:, c] * (1.0 - p[:, c])
                 tree = _grow_boost_tree(binned, cuts, cols, rows, g[rows],
                                         h[rows], max_depth, lam, width)

@@ -82,13 +82,11 @@ class RandomForestClassifier(Estimator, ClassifierMixin):
     deterministic CART fit, directly comparable to an exhaustive oracle.
     """
 
-    def __init__(self, n_trees: int = 200, max_depth: int = 10,
-                 max_features="sqrt", bootstrap: bool = True, seed: int = 0):
-        self.n_trees = n_trees
-        self.max_depth = max_depth
-        self.max_features = max_features
-        self.bootstrap = bootstrap
-        self.seed = seed
+    n_trees: int = 200
+    max_depth: int = 10
+    max_features: int | str | None = "sqrt"
+    bootstrap: bool = True
+    seed: int = 0
 
     def _candidate_count(self, n_features: int) -> int:
         mf = self.max_features

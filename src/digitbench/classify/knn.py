@@ -34,9 +34,8 @@ class KnnClassifier(Estimator, ClassifierMixin):
     always the argmax of the scores under that tie rule.
     """
 
-    def __init__(self, k: int = 5, minkowski_p: float = 2.0):
-        self.k = k
-        self.minkowski_p = minkowski_p
+    k: int = 5
+    minkowski_p: float = 2.0
 
     def fit(self, X, y):
         X, y_idx = self._fit_data(X, y)

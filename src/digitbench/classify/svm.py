@@ -184,12 +184,10 @@ class SvmClassifier(Estimator, ClassifierMixin):
     argmax over classes (lowest index on exact ties).
     """
 
-    def __init__(self, C: float = 10.0, gamma="scale", tol: float = 1e-3,
-                 max_iter: int = 200_000):
-        self.C = C
-        self.gamma = gamma
-        self.tol = tol
-        self.max_iter = max_iter
+    C: float = 10.0
+    gamma: float | str = "scale"
+    tol: float = 1e-3
+    max_iter: int = 200_000
 
     def fit(self, X, y):
         X, y_idx = self._fit_data(X, y)

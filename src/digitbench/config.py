@@ -21,10 +21,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .classify import KINDS
+from .classify import KINDS, make_classifier
 from .datasets import LABEL_FIRST, SCHEMAS, SplitSpec
 from .errors import ParameterError, ParseError
-from .features import METHODS
+from .features import make_descriptor
 
 SYNTHETIC_SETS = ("glyphs", "squares")
 
@@ -53,16 +53,18 @@ class RunConfig:
             raise ParameterError("config lists no feature methods")
         if not self.classifiers:
             raise ParameterError("config lists no classifiers")
-        for method, _ in self.features:
-            if method not in METHODS:
-                raise ParameterError(
-                    f"unknown feature method {method!r}, expected one of "
-                    f"{METHODS}")
-        for kind, _ in self.classifiers:
-            if kind not in KINDS:
-                raise ParameterError(
-                    f"unknown classifier kind {kind!r}, expected one of "
-                    f"{KINDS}")
+        for section, make, entries in (
+                ("feature", make_descriptor, self.features),
+                ("classifier", make_classifier, self.classifiers)):
+            for name, params in entries:
+                # the defaults; an unknown name raises here
+                accepted = make(name).get_params()
+                for param in params:
+                    if param not in accepted:
+                        raise ParameterError(
+                            f"config key '{section}.{name}.{param}': {name} "
+                            f"takes no parameter {param!r}, expected one "
+                            f"of {tuple(accepted)}")
         if self.schema not in SCHEMAS:
             raise ParameterError(
                 f"schema must be one of {SCHEMAS}, got {self.schema!r}")

@@ -57,12 +57,10 @@ class GaborDescriptor(Estimator, TransformerMixin):
     n_stds : kernel support radius in envelope standard deviations.
     """
 
-    def __init__(self, frequency: float = 0.9, theta: float = 0.0,
-                 bandwidth: float = 1.0, n_stds: float = 3.0):
-        self.frequency = frequency
-        self.theta = theta
-        self.bandwidth = bandwidth
-        self.n_stds = n_stds
+    frequency: float = 0.9
+    theta: float = 0.0
+    bandwidth: float = 1.0
+    n_stds: float = 3.0
 
     def _transform_stack(self, stack: np.ndarray) -> np.ndarray:
         kernel = gabor_kernel(self.frequency, self.theta, self.bandwidth,

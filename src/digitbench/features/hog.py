@@ -49,13 +49,11 @@ class HogDescriptor(Estimator, TransformerMixin):
     signed_gradients : bin over [0, 360) instead of the default [0, 180).
     """
 
-    def __init__(self, cell_side: int = 4, block_side: int = 2, n_bins: int = 9,
-                 block_stride: int = 1, signed_gradients: bool = False):
-        self.cell_side = cell_side
-        self.block_side = block_side
-        self.n_bins = n_bins
-        self.block_stride = block_stride
-        self.signed_gradients = signed_gradients
+    cell_side: int = 4
+    block_side: int = 2
+    n_bins: int = 9
+    block_stride: int = 1
+    signed_gradients: bool = False
 
     def _check_geometry(self, h: int, w: int) -> tuple[int, int]:
         cs = check_int(self.cell_side, "cell_side", 1)

@@ -34,11 +34,9 @@ class LbpDescriptor(Estimator, TransformerMixin):
         "histogram" returns a normalized 2**neighbors bin code histogram.
     """
 
-    def __init__(self, neighbors: int = 10, radius: float = 3.0,
-                 mode: str = "flat"):
-        self.neighbors = neighbors
-        self.radius = radius
-        self.mode = mode
+    neighbors: int = 10
+    radius: float = 3.0
+    mode: str = "flat"
 
     def _check_params(self) -> int:
         """The checked neighbor count; the radius is checked per image size."""

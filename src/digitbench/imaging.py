@@ -147,11 +147,9 @@ class Preprocessor(Estimator, TransformerMixin):
     skips the resize, which would return it bit for bit.
     """
 
-    def __init__(self, target_side: int = 28, gaussian_sigma: float = 0.8,
-                 deskew_enabled: bool = True):
-        self.target_side = target_side
-        self.gaussian_sigma = gaussian_sigma
-        self.deskew_enabled = deskew_enabled
+    target_side: int = 28
+    gaussian_sigma: float = 0.8
+    deskew_enabled: bool = True
 
     def _check_params(self) -> None:
         check_int(self.target_side, "target_side", 8)

@@ -137,6 +137,26 @@ class TestConfigFormat:
                                  "classifiers": ["svm"],
                                  "classifier.knn.k": 3})
 
+    def test_unknown_parameter_names_rejected(self):
+        # used to load, preprocess and split the data, then end in a bare
+        # TypeError from extract_batch, or in a failed knn cell
+        for key in ("feature.hog.cellside", "classifier.knn.kk"):
+            with pytest.raises(ParameterError, match=f"'{key}'"):
+                config_from_mapping({"dataset.synthetic": "squares",
+                                     "features": ["hog"],
+                                     "classifiers": ["knn"], key: 4})
+
+    def test_unknown_parameter_rejected_before_any_data(self, monkeypatch):
+        def refuse(cfg):
+            raise AssertionError("read the data of an invalid config")
+
+        monkeypatch.setattr(bench, "load_run_images", refuse)
+        cfg = RunConfig(synthetic="squares", samples=20,
+                        features=[("hog", {"cellside": 4})],
+                        classifiers=[("knn", {})])
+        with pytest.raises(ParameterError, match="'feature.hog.cellside'"):
+            run_grid(cfg)
+
     def test_repeated_names_rejected(self):
         for key, names in [("features", ["hog", "lbp", "hog"]),
                            ("classifiers", ["knn", "svm", "knn"])]:

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from digitbench import ParameterError, StateError
-from digitbench.classify import GBDT, KNN, RF, SVM, make_classifier
+from digitbench.classify import (GBDT, KNN, RF, SVM,
+                                  GradientBoostingClassifier, KnnClassifier,
+                                  RandomForestClassifier, SvmClassifier,
+                                  make_classifier)
+from digitbench.features import (GaborDescriptor, HogDescriptor,
+                                 LbpDescriptor, RawDescriptor)
+from digitbench.imaging import Preprocessor
 
 
 def three_clusters(seed=0, n_per=12):
@@ -90,3 +96,34 @@ def test_negative_seed_rejected(kind):
     X, y = three_clusters(n_per=4)
     with pytest.raises(ParameterError, match="seed must be >= 0"):
         make_classifier(kind, seed=-1).fit(X, y)
+
+
+# every estimator's hyperparameters, in constructor order
+_PARAM_NAMES = {
+    Preprocessor: ("target_side", "gaussian_sigma", "deskew_enabled"),
+    HogDescriptor: ("cell_side", "block_side", "n_bins", "block_stride",
+                    "signed_gradients"),
+    LbpDescriptor: ("neighbors", "radius", "mode"),
+    GaborDescriptor: ("frequency", "theta", "bandwidth", "n_stds"),
+    RawDescriptor: (),
+    KnnClassifier: ("k", "minkowski_p"),
+    SvmClassifier: ("C", "gamma", "tol", "max_iter"),
+    RandomForestClassifier: ("n_trees", "max_depth", "max_features",
+                             "bootstrap", "seed"),
+    GradientBoostingClassifier: ("n_rounds", "max_depth", "learning_rate",
+                                 "row_subsample", "col_subsample",
+                                 "reg_lambda", "max_bins", "seed"),
+}
+
+
+@pytest.mark.parametrize("cls", list(_PARAM_NAMES), ids=lambda c: c.__name__)
+def test_estimator_contract(cls):
+    est = cls()
+    params = est.get_params()
+    assert tuple(params) == _PARAM_NAMES[cls]
+    assert cls(**params).get_params() == params
+    args = ", ".join(f"{k}={v!r}" for k, v in params.items())
+    assert repr(est) == f"{cls.__name__}({args})"
+    # identity equality: equal hyperparameters are still two estimators
+    assert hash(est) == hash(est)
+    assert est == est and est != cls()

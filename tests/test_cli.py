@@ -107,6 +107,15 @@ class TestBenchVerb:
                      "--out", str(tmp_path / "out")]) == 2
         assert "error: kernel radius 3 * sigma" in capsys.readouterr().err
 
+    def test_unknown_parameter_exit_two(self, tmp_path, capsys):
+        # used to end in a bare TypeError traceback from extract_batch
+        cfg = tmp_path / "run.cfg"
+        write_cfg(cfg, "feature.hog.cellside = 4\n")
+        assert main(["bench", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "'feature.hog.cellside'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_negative_seed_exit_two(self, tmp_path, capsys):
         # used to end in numpy's bare "expected non-negative integer"
         cfg = tmp_path / "run.cfg"
