@@ -18,6 +18,10 @@ from .validation import check_image_batch, check_matrix, check_X_y
 # images per call of a stacked kernel: enough to amortise NumPy's per-call
 # overhead, few enough that a block's temporaries stay small at any batch size
 IMAGE_BLOCK = 32
+# elements (2 MiB of float64) per block of a classifier's blocked
+# temporaries, so their memory stays flat as rows grow; read at call time as
+# ``base.BLOCK_ELEMENTS``, so one patch resizes every blocked loop
+BLOCK_ELEMENTS = 262_144
 
 
 class Estimator:

@@ -8,10 +8,14 @@ Split gain and leaf values follow the second-order formulation
 gain = G_L^2/(H_L+lam) + G_R^2/(H_R+lam) - G^2/(H+lam), leaf = -G/(H+lam).
 
 Bin ids are uint8 (at most 256 bins). A node's gradient and hessian
-histograms are bin-major, slot ``bin * n_cols + col``, so the left sums
-over cuts are contiguous row additions. A cut leaves rows on both sides
-exactly when it lies in [min bin, max bin) of the node's rows in that column,
-so no count histogram is built.
+histograms are bin-major, one row per bin, so the left sums over cuts are
+contiguous row additions. They are filled one block of columns at a time
+(XGBoost's column blocks, Chen & Guestrin, KDD 2016), so the slot ids and
+repeated weights of a block stay within ``BLOCK_ELEMENTS`` (one column for
+a node with more rows than that); every slot still receives its additions
+in row order. A cut leaves rows on both sides exactly when it
+lies in [min bin, max bin) of the node's rows in that column, so no count
+histogram is built.
 """
 
 from __future__ import annotations
@@ -20,14 +24,12 @@ import math
 
 import numpy as np
 
+from .. import base
 from ..base import ClassifierMixin, Estimator
 from ..validation import check_float, check_int
 from ._tree import Tree, grow_tree
 
 _PROB_FLOOR = 1e-12
-# elements per column block of the binning pass, which holds a few float64
-# temporaries this size
-_PREBIN_BLOCK = 1_000_000
 
 
 def prebin_features(X: np.ndarray, max_bins: int):
@@ -42,7 +44,8 @@ def prebin_features(X: np.ndarray, max_bins: int):
     cuts: list[np.ndarray] = []
     binned = np.empty((n, d), dtype=np.uint8)
     levels = np.arange(1, max_bins) / max_bins
-    step = max(1, _PREBIN_BLOCK // n)
+    # the binning pass holds a few float64 temporaries of one column block
+    step = max(1, base.BLOCK_ELEMENTS // n)
     for start in range(0, d, step):
         block = X[:, start:start + step]
         S = np.sort(block, axis=0)
@@ -89,8 +92,6 @@ def _grow_boost_tree(binned: np.ndarray, cuts: list[np.ndarray],
     """
     n_cols = cols.shape[0]
     sub = binned[np.ix_(rows, cols)]
-    # bin-major histogram slots: slot b * n_cols + j holds bin b of column j
-    slots = sub.astype(np.intp) * n_cols + np.arange(n_cols)
     # uint8 like the bins, so the comparisons below need no casts
     cut_ids = np.arange(width - 1, dtype=np.uint8)[:, None]
 
@@ -98,10 +99,18 @@ def _grow_boost_tree(binned: np.ndarray, cuts: list[np.ndarray],
         g_node, h_node = g[member], h[member]
         g_total, h_total = g_node.sum(), h_node.sum()
         bins = sub[member]
-        flat = slots[member].ravel()
-        gl, hl = (np.bincount(flat, weights=np.repeat(w, n_cols),
-                              minlength=width * n_cols).reshape(width, n_cols)
-                  for w in (g_node, h_node))
+        gl, hl = np.empty((width, n_cols)), np.empty((width, n_cols))
+        step = max(1, base.BLOCK_ELEMENTS // member.shape[0])
+        for c0 in range(0, n_cols, step):
+            block = bins[:, c0:c0 + step]
+            k = block.shape[1]
+            # bin-major slots: slot b * k + j holds bin b of the block's
+            # column j
+            flat = (block.astype(np.intp) * k + np.arange(k)).ravel()
+            for out, w in ((gl, g_node), (hl, h_node)):
+                out[:, c0:c0 + k] = np.bincount(
+                    flat, weights=np.repeat(w, k),
+                    minlength=width * k).reshape(width, k)
         # left sums per cut: cumsum's additions, one contiguous row at a time
         for b in range(1, width - 1):
             gl[b] += gl[b - 1]

@@ -4,14 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from .. import base
 from ..base import ClassifierMixin, Estimator
 from ..validation import check_float, check_int
-
-# elements per distance block (at least one query), which holds three
-# temporaries this size; chosen by measurement on HOG rows, where it was
-# faster than larger blocks at a fraction of their peak memory. The p = 2
-# path keeps its query-by-row blocks and re-rank chunks within it too.
-_BLOCK_BUDGET = 1_000_000
 
 
 def _exact_distances(a: np.ndarray, b: np.ndarray, p: float) -> np.ndarray:
@@ -53,7 +48,9 @@ class KnnClassifier(Estimator, ClassifierMixin):
         n, d = self._X.shape
         k = int(self.k)
         p = float(self.minkowski_p)
-        block = max(1, _BLOCK_BUDGET // max(1, n * d))
+        # a distance block (at least one query) holds three temporaries of
+        # up to BLOCK_ELEMENTS elements each
+        block = max(1, base.BLOCK_ELEMENTS // max(1, n * d))
         out = np.empty((Q.shape[0], k), dtype=np.intp)
         for start in range(0, Q.shape[0], block):
             chunk = Q[start:start + block]
@@ -83,18 +80,25 @@ class KnnClassifier(Estimator, ClassifierMixin):
         # computations; the tiny term covers underflow
         scale = 8.0 * (d + 2) * np.finfo(np.float64).eps
         floor = 8.0 * (d + 2) * np.finfo(np.float64).tiny
-        block = max(1, _BLOCK_BUDGET // n)
-        pair_block = max(1, _BLOCK_BUDGET // max(1, d))
+        # query-by-row blocks and re-rank pair blocks of at most
+        # BLOCK_ELEMENTS elements (README "Classifiers" has the timings)
+        block = max(1, base.BLOCK_ELEMENTS // n)
+        pair_block = max(1, base.BLOCK_ELEMENTS // max(1, d))
         out = np.empty((Q.shape[0], k), dtype=np.intp)
         for start in range(0, Q.shape[0], block):
             chunk = Q[start:start + block]
             with np.errstate(over="ignore", invalid="ignore"):
                 norms = q_sq[start:start + block, None] + x_sq[None, :]
-                approx = norms - 2.0 * (chunk @ X.T)
+                # approx = norms - 2 q.x and err = norms * scale + floor,
+                # each in place over one block
+                approx = chunk @ X.T
+                approx *= 2.0
+                np.subtract(norms, approx, out=approx)
                 # an overflowed approximation bounds nothing: as NaN it
                 # sorts last, so it never sets hi, and its row is kept
                 approx[~np.isfinite(approx)] = np.nan
-                err = norms * scale + floor
+                err = np.multiply(norms, scale, out=norms)
+                err += floor
                 hi = np.partition(approx + err, k - 1, axis=1)[:, k - 1:k]
                 # written so that a NaN bound keeps the row
                 query, cand = np.nonzero(~(approx - err > hi))

@@ -16,28 +16,35 @@ import math
 
 import numpy as np
 
+from .. import base
 from ..base import ClassifierMixin, Estimator
-from ..errors import StateError
+from ..errors import ShapeError, StateError
 from ..validation import check_float, check_int
 
 SV_THRESHOLD = 1e-8
 _QUAD_FLOOR = 1e-12
-# elements per row block of an in-place Gram matrix build
-_GRAM_BLOCK = 1_000_000
 
 
 def rbf_kernel(A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:
     """K[i, j] = exp(-gamma * ||A_i - B_j||^2).
 
     Each entry is exp(-gamma * max(|A_i|^2 + |B_j|^2 - 2 A_i.B_j, 0)),
-    computed in that order in place over one ``A @ B.T`` buffer, _GRAM_BLOCK
-    entries of rows at a time: the only temporary is one block of
-    |A_i|^2 + |B_j|^2.
+    computed in that order in place over one ``A @ B.T`` buffer,
+    ``base.BLOCK_ELEMENTS`` entries of rows at a time: the only temporary is
+    one block of |A_i|^2 + |B_j|^2. Raises ShapeError when a squared row
+    norm is so large that those terms could overflow.
     """
-    a = (A * A).sum(axis=1)
-    b = (B * B).sum(axis=1)
+    with np.errstate(over="ignore"):
+        a = (A * A).sum(axis=1)
+        b = (B * B).sum(axis=1)
+    # |2 A_i.B_j| <= |A_i|^2 + |B_j|^2, so with this headroom no term of
+    # any entry overflows, and every entry is finite
+    if not math.isfinite(2.0 * (float(a.max(initial=0.0))
+                                + float(b.max(initial=0.0)))):
+        raise ShapeError("squared row norms overflow float64 in the RBF "
+                         "kernel; rescale the features")
     K = A @ B.T
-    rows = max(1, _GRAM_BLOCK // max(1, K.shape[1]))
+    rows = max(1, base.BLOCK_ELEMENTS // max(1, K.shape[1]))
     for start in range(0, K.shape[0], rows):
         blk = K[start:start + rows]
         blk *= 2.0
@@ -49,11 +56,21 @@ def rbf_kernel(A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:
 
 
 def resolve_gamma(X: np.ndarray, gamma) -> float:
-    """'scale' -> 1 / (n_features * Var(X)), numeric passes through."""
+    """'scale' -> 1 / (n_features * Var(X)), numeric passes through.
+
+    Raises ShapeError when 'scale' gives 0 or an overflow.
+    """
     if gamma == "scale":
-        var = float(X.var())
+        with np.errstate(over="ignore"):
+            var = float(X.var())
         d = X.shape[1]
-        return 1.0 / (d * var) if var > 0 else 1.0 / d
+        gamma = 1.0 / (d * var) if var > 0 else 1.0 / d
+        # an overflowing variance gives 0, a tiny one an overflowing gamma
+        if not 0.0 < gamma < math.inf:
+            raise ShapeError(f"gamma='scale' leaves float64's range: Var(X) "
+                             f"= {var:g} gives gamma = {gamma:g}; rescale "
+                             f"the features")
+        return gamma
     return check_float(gamma, "gamma", gt=0)
 
 
@@ -208,6 +225,8 @@ class SvmClassifier(Estimator, ClassifierMixin):
                      1.0, -1.0)
         alpha, intercepts, iteration_counts, converged = smo_solve(
             K, Y, C, tol, max_iter)
+        # the Gram is freed before the support vectors are copied out of X
+        del K
         coefs = alpha * Y
 
         support = np.nonzero(np.any(np.abs(coefs) > SV_THRESHOLD, axis=0))[0]

@@ -7,9 +7,8 @@ import numpy as np
 import pytest
 from oracles import boost_tree_oracle, prebin_oracle, stump_oracle
 
-from digitbench import ParameterError, ShapeError, StateError
+from digitbench import ParameterError, ShapeError, StateError, base
 from digitbench.classify import GradientBoostingClassifier
-from digitbench.classify import boosting
 from digitbench.classify._tree import grow_tree
 from digitbench.classify.boosting import (_grow_boost_tree, prebin_features,
                                           softmax)
@@ -116,7 +115,7 @@ class TestPrebinMatchesOracle:
     @pytest.mark.parametrize("budget", [1, 180])
     def test_column_blocks(self, monkeypatch, budget):
         # one column per block, then blocks of three columns and a ragged end
-        monkeypatch.setattr(boosting, "_PREBIN_BLOCK", budget)
+        monkeypatch.setattr(base, "BLOCK_ELEMENTS", budget)
         X = awkward_columns(2)
         binned, cuts = prebin_features(X, 16)
         want_binned, want_cuts = prebin_oracle(X, 16)

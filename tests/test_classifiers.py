@@ -1,13 +1,15 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from digitbench import ParameterError, StateError
+from digitbench import ParameterError, StateError, base
 from digitbench.classify import (GBDT, KNN, RF, SVM,
                                   GradientBoostingClassifier, KnnClassifier,
                                   RandomForestClassifier, SvmClassifier,
                                   make_classifier)
+from digitbench.classify.svm import rbf_kernel
 from digitbench.features import (GaborDescriptor, HogDescriptor,
                                  LbpDescriptor, RawDescriptor)
 from digitbench.imaging import Preprocessor
@@ -75,6 +77,75 @@ class TestCrossCutting:
                 clf.fit(X, np.zeros_like(y) if one_class else y)
             with pytest.raises(StateError, match="not fitted"):
                 clf.predict(X)
+
+
+class TestBlockBudget:
+    """``base.BLOCK_ELEMENTS`` bounds every blocked classifier temporary and
+    never changes a bit."""
+
+    @staticmethod
+    def fitted_bytes():
+        rng = np.random.default_rng(21)
+        # integer-valued columns (few distinct values, exact cuts) beside
+        # wide ones (quantile cuts)
+        X = np.hstack([rng.random((90, 6)), np.round(rng.random((90, 5)) * 4)])
+        y = rng.integers(0, 3, 90)
+        gbdt = GradientBoostingClassifier(
+            n_rounds=3, max_depth=4, max_bins=16, row_subsample=0.9,
+            col_subsample=0.75).fit(X, y)
+        out = [a.tobytes() for tree in gbdt.trees_ for a in (
+            tree.feature, tree.threshold, tree.left, tree.right, tree.value)]
+        out.append(gbdt.loss_trace_.tobytes())
+        knn = KnnClassifier(k=7).fit(X, y)
+        out.append(knn._neighbor_order(rng.random((25, 11)) * 4).tobytes())
+        for n, d in ((12, 30), (50, 4)):  # n < d, then n > d
+            A = rng.random((n, d))
+            svm = SvmClassifier().fit(A, np.arange(n) % 3)
+            out += [rbf_kernel(A, A, 0.4).tobytes(),
+                    rbf_kernel(A[:5], A, 0.4).tobytes(), svm.support_.tobytes(),
+                    svm.dual_coef_.tobytes(), svm.intercept_.tobytes()]
+        return out
+
+    # a few elements: one column, row, query or pair per block for the
+    # larger inputs; for tree nodes of 2 to 10 rows, blocks of several of
+    # the 9 sampled columns and a ragged last block
+    @pytest.mark.parametrize("budget", [7, 20])
+    def test_tiny_budget_gives_the_same_bits(self, monkeypatch, budget):
+        want = self.fitted_bytes()
+        monkeypatch.setattr(base, "BLOCK_ELEMENTS", budget)
+        assert self.fitted_bytes() == want
+
+    @staticmethod
+    def traced_peak(run) -> int:
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_one_boosting_round_stays_below_its_input(self):
+        # a few thousand rows by several hundred columns: unblocked, the
+        # root's int64 slot ids and each of its repeated weight arrays would
+        # be 0.64 X.nbytes at the default subsampling, while the budget's
+        # temporaries are a few MiB and each uint8 copy of the bins at most
+        # an eighth of X
+        rng = np.random.default_rng(22)
+        X = rng.random((5000, 800))
+        y = rng.integers(0, 3, 5000)
+        limit = 0.75 * X.nbytes
+        clf = GradientBoostingClassifier(n_rounds=1, max_depth=2, max_bins=16)
+        assert self.traced_peak(lambda: clf.fit(X, y)) < limit
+
+    def test_knn_predict_stays_below_its_input(self):
+        # a block of a million shortlist distances would be a quarter of X,
+        # and the block holds several such temporaries
+        rng = np.random.default_rng(23)
+        X = rng.random((5000, 800))
+        limit = 0.75 * X.nbytes
+        clf = KnnClassifier().fit(X, rng.integers(0, 3, 5000))
+        Q = rng.random((300, 800))
+        assert self.traced_peak(lambda: clf.predict(Q)) < limit
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, 2.5])

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 from oracles import knn_oracle
 
-from digitbench import ParameterError, ShapeError, StateError
+from digitbench import ParameterError, ShapeError, StateError, base
 from digitbench.classify import KnnClassifier
-from digitbench.classify import knn as knn_module
 
 
 class TestKnnBasics:
@@ -153,7 +152,7 @@ class TestKnnEuclideanShortlist:
     @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
     def test_small_budget_matches_oracle(self, monkeypatch, p):
         # a budget below one query's row count and one pair block's width
-        monkeypatch.setattr(knn_module, "_BLOCK_BUDGET", 50)
+        monkeypatch.setattr(base, "BLOCK_ELEMENTS", 50)
         rng = np.random.default_rng(13)
         X = np.round(rng.random((80, 6)) * 3)
         y = rng.integers(0, 4, 80)

@@ -172,6 +172,31 @@ class TestSvmClassifier:
         with pytest.raises(ParameterError):
             resolve_gamma(X, -1.0)
 
+    @pytest.mark.parametrize("scale", [1e300, 1e160])
+    @pytest.mark.parametrize("gamma", ["scale", 1.0])
+    def test_overflowing_features_rejected(self, scale, gamma):
+        # squares of these overflow: gamma 'scale' came out 0.0 and the Gram
+        # NaN, so every score was NaN and every prediction class 0
+        X = np.random.default_rng(0).random((8, 3)) * scale
+        with pytest.raises(ShapeError, match="float64"):
+            SvmClassifier(gamma=gamma).fit(X, np.arange(8) % 2)
+
+    def test_vanishing_variance_rejected(self):
+        # 1 / (3 * Var(X)) overflows: gamma 'scale' came out inf, with the
+        # same NaN scores; a given gamma is fine on these features
+        X = np.random.default_rng(0).random((8, 3)) * 1e-160
+        y = np.arange(8) % 2
+        with pytest.raises(ShapeError, match="float64"):
+            SvmClassifier().fit(X, y)
+        assert np.isfinite(SvmClassifier(gamma=1.0).fit(X, y)
+                           .predict_scores(X)).all()
+
+    def test_overflowing_queries_rejected(self):
+        X, y = self.make_blobs(np.random.default_rng(15))
+        clf = SvmClassifier().fit(X, y)
+        with pytest.raises(ShapeError, match="float64"):
+            clf.predict_scores(X[:3] * 1e200)
+
     def test_single_class_rejected(self):
         with pytest.raises(StateError):
             SvmClassifier().fit(np.random.default_rng(10).random((8, 2)),
@@ -208,7 +233,7 @@ class TestRbfKernel:
         assert np.array_equal(K, K.T)
 
     def test_row_blocks_match_whole_matrix_formula(self):
-        # 1200 x 1000 entries span two in-place row blocks
+        # 1200 x 1000 entries span several in-place row blocks
         rng = np.random.default_rng(14)
         A, B = rng.random((1200, 5)), rng.random((1000, 5))
         sq = (A * A).sum(axis=1)[:, None] + (B * B).sum(axis=1)[None, :] \
