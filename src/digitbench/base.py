@@ -12,7 +12,7 @@ import dataclasses
 
 import numpy as np
 
-from .errors import StateError
+from .errors import ShapeError, StateError
 from .validation import check_image_batch, check_matrix, check_X_y
 
 # images per call of a stacked kernel: enough to amortise NumPy's per-call
@@ -80,6 +80,8 @@ class ClassifierMixin:
         X, y = check_X_y(X, y)
         if X.shape[0] == 0:
             raise StateError("cannot fit on an empty training set")
+        if X.shape[1] == 0:
+            raise ShapeError("cannot fit on X with no feature columns")
         self.classes_, y_idx = np.unique(y, return_inverse=True)
         return X, y_idx
 

@@ -13,7 +13,8 @@ import sys
 
 from . import __version__
 from .bench import emit_report, feature_matrices, load_run_images, run_grid
-from .config import RunConfig, config_from_mapping, parse_config_text
+from .config import (KEYS, SYNTHETIC_SETS, RunConfig, config_from_mapping,
+                     parse_config_text)
 from .datasets import SCHEMAS
 from .errors import ParameterError, ParseError, ShapeError, SplitError
 from .features import METHODS
@@ -24,15 +25,17 @@ from .viz import visualize
 
 def _add_dataset_flags(parser):
     source = parser.add_mutually_exclusive_group()
-    source.add_argument("--dataset", help="digit CSV path")
-    source.add_argument("--synthetic", choices=("glyphs", "squares"),
+    source.add_argument("--dataset", dest="dataset.path",
+                        help="digit CSV path")
+    source.add_argument("--synthetic", dest="dataset.synthetic",
+                        choices=SYNTHETIC_SETS,
                         help="use a built-in generated dataset")
-    parser.add_argument("--schema", choices=SCHEMAS,
+    parser.add_argument("--schema", dest="dataset.schema", choices=SCHEMAS,
                         help="CSV label position")
-    parser.add_argument("--samples", type=int,
+    parser.add_argument("--samples", dest="dataset.samples", type=int,
                         help="synthetic dataset size")
-    parser.add_argument("--side", type=int, help="image side length in the "
-                        "CSV (default 28)")
+    parser.add_argument("--side", dest="dataset.side", type=int,
+                        help="image side length in the CSV (default 28)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -45,8 +48,9 @@ def build_parser() -> argparse.ArgumentParser:
     bench = sub.add_parser("bench", help="run the benchmark grid")
     bench.add_argument("--config", help="run configuration file")
     _add_dataset_flags(bench)
-    bench.add_argument("--seed", type=int, help="split seed override")
-    bench.add_argument("--out", help="report directory")
+    bench.add_argument("--seed", dest="split.seed", type=int,
+                       help="split seed override")
+    bench.add_argument("--out", dest="output.dir", help="report directory")
     bench.add_argument("--raw-baseline", action="store_true", default=None,
                        help="also run classifiers on raw pixels")
 
@@ -55,8 +59,8 @@ def build_parser() -> argparse.ArgumentParser:
     extract.add_argument("--method", choices=METHODS, default="hog")
     extract.add_argument("--jobs", type=int,
                          help="accepted for compatibility; has no effect")
-    extract.add_argument("--out", dest="cache_dir", default="cache",
-                         metavar="DIR", help="cache directory")
+    extract.add_argument("--out", dest="output.cache_dir", default="cache",
+                         help="cache directory")
 
     viz = sub.add_parser("visualize",
                          help="render pipeline stages for one digit")
@@ -68,22 +72,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# argparse dest -> config key; a flag that is not given keeps the value
-# from --config or the default
-_FLAG_KEYS = {"dataset": "dataset.path", "synthetic": "dataset.synthetic",
-              "schema": "dataset.schema", "samples": "dataset.samples",
-              "side": "dataset.side", "seed": "split.seed",
-              "out": "output.dir", "cache_dir": "output.cache_dir",
-              "raw_baseline": "raw_baseline"}
-
-
 def _config_from_args(args) -> RunConfig:
     pairs = {}
     if getattr(args, "config", None):
         with open(args.config) as fh:
             pairs = parse_config_text(fh.read())
-    flags = {key: getattr(args, dest) for dest, key in _FLAG_KEYS.items()
-             if getattr(args, dest, None) is not None}
+    # a flag's dest is the config key it sets; a flag that is not given
+    # keeps the value from --config or the default
+    flags = {key: value for key, value in vars(args).items()
+             if key in KEYS and value is not None}
     if "dataset.path" in flags or "dataset.synthetic" in flags:
         # a dataset flag replaces the file's dataset, of either kind
         pairs.pop("dataset.path", None)

@@ -56,7 +56,11 @@ class RunConfig:
         for section, make, entries in (
                 ("feature", make_descriptor, self.features),
                 ("classifier", make_classifier, self.classifiers)):
+            names = [name for name, _ in entries]
             for name, params in entries:
+                if names.count(name) > 1:
+                    raise ParameterError(
+                        f"config key '{section}s' lists {name!r} twice")
                 # the defaults; an unknown name raises here
                 accepted = make(name).get_params()
                 for param in params:
@@ -159,7 +163,7 @@ def _split(name: str, convert):
 # every fixed key, how its value is checked and where it goes; besides
 # these, only feature.<method>.<param> and classifier.<kind>.<param> are
 # accepted
-_KEYS = {
+KEYS = {
     "features": _attr("features", _names),
     "classifiers": _attr("classifiers", _names),
     "raw_baseline": _attr("raw_baseline", _boolean),
@@ -187,9 +191,9 @@ def config_from_mapping(pairs: dict) -> RunConfig:
 
     for key, value in pairs.items():
         parts = key.split(".")
-        if key in _KEYS:
+        if key in KEYS:
             try:
-                _KEYS[key](cfg, value)
+                KEYS[key](cfg, value)
             except ValueError as exc:
                 raise ParseError(
                     f"config key {key!r} needs {exc}, got {value!r}") from None
@@ -200,11 +204,6 @@ def config_from_mapping(pairs: dict) -> RunConfig:
 
     order = {"feature": [m for m, _ in cfg.features],
              "classifier": [k for k, _ in cfg.classifiers]}
-    for section, names in order.items():
-        for i, name in enumerate(names):
-            if name in names[:i]:
-                raise ParseError(
-                    f"config key '{section}s' lists {name!r} twice")
     for section, names in params.items():
         for name in names:
             if name not in order[section]:

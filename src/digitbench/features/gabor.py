@@ -13,7 +13,7 @@ import numpy as np
 
 from ..base import Estimator, TransformerMixin
 from ..imaging import convolve2d_reflect
-from ..validation import check_float, check_radius
+from ..validation import check_float, check_radius, check_spread
 
 
 def bandwidth_sigma(frequency: float, bandwidth: float) -> float:
@@ -42,7 +42,9 @@ def gabor_kernel(frequency: float = 0.9, theta: float = 0.0,
     x, y = np.meshgrid(coords, coords)
     rot_x = x * np.cos(theta) + y * np.sin(theta)
     rot_y = -x * np.sin(theta) + y * np.cos(theta)
-    envelope = np.exp(-(rot_x ** 2 + rot_y ** 2) / (2.0 * sigma ** 2))
+    two_var = check_spread(2.0 * sigma ** 2, frequency=frequency,
+                           bandwidth=bandwidth)
+    envelope = np.exp(-(rot_x ** 2 + rot_y ** 2) / two_var)
     return envelope * np.exp(1j * 2.0 * np.pi * frequency * rot_x)
 
 

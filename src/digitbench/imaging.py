@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .base import Estimator, TransformerMixin
-from .validation import check_float, check_int, check_radius
+from .validation import check_float, check_int, check_radius, check_spread
 
 
 def _sample_bilinear(img: np.ndarray, ys: np.ndarray, xs: np.ndarray,
@@ -93,7 +93,8 @@ def gaussian_kernel_1d(sigma: float) -> np.ndarray:
     sigma = check_float(sigma, "sigma", gt=0)
     radius = check_radius(3.0 * sigma, "3 * sigma", sigma=sigma)
     offsets = np.arange(-radius, radius + 1, dtype=np.float64)
-    kernel = np.exp(-(offsets**2) / (2.0 * sigma * sigma))
+    two_var = check_spread(2.0 * sigma * sigma, sigma=sigma)
+    kernel = np.exp(-(offsets**2) / two_var)
     return kernel / kernel.sum()
 
 

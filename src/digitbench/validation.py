@@ -102,6 +102,17 @@ def check_radius(extent: float, name: str, **given) -> int:
     return math.ceil(extent)
 
 
+def check_spread(two_var: float, **given) -> float:
+    """``two_var``, a Gaussian kernel's ``2 * sigma**2``, when it is positive;
+    a ParameterError naming the ``given`` parameters when it underflowed to
+    0, which would make every kernel weight NaN."""
+    if not two_var > 0.0:
+        params = ", ".join(f"{k}={v}" for k, v in given.items())
+        raise ParameterError("kernel 2 * sigma**2 underflows to 0: sigma is "
+                             f"too small ({params})")
+    return two_var
+
+
 def check_int(value, name: str, low: int, high: int | None = None) -> int:
     """``value`` as an int in [low, high] (no upper bound when high is None).
 

@@ -157,10 +157,24 @@ class TestConfigFormat:
         with pytest.raises(ParameterError, match="'feature.hog.cellside'"):
             run_grid(cfg)
 
+    def test_repeated_names_rejected_before_any_data(self, monkeypatch):
+        # a config built in code used to skip this rule: two knn cells wrote
+        # two "hog,knn" rows, and two hog entries ended in a bare KeyError
+        def refuse(cfg):
+            raise AssertionError("read the data of an invalid config")
+
+        monkeypatch.setattr(bench, "load_run_images", refuse)
+        for key, entries in [
+                ("features", [("hog", {}), ("hog", {"cell_side": 7})]),
+                ("classifiers", [("knn", {"k": 1}), ("knn", {"k": 15})])]:
+            with pytest.raises(ParameterError, match=f"config key '{key}' "
+                               "lists '(hog|knn)' twice"):
+                run_grid(small_cfg(**{key: entries}))
+
     def test_repeated_names_rejected(self):
         for key, names in [("features", ["hog", "lbp", "hog"]),
                            ("classifiers", ["knn", "svm", "knn"])]:
-            with pytest.raises(ParseError, match=f"config key '{key}' "
+            with pytest.raises(ParameterError, match=f"config key '{key}' "
                                f"lists '{names[0]}' twice"):
                 config_from_mapping({"dataset.synthetic": "glyphs",
                                      key: names})
@@ -238,7 +252,7 @@ class TestRunGrid:
         assert {c.feature for c in res.cells} == {"hog", "gabor", "raw"}
 
     def test_failed_cell_does_not_abort(self):
-        cfg = small_cfg(classifiers=[("knn", {"k": 0}), ("knn", {"k": 1})])
+        cfg = small_cfg(classifiers=[("knn", {"k": 0}), ("svm", {})])
         res = run_grid(cfg)
         assert not res.all_ok
         failed = [c for c in res.cells if not c.ok]
@@ -597,10 +611,13 @@ class TestWarmCache:
                 seen.append(X)
                 return self.clf.predict(X)
 
+            def __getattr__(self, name):  # the fit summary's attributes
+                return getattr(self.clf, name)
+
         monkeypatch.setattr(bench, "make_classifier",
                             lambda kind, **params: Spy(real(kind, **params)))
         cfg = small_cfg(features=[("hog", {})],
-                        classifiers=[("knn", {"k": 1}), ("knn", {"k": 3})])
+                        classifiers=[("knn", {"k": 1}), ("svm", {})])
         res = run_grid(cfg)
         assert res.all_ok and len(seen) == 4
         # fit and predict of both cells see slices of one array

@@ -4,8 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from digitbench import ParameterError, StateError, base
-from digitbench.classify import (GBDT, KNN, RF, SVM,
+from digitbench import ParameterError, ShapeError, StateError, base
+from digitbench.classify import (GBDT, KINDS, KNN, RF, SVM,
                                   GradientBoostingClassifier, KnnClassifier,
                                   RandomForestClassifier, SvmClassifier,
                                   make_classifier)
@@ -77,6 +77,14 @@ class TestCrossCutting:
                 clf.fit(X, np.zeros_like(y) if one_class else y)
             with pytest.raises(StateError, match="not fitted"):
                 clf.predict(X)
+
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_zero_columns_rejected(self, kind):
+        # used to raise ZeroDivisionError (SVM), ValueError (RF, GBDT), or
+        # fit a KNN that predicted class 0 for every row
+        with pytest.raises(ShapeError, match="no feature columns"):
+            make_classifier(kind).fit(np.zeros((6, 0)), [0, 1] * 3)
 
 
 class TestBlockBudget:

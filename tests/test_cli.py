@@ -3,7 +3,9 @@ import os
 import pytest
 
 from digitbench import bench
-from digitbench.cli import main
+from digitbench.cli import _config_from_args, build_parser, main
+from digitbench.config import RunConfig
+from digitbench.datasets import SplitSpec
 from digitbench.imaging import Preprocessor
 
 
@@ -107,6 +109,21 @@ class TestBenchVerb:
                      "--out", str(tmp_path / "out")]) == 2
         assert "error: kernel radius 3 * sigma" in capsys.readouterr().err
 
+    def test_underflowing_kernel_sigma_exit_two(self, tmp_path, capsys):
+        # 2 * sigma**2 rounds to 0: the Gabor matrix used to be all NaN,
+        # cached, and read back by every rerun to fail its cells; the blur
+        # failed later as "images[0] contains non-finite values"
+        cfg, cache = tmp_path / "run.cfg", tmp_path / "cache"
+        for key, value, named in [
+                ("feature.gabor.frequency", "1e200", "frequency=1e+200"),
+                ("preprocess.gaussian_sigma", "1e-170", "sigma=1e-170")]:
+            write_cfg(cfg, f"{key} = {value}\noutput.cache_dir = {cache}\n")
+            assert main(["bench", "--config", str(cfg),
+                         "--out", str(tmp_path / "out")]) == 2
+            err = capsys.readouterr().err
+            assert "sigma is too small" in err and named in err
+            assert not cache.exists() and not (tmp_path / "out").exists()
+
     def test_unknown_parameter_exit_two(self, tmp_path, capsys):
         # used to end in a bare TypeError traceback from extract_batch
         cfg = tmp_path / "run.cfg"
@@ -147,6 +164,59 @@ class TestBenchVerb:
         assert "error: train_fraction 0.96 leaves the test side" in err
         assert not (tmp_path / "out").exists()
         assert not (tmp_path / "cache").exists()
+
+
+def flags_config(argv):
+    """(RunConfig, parsed arguments) of a command line."""
+    args = build_parser().parse_args(argv)
+    return _config_from_args(args), args
+
+
+class TestFlagsAreConfigKeys:
+    # a flag's dest is the config key it sets, so a misspelled dest would
+    # drop the flag silently; each test compares every RunConfig field
+    def test_bench_flags(self, tmp_path, capsys):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("dataset.synthetic = glyphs\nfeatures = lbp\n"
+                            "split.seed = 1\noutput.dir = o\n")
+        cfg, _ = flags_config([
+            "bench", "--config", str(cfg_file), "--dataset", "d.csv",
+            "--schema", "label_last", "--samples", "30", "--side", "16",
+            "--seed", "7", "--out", "r", "--raw-baseline"])
+        # the file's features stay; its synthetic set gives way to --dataset
+        assert cfg == RunConfig(dataset_path="d.csv", schema="label_last",
+                                samples=30, side=16, features=[("lbp", {})],
+                                split=SplitSpec(seed=7), out_dir="r",
+                                raw_baseline=True)
+        cfg, _ = flags_config(["bench", "--synthetic", "squares"])
+        assert cfg == RunConfig(synthetic="squares")
+        # the metavar names the key a flag sets
+        with pytest.raises(SystemExit):
+            main(["bench", "--help"])
+        assert "--seed SPLIT.SEED" in capsys.readouterr().out
+
+    def test_extract_flags(self):
+        cfg, args = flags_config([
+            "extract", "--synthetic", "glyphs", "--schema", "label_last",
+            "--samples", "30", "--side", "16", "--method", "lbp",
+            "--jobs", "1", "--out", "c"])
+        assert cfg == RunConfig(synthetic="glyphs", schema="label_last",
+                                samples=30, side=16, cache_dir="c")
+        assert (args.method, args.jobs) == ("lbp", 1)
+        cfg, _ = flags_config(["extract", "--dataset", "d.csv"])
+        assert cfg == RunConfig(dataset_path="d.csv", cache_dir="cache")
+
+    def test_visualize_flags(self):
+        cfg, args = flags_config([
+            "visualize", "--dataset", "d.csv", "--schema", "label_last",
+            "--samples", "30", "--side", "16", "--index", "3",
+            "--method", "gabor", "--out", "v"])
+        # visualize's --out is its image directory, not output.dir
+        assert cfg == RunConfig(dataset_path="d.csv", schema="label_last",
+                                samples=30, side=16)
+        assert (args.index, args.method, args.out) == (3, "gabor", "v")
+        cfg, _ = flags_config(["visualize", "--synthetic", "squares"])
+        assert cfg == RunConfig(synthetic="squares")
 
 
 class TestOtherVerbs:

@@ -305,6 +305,14 @@ class TestGabor:
         img = np.random.default_rng(17).random((28, 28))
         assert GaborDescriptor().transform(img[None])[0].shape == (784,)
 
+    def test_underflowing_envelope_rejected(self):
+        # sigma 5.6e-201: 2 * sigma**2 rounds to 0, which used to give an
+        # all-NaN kernel and an all-NaN feature matrix
+        with pytest.raises(ParameterError, match="underflows.*frequency=1e"):
+            gabor_kernel(frequency=1e200)
+        with pytest.raises(ParameterError, match="sigma is too small"):
+            GaborDescriptor(frequency=1e200).transform(np.zeros((1, 28, 28)))
+
     def test_param_errors(self):
         with pytest.raises(ParameterError):
             gabor_kernel(frequency=0.0)

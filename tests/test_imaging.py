@@ -115,6 +115,17 @@ class TestGaussianBlur:
         assert len(gaussian_kernel_1d(341.0)) == 2 * 1023 + 1
 
 
+    @pytest.mark.parametrize("sigma", [1e-162, 1e-170, 5e-324])
+    def test_underflowing_sigma_rejected(self, sigma):
+        # 2 * sigma**2 rounds to 0: the kernel used to be all NaN, and the
+        # error came later as "images[0] contains non-finite values"
+        with pytest.raises(ParameterError, match=r"2 \* sigma\*\*2 underflows"
+                           f".*sigma={sigma}"):
+            gaussian_kernel_1d(sigma)
+        with pytest.raises(ParameterError, match="sigma is too small"):
+            Preprocessor(gaussian_sigma=sigma).transform(np.zeros((1, 28, 28)))
+
+
 class TestDeskew:
     def vertical_bar(self):
         img = np.zeros((28, 28))
