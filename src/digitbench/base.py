@@ -69,10 +69,19 @@ class ClassifierMixin:
     """The input contract of every classifier, and predict over
     ``predict_scores``.
 
-    ``fit`` starts with ``_fit_data`` and sets ``n_features_`` last, so a
-    fit that raises leaves the model unfitted. ``predict_scores`` starts
-    with ``_predict_data``.
+    ``fit`` starts with ``_fit_data`` and ``check_params`` and sets
+    ``n_features_`` last, so a fit that raises leaves the model unfitted.
+    ``predict_scores`` starts with ``_predict_data``.
     """
+
+    def check_params(self) -> tuple:
+        """The hyperparameters that ``fit`` uses, checked without any data.
+
+        A bad value raises ``ParameterError``; ``RunConfig.validate`` calls
+        this before a run reads its data. Bounds that depend on the data
+        (KNN's k, RF's max_features) are checked when it is at hand.
+        """
+        raise NotImplementedError
 
     def _fit_data(self, X, y) -> tuple[np.ndarray, np.ndarray]:
         """Checked (X, class index of each row); sets ``classes_``."""

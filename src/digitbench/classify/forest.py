@@ -51,8 +51,12 @@ def best_gini_split(X_cols: np.ndarray, y: np.ndarray):
 
 def _grow_tree(X: np.ndarray, y: np.ndarray, rows: np.ndarray,
                n_classes: int, max_depth: int, n_candidate_features: int,
-               rng: np.random.Generator) -> Tree:
-    """One tree grown on the sample ``rows`` of (X, y); repeats allowed."""
+               rng: np.random.Generator, varies: np.ndarray) -> Tree:
+    """One tree grown on the sample ``rows`` of (X, y); repeats allowed.
+
+    ``varies`` marks the columns of X that are not constant. The others
+    have no candidate at any node, so each node drops them after its draw.
+    """
     n_features = X.shape[1]
 
     def find_split(rows: np.ndarray):
@@ -63,6 +67,8 @@ def _grow_tree(X: np.ndarray, y: np.ndarray, rows: np.ndarray,
         else:
             feats = np.sort(rng.choice(n_features, n_candidate_features,
                                        replace=False))
+        # with no column left, best_gini_split finds no candidate
+        feats = feats[varies[feats]]
         found = best_gini_split(X[np.ix_(rows, feats)], y[rows])
         if found is None:
             return None
@@ -97,21 +103,27 @@ class RandomForestClassifier(Estimator, ClassifierMixin):
             return math.isqrt(n_features - 1) + 1
         return check_int(mf, "max_features", 1, n_features)
 
+    def check_params(self) -> tuple:
+        if self.max_features not in (None, "sqrt"):
+            check_int(self.max_features, "max_features", 1)
+        return (check_int(self.n_trees, "n_trees", 1),
+                check_int(self.max_depth, "max_depth", 1),
+                check_int(self.seed, "seed", 0))
+
     def fit(self, X, y):
         X, y_idx = self._fit_data(X, y)
-        n_trees = check_int(self.n_trees, "n_trees", 1)
-        max_depth = check_int(self.max_depth, "max_depth", 1)
-        seed = check_int(self.seed, "seed", 0)
+        n_trees, max_depth, seed = self.check_params()
         n_classes = self.classes_.shape[0]
         n = X.shape[0]
         n_candidates = self._candidate_count(X.shape[1])
+        varies = X.max(axis=0) > X.min(axis=0)
 
         trees = []
         for t in range(n_trees):
             rng = np.random.default_rng([seed, t])
             rows = rng.integers(0, n, n) if self.bootstrap else np.arange(n)
             trees.append(_grow_tree(X, y_idx, rows, n_classes, max_depth,
-                                    n_candidates, rng))
+                                    n_candidates, rng, varies))
         self.trees_ = trees
         self.n_features_ = X.shape[1]
         return self

@@ -32,10 +32,13 @@ class KnnClassifier(Estimator, ClassifierMixin):
     k: int = 5
     minkowski_p: float = 2.0
 
+    def check_params(self) -> tuple:
+        return (check_int(self.k, "k", 1),
+                check_float(self.minkowski_p, "minkowski_p", ge=1))
+
     def fit(self, X, y):
         X, y_idx = self._fit_data(X, y)
-        check_int(self.k, "k", 1)
-        check_float(self.minkowski_p, "minkowski_p", ge=1)
+        self.check_params()
         self._X = X
         self._y = y_idx  # class index of each training row
         self.n_features_ = X.shape[1]

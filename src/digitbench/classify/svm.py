@@ -206,11 +206,16 @@ class SvmClassifier(Estimator, ClassifierMixin):
     tol: float = 1e-3
     max_iter: int = 200_000
 
+    def check_params(self) -> tuple:
+        if self.gamma != "scale":
+            check_float(self.gamma, "gamma", gt=0)
+        return (check_float(self.C, "C", gt=0),
+                check_float(self.tol, "tol", gt=0),
+                check_int(self.max_iter, "max_iter", 1))
+
     def fit(self, X, y):
         X, y_idx = self._fit_data(X, y)
-        C = check_float(self.C, "C", gt=0)
-        tol = check_float(self.tol, "tol", gt=0)
-        max_iter = check_int(self.max_iter, "max_iter", 1)
+        C, tol, max_iter = self.check_params()
         n_classes = self.classes_.shape[0]
         if n_classes < 2:
             raise StateError("SVM training needs at least two classes")

@@ -69,6 +69,12 @@ class RunConfig:
                             f"config key '{section}.{name}.{param}': {name} "
                             f"takes no parameter {param!r}, expected one "
                             f"of {tuple(accepted)}")
+        # the values too, where no data is needed to check them
+        for kind, params in self.classifiers:
+            try:
+                make_classifier(kind, **params).check_params()
+            except ParameterError as exc:
+                raise ParameterError(f"classifier.{kind}: {exc}") from None
         if self.schema not in SCHEMAS:
             raise ParameterError(
                 f"schema must be one of {SCHEMAS}, got {self.schema!r}")

@@ -157,6 +157,25 @@ class TestConfigFormat:
         with pytest.raises(ParameterError, match="'feature.hog.cellside'"):
             run_grid(cfg)
 
+    def test_bad_classifier_value_rejected_before_any_data(self, monkeypatch):
+        # each used to pass validate, load the data and fail its cell at fit
+        def refuse(cfg):
+            raise AssertionError("read the data of an invalid config")
+
+        monkeypatch.setattr(bench, "load_run_images", refuse)
+        for kind, params, message in [
+                ("knn", {"k": 0}, "classifier.knn: k must be >= 1"),
+                ("svm", {"C": [1, 10]}, r"C must be positive and finite, "
+                                        r"got \[1, 10\]"),
+                ("svm", {"gamma": "auto"}, "gamma must be positive"),
+                ("rf", {"max_features": "log2"}, "max_features must be"),
+                ("gbdt", {"max_bins": 300}, "max_bins must be in")]:
+            cfg = RunConfig(synthetic="squares", samples=20,
+                            features=[("hog", {})],
+                            classifiers=[(kind, params)])
+            with pytest.raises(ParameterError, match=message):
+                run_grid(cfg)
+
     def test_repeated_names_rejected_before_any_data(self, monkeypatch):
         # a config built in code used to skip this rule: two knn cells wrote
         # two "hog,knn" rows, and two hog entries ended in a bare KeyError
@@ -252,12 +271,13 @@ class TestRunGrid:
         assert {c.feature for c in res.cells} == {"hog", "gabor", "raw"}
 
     def test_failed_cell_does_not_abort(self):
-        cfg = small_cfg(classifiers=[("knn", {"k": 0}), ("svm", {})])
+        # k above the 64 train rows fails at predict, for both features
+        cfg = small_cfg(classifiers=[("knn", {"k": 1000}), ("svm", {})])
         res = run_grid(cfg)
         assert not res.all_ok
         failed = [c for c in res.cells if not c.ok]
-        assert len(failed) == 2  # k=0 fails for both features
-        assert all("k must be >= 1" in c.error for c in failed)
+        assert len(failed) == 2
+        assert all("k must be in [1, 64]" in c.error for c in failed)
         assert sum(c.ok for c in res.cells) == 2
 
     def test_determinism_across_runs(self):
@@ -745,7 +765,7 @@ class TestReports:
         assert len(format_plot_csv(res).strip().splitlines()) == 2
 
     def test_failed_cells_reported(self):
-        cfg = small_cfg(classifiers=[("knn", {"k": 0})])
+        cfg = small_cfg(classifiers=[("knn", {"k": 1000})])
         res = run_grid(cfg)
         text = format_markdown(res)
         assert "## Failed cells" in text
@@ -795,16 +815,21 @@ class TestFitSummary:
             assert "trees" not in fmt(res) and "SMO" not in fmt(res)
 
     def test_failed_and_knn_cells_print_no_line(self):
+        # more candidate features than HOG's columns fails the rf fit
         cfg = small_cfg(features=[("hog", {})],
-                        classifiers=[("knn", {"k": 1}), ("svm", {"C": -1.0}),
-                                     ("rf", {"n_trees": 2})])
+                        classifiers=[("knn", {"k": 1}),
+                                     ("rf", {"max_features": 10 ** 6}),
+                                     ("gbdt", {"n_rounds": 1,
+                                               "max_depth": 2})])
         res = run_grid(cfg)
         assert [c.fitted == {} for c in res.cells] == [True, True, False]
+        fitted = res.cells[2].fitted
         section = format_markdown(res).split("## Fitted models\n")[1]
         section = section.split("\n## ")[0]
         assert section.strip().splitlines() == [
-            f"- hog + rf: 2 trees, {res.cells[2].fitted['nodes']} nodes, "
-            f"deepest {res.cells[2].fitted['deepest']}"]
+            f"- hog + gbdt: {fitted['trees']} trees, {fitted['nodes']} nodes, "
+            f"deepest {fitted['deepest']}, final training loss "
+            f"{fitted['final_loss']:.6f}"]
 
     def test_knn_only_grid_has_no_section(self):
         res = run_grid(small_cfg(classifiers=[("knn", {"k": 1})]))

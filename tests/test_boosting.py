@@ -10,6 +10,7 @@ from oracles import boost_tree_oracle, prebin_oracle, stump_oracle
 from digitbench import ParameterError, ShapeError, StateError, base
 from digitbench.classify import GradientBoostingClassifier
 from digitbench.classify._tree import grow_tree
+from digitbench.classify import boosting
 from digitbench.classify.boosting import (_grow_boost_tree, prebin_features,
                                           softmax)
 
@@ -135,11 +136,13 @@ class TestPrebinMatchesOracle:
                             "ignore:divide by zero:RuntimeWarning")
 class TestBoostTreeMatchesOracle:
     @staticmethod
-    def both(X, max_bins, lam, rng, g=None, h=None, max_depth=4):
+    def both(X, max_bins, lam, rng, g=None, h=None, max_depth=4,
+             n_rows=None):
         binned, cuts = prebin_features(X, max_bins)
         width = max(2, 1 + max(c.shape[0] for c in cuts))
         n, d = X.shape
-        rows = np.sort(rng.choice(n, n - 8, replace=False))
+        rows = np.sort(rng.choice(n, n - 8 if n_rows is None else n_rows,
+                                  replace=False))
         cols = np.sort(rng.choice(d, d - 2, replace=False))
         g = rng.normal(size=rows.shape[0]) if g is None else g
         h = rng.random(rows.shape[0]) if h is None else h
@@ -180,6 +183,121 @@ class TestBoostTreeMatchesOracle:
         nodes = [self.both(X, 32, lam, np.random.default_rng(9), g=g,
                            h=h).n_nodes for lam in (0.0, 1.0)]
         assert nodes[0] == 1 < nodes[1]
+
+
+def border_columns(seed, n=60):
+    """An all-zero band of five columns like LBP's border, then a column of
+    -0.0 and 0.0 (equal, so no cut either), then columns with cuts."""
+    rng = np.random.default_rng(seed)
+    X = np.zeros((n, 10))
+    X[:, 4] = np.where(rng.random(n) < 0.5, -0.0, 0.0)
+    X[:, 5:] = rng.normal(size=(n, 5))
+    X[:, 7] = np.round(X[:, 7])
+    return X
+
+
+class TestCutlessColumnsMatchOracle:
+    """fit drops the columns without a cut from each tree's column draw;
+    every first-round tree still equals the oracle's on the whole draw."""
+
+    @pytest.mark.parametrize("col_subsample", [1.0, 0.2])
+    def test_first_round_trees_equal(self, col_subsample):
+        X = border_columns(1)
+        y = np.random.default_rng(2).integers(0, 3, 60)
+        clf = GradientBoostingClassifier(
+            n_rounds=1, max_depth=4, row_subsample=1.0,
+            col_subsample=col_subsample, max_bins=32, seed=1).fit(X, y)
+        binned, cuts = prebin_oracle(X, 32)
+        width = max(2, 1 + max(c.shape[0] for c in cuts))
+        p = softmax(np.tile(clf.init_scores_, (60, 1)))
+        draws = []
+        for c, tree in enumerate(clf.trees_):
+            # the draw fit makes: no row draw at a fraction of 1.0
+            rng = np.random.default_rng([1, 0, c])
+            cols = np.sort(rng.choice(10, 2, replace=False)) \
+                if col_subsample < 1.0 else np.arange(10)
+            draws.append(cols)
+            g = p[:, c] - (y == c)
+            h = p[:, c] * (1.0 - p[:, c])
+            want = boost_tree_oracle(binned, cuts, cols, np.arange(60), g, h,
+                                     4, 1.0, width)
+            got = (tree.feature, tree.threshold, tree.left, tree.right,
+                   tree.value)
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        if col_subsample < 1.0:
+            # class 2 draws a zero column and the signed-zero one, and
+            # grows a leaf
+            assert np.array_equal(draws[2], [1, 4])
+            assert clf.trees_[2].n_nodes == 1
+            assert all(t.n_nodes > 1 for t in clf.trees_[:2])
+
+
+# the oracle warns as in TestBoostTreeMatchesOracle
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning",
+                            "ignore:divide by zero:RuntimeWarning")
+class TestOccupiedBinSearch:
+    """Nodes with fewer rows than a quarter of the histogram width search
+    only their occupied bins; the trees equal the oracle's dense search."""
+
+    @staticmethod
+    def searches(monkeypatch):
+        used = []
+        for name in ("_bin_sums", "_occupied_sums"):
+            def spy(bins, *args, _search=getattr(boosting, name), _name=name):
+                used.append((_name, bins.shape[0]))
+                return _search(bins, *args)
+            monkeypatch.setattr(boosting, name, spy)
+        return used
+
+    @pytest.mark.parametrize("max_bins", [32, 256])
+    @pytest.mark.parametrize("lam", [1.0, 0.0])
+    def test_trees_equal_on_both_sides_of_the_switch(self, monkeypatch,
+                                                     max_bins, lam):
+        used = self.searches(monkeypatch)
+        rng = np.random.default_rng(max_bins + 1)
+        X = rng.normal(size=(300, 6))
+        X[:, 2] = np.round(X[:, 2] * 4)
+        tree = TestBoostTreeMatchesOracle.both(X, max_bins, lam, rng,
+                                               max_depth=9)
+        assert tree.n_nodes > 40
+        width = max_bins  # 300 distinct values fill every bin
+        assert {m * 4 < width for name, m in used if name == "_occupied_sums"} \
+            == {True}
+        assert {m * 4 >= width for name, m in used if name == "_bin_sums"} \
+            == {True}
+        assert {name for name, _ in used} == {"_bin_sums", "_occupied_sums"}
+
+    @pytest.mark.parametrize("max_bins", [32, 256])
+    def test_tied_gains_equal(self, monkeypatch, max_bins):
+        # integer gradients on few repeated values: many equal gains, and
+        # equal dense gains between occupied bins
+        used = self.searches(monkeypatch)
+        rng = np.random.default_rng(10)
+        X = np.round(rng.random((200, 6)) * 60)
+        g = rng.integers(-2, 3, 192).astype(float)
+        tree = TestBoostTreeMatchesOracle.both(X, max_bins, 1.0, rng, g=g,
+                                               h=np.ones(192), max_depth=9)
+        assert tree.n_nodes > 20
+        assert {name for name, _ in used} == {"_bin_sums", "_occupied_sums"}
+
+    def test_nan_gain_stops_like_oracle(self, monkeypatch):
+        # as TestBoostTreeMatchesOracle's, at a root of 40 rows in a width
+        # of 256, which the occupied-bin search handles
+        used = self.searches(monkeypatch)
+        rng = np.random.default_rng(11)
+        X = rng.normal(size=(300, 4))
+        X[:, 1] = X[:, 2] = np.arange(300.0)
+        # the rows that ``both`` draws from a generator seeded 12
+        rows = np.sort(np.random.default_rng(12).choice(300, 40,
+                                                        replace=False))
+        g = np.where(rows < 100, 0.0, rng.normal(size=40))
+        h = np.where(rows < 100, 0.0, rng.random(40))
+        nodes = [TestBoostTreeMatchesOracle.both(
+            X, 256, lam, np.random.default_rng(12), g=g, h=h,
+            n_rows=40).n_nodes for lam in (0.0, 1.0)]
+        assert nodes[0] == 1 < nodes[1]
+        assert used[0] == ("_occupied_sums", 40)
 
 
 class TestGrowTreeScratch:

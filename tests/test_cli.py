@@ -30,9 +30,10 @@ class TestBenchVerb:
             assert (tmp_path / "out" / name).exists()
 
     def test_failing_cell_exit_one(self, tmp_path, capsys):
+        # k above the 64 train rows passes validate and fails at predict
         cfg = tmp_path / "run.cfg"
-        write_cfg(cfg, f"output.dir = {tmp_path / 'out'}\n"
-                       "classifier.svm.C = -1\n")
+        write_cfg(cfg, f"output.dir = {tmp_path / 'out'}\n")
+        cfg.write_text(cfg.read_text().replace("k = 3", "k = 1000"))
         code = main(["bench", "--config", str(cfg)])
         out = capsys.readouterr().out
         assert code == 1
@@ -123,6 +124,16 @@ class TestBenchVerb:
             err = capsys.readouterr().err
             assert "sigma is too small" in err and named in err
             assert not cache.exists() and not (tmp_path / "out").exists()
+
+    def test_bad_classifier_value_exit_two(self, tmp_path, capsys):
+        # used to load the data, report "hog+knn FAILED" and exit 1
+        cfg = tmp_path / "run.cfg"
+        write_cfg(cfg, "classifier.svm.C = 1, 10\n")
+        cfg.write_text(cfg.read_text().replace("k = 3", "k = 0"))
+        assert main(["bench", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "k must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_parameter_exit_two(self, tmp_path, capsys):
         # used to end in a bare TypeError traceback from extract_batch

@@ -48,6 +48,49 @@ class TestCartOracle:
         assert np.array_equal(tree.left, oracle["left"])
 
 
+class TestConstantColumns:
+    """Constant columns are dropped from each node's feature draw; the trees
+    are the ones the whole draw gives."""
+
+    @staticmethod
+    def border_columns(seed, n=40):
+        # an all-zero band like LBP's border, a column of -0.0 and 0.0, and
+        # columns that vary
+        rng = np.random.default_rng(seed)
+        X = np.zeros((n, 8))
+        X[:, 4] = np.where(rng.random(n) < 0.5, -0.0, 0.0)
+        X[:, 5] = rng.random(n)
+        X[:, 6:] = rng.integers(0, 3, (n, 2))
+        return X, rng.integers(0, 3, n)
+
+    def test_tree_matches_exhaustive_oracle(self):
+        X, y = self.border_columns(11)
+        _, tree = single_cart_tree(X, y, max_depth=4)
+        oracle = cart_oracle(X, y, 3, max_depth=4)
+        assert tree.n_nodes > 5
+        got = (tree.feature, tree.threshold, tree.left, tree.right, tree.value)
+        want = [np.asarray(oracle[key], dtype=dtype) for key, dtype in (
+            ("feature", np.int32), ("threshold", np.float64),
+            ("left", np.int32), ("right", np.int32), ("counts", np.float64))]
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    def test_draw_of_constant_columns_grows_a_leaf(self):
+        X, y = self.border_columns(12)
+        clf = RandomForestClassifier(n_trees=12, max_features=1,
+                                     seed=3).fit(X, y)
+        for t, tree in enumerate(clf.trees_):
+            # the root's draw, after the bootstrap rows
+            rng = np.random.default_rng([3, t])
+            rng.integers(0, 40, 40)
+            feature = rng.choice(8, 1, replace=False)[0]
+            if feature < 5:
+                assert tree.n_nodes == 1
+            else:
+                assert tree.n_nodes > 1
+        assert 0 < sum(t.n_nodes == 1 for t in clf.trees_) < 12
+
+
 class TestForestBehavior:
     def test_single_class_all_leaves(self):
         rng = np.random.default_rng(5)
