@@ -32,15 +32,16 @@ def best_gini_split(X_cols: np.ndarray, y: np.ndarray):
     valid = (thr > vals[:, :-1]) & (thr < vals[:, 1:])
     if not valid.any():
         return None
-    # squared class counts left and right of each gap, one class at a time;
-    # integer counts keep the sums exact
+    # squared class counts left of each gap, one class at a time; integer
+    # counts keep the sums exact
     ranked = y[order[:, :-1]]
+    totals = np.bincount(y)
     sl = np.zeros(thr.shape, dtype=np.int64)
-    sr = np.zeros(thr.shape, dtype=np.int64)
-    for k, total in zip(*np.unique(y, return_counts=True)):
-        left = np.cumsum(ranked == k, axis=1)
-        sl += left ** 2
-        sr += (total - left) ** 2
+    for k in np.flatnonzero(totals):
+        sl += np.cumsum(ranked == k, axis=1) ** 2
+    # and right of it: the sum of (total - left) ** 2 over the classes,
+    # expanded, as sum(left * total) is a running sum of each row's total
+    sr = totals @ totals - 2 * np.cumsum(totals[ranked], axis=1) + sl
     nl = np.arange(1, m, dtype=np.float64)
     nr = m - nl
     weighted = ((nl - sl / nl) + (nr - sr / nr)) / m
