@@ -8,9 +8,8 @@ import pytest
 from oracles import boost_tree_oracle, prebin_oracle, stump_oracle
 
 from digitbench import ParameterError, ShapeError, StateError, base
-from digitbench.classify import GradientBoostingClassifier
+from digitbench.classify import GradientBoostingClassifier, boosting
 from digitbench.classify._tree import grow_tree
-from digitbench.classify import boosting
 from digitbench.classify.boosting import (_grow_boost_tree, prebin_features,
                                           softmax)
 
