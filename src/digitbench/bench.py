@@ -28,8 +28,7 @@ from .datasets import (CACHE_VERSION, file_digest, load_csv,
                        synthetic_squares)
 from .errors import ParameterError
 from .features import RAW as RAW_TAG
-from .features import extract_batch, make_descriptor
-from .imaging import Preprocessor
+from .features import extract_batch
 from .metrics import EvaluationReport, evaluate
 
 
@@ -89,22 +88,21 @@ def run_source(cfg: RunConfig) -> tuple[str, str]:
 
 
 def feature_cache_file(cache_dir, cfg: RunConfig, source: str,
-                       test_digest: str | None, method: str,
-                       params=None) -> str:
+                       test_digest: str | None, method: str) -> str:
     """Cache file for one extractor's matrix of the configured dataset.
 
     The name is one SHA-256 over everything that determines the matrix: the
     dataset's cache key (``run_source``), the test file's digest (None
-    without one), the CSV schema and side, the preprocessing parameters, the
-    method and its parameters with defaults filled in (so ``{}`` and the
-    explicit defaults share one file) and ``CACHE_VERSION``.
+    without one), the CSV schema and side, the parameters of
+    ``cfg.preprocessor_``, the method and its descriptor's parameters (so
+    ``{}`` and the explicit defaults share one file) and ``CACHE_VERSION``.
     """
     inputs = {"source": source,
               "test": test_digest,
               "schema": cfg.schema, "side": int(cfg.side),
-              "preprocess": Preprocessor(**cfg.preprocess).get_params(),
+              "preprocess": cfg.preprocessor_.get_params(),
               "method": method,
-              "params": make_descriptor(method, params).get_params(),
+              "params": cfg.descriptors_[method].get_params(),
               "version": CACHE_VERSION}
     digest = hashlib.sha256(
         json.dumps(inputs, sort_keys=True).encode()).hexdigest()
@@ -122,31 +120,28 @@ def feature_phases(cfg: RunConfig, methods, stage: dict):
     """The two phases of ``feature_matrices``, one per ``next``.
 
     Phase 1 yields ({method: cached matrix}, labels, source tag, dataset
-    row count); ``cfg.test_path``'s rows follow the dataset's. An entry is
-    kept if it agrees (``_agrees``) with the reference, at a width of side²
-    for the stack (the ``raw`` entry) and a method's column count on one
-    zero image: the method entries when all agree, else the stack when all
-    entries read agree with it, else the dataset, loaded once. Phase 2
-    extracts each missing matrix into that dict and caches it, from the
-    stack or the images preprocessed once (cached as the stack; preprocess
-    time is 0.0 when nothing was). Whatever else it held is then freed.
+    row count) for the method names of a validated ``cfg``; the test rows
+    follow the dataset's. An entry is kept if it agrees (``_agrees``) with
+    the reference at its ``cfg.widths_``: the method entries when all
+    agree, else the stack (the ``raw`` entry) when all entries read agree
+    with it, else the dataset, loaded once. Phase 2 extracts each missing
+    matrix into that dict and caches it, from the stack or the images
+    preprocessed once (cached as the stack; preprocess time is 0.0 when
+    nothing was). Whatever else it held is then freed.
     """
     t0 = time.perf_counter()
     key, source = run_source(cfg)
-    side = int(Preprocessor(**cfg.preprocess).target_side)
-    paths, widths = {}, {}
+    side = int(cfg.preprocessor_.target_side)
+    paths = {}
     if cfg.cache_dir:  # the test file is hashed once, not once per method
         test_digest = file_digest(cfg.test_path) if cfg.test_path else None
-        for m, p in [(RAW_TAG, {}), *methods]:
-            paths[m] = feature_cache_file(cfg.cache_dir, cfg, key,
-                                          test_digest, m, p)
-            widths[m] = make_descriptor(m, p).transform(
-                np.zeros((1, side, side))).shape[1]
-    hits = {m: load_feature_cache(paths[m]) for m, _ in methods if paths}
+        paths = {m: feature_cache_file(cfg.cache_dir, cfg, key, test_digest,
+                                       m) for m in [RAW_TAG, *methods]}
+    hits = {m: load_feature_cache(paths[m]) for m in methods if paths}
 
     def agreeing(labels, rows):  # {method: matrix} of the agreeing entries
         return {m: hit[0] for m, hit in hits.items()
-                if hit and _agrees(hit, labels, rows, widths[m])}
+                if hit and _agrees(hit, labels, rows, cfg.widths_[m])}
 
     ref = next((hit for hit in hits.values() if hit), None)
     if paths and (not ref or len(agreeing(*ref[1:])) < len(methods)):
@@ -167,23 +162,24 @@ def feature_phases(cfg: RunConfig, methods, stage: dict):
     yield matrices, labels, source, rows
 
     t0 = time.perf_counter()
-    missing = [(m, p) for m, p in methods if m not in matrices]
+    missing = [m for m in methods if m not in matrices]
     stage["preprocess"] = 0.0
     if RAW_TAG in matrices:
         images = matrices[RAW_TAG].reshape(-1, side, side)
     elif missing:
-        images = preprocess_all(images, Preprocessor(**cfg.preprocess))
+        images = preprocess_all(images, cfg.preprocessor_)
         if paths:
             os.makedirs(cfg.cache_dir, exist_ok=True)
             save_feature_cache(paths[RAW_TAG], images.reshape(len(images), -1),
                                labels, rows)
         stage["preprocess"] = time.perf_counter() - t0
-    if RAW_TAG not in dict(methods):
+    if RAW_TAG not in methods:
         matrices.pop(RAW_TAG, None)
 
     t0 = time.perf_counter()
-    for method, params in missing:
-        matrices[method] = extract_batch(images, method, params or None)
+    for method in missing:
+        matrices[method] = extract_batch(images, method,
+                                         cfg.descriptors_[method])
         if paths and method != RAW_TAG:  # raw's file is the stack
             save_feature_cache(paths[method], matrices[method], labels, rows)
     stage["extract"] = time.perf_counter() - t0
@@ -252,10 +248,10 @@ def run_grid(cfg: RunConfig) -> GridResult:
     Each method's matrix is reordered once, train rows first, and freed
     when its cells are done; every cell gets contiguous views of it.
     """
-    cfg.validate()
-    methods = list(cfg.features)
-    if cfg.raw_baseline and RAW_TAG not in [m for m, _ in methods]:
-        methods.append((RAW_TAG, {}))
+    cfg.validate()  # builds what this run uses, from cfg as it is now
+    methods = [m for m, _ in cfg.features]
+    if cfg.raw_baseline and RAW_TAG not in methods:
+        methods.append(RAW_TAG)
     stage = {}
     phases = feature_phases(cfg, methods, stage)
     matrices, labels, source, n_train = next(phases)
@@ -271,7 +267,7 @@ def run_grid(cfg: RunConfig) -> GridResult:
 
     cells = []
     t0 = time.perf_counter()
-    for method, _ in methods:
+    for method in methods:
         X = matrices.pop(method)
         if order is not None:
             X = X[order]
@@ -344,6 +340,10 @@ def format_markdown(res: GridResult) -> str:
                          f"| {cell.report.accuracy:.6f} "
                          f"| {raw.report.accuracy:.6f} | {delta:+.6f} |")
         lines.append("")
+
+    suspect = res.config.suspect_settings_
+    if suspect:
+        lines += ["## Suspect settings", "", *(f"- {s}" for s in suspect), ""]
 
     notes = {"Failed cells": [(c, c.error) for c in res.cells if not c.ok],
              "Warnings": [(c, w) for c in res.cells for w in c.warnings],

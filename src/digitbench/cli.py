@@ -18,7 +18,6 @@ from .config import (KEYS, SYNTHETIC_SETS, RunConfig, config_from_mapping,
 from .datasets import SCHEMAS
 from .errors import ParameterError, ParseError, ShapeError, SplitError
 from .features import METHODS
-from .imaging import Preprocessor
 from .validation import check_int
 from .viz import visualize
 
@@ -56,7 +55,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     extract = sub.add_parser("extract", help="precompute a feature cache")
     _add_dataset_flags(extract)
-    extract.add_argument("--method", choices=METHODS, default="hog")
+    # the one method it extracts is the run's feature list
+    extract.add_argument("--method", dest="features", choices=METHODS,
+                         default="hog")
     extract.add_argument("--jobs", type=int,
                          help="accepted for compatibility; has no effect")
     extract.add_argument("--out", dest="output.cache_dir", default="cache",
@@ -104,8 +105,8 @@ def cmd_bench(args) -> int:
 
 def cmd_extract(args) -> int:
     cfg = _config_from_args(args)
-    X = feature_matrices(cfg, [(args.method, {})], {})[0][args.method]
-    print(f"cached {X.shape[0]} x {X.shape[1]} {args.method} features "
+    X = feature_matrices(cfg, [args.features], {})[0][args.features]
+    print(f"cached {X.shape[0]} x {X.shape[1]} {args.features} features "
           f"in {cfg.cache_dir}")
     return 0
 
@@ -116,7 +117,7 @@ def cmd_visualize(args) -> int:
     check_int(args.index, "--index", 0, len(images) - 1)
     stem = f"sample{args.index}-label{labels[args.index]}"
     paths = visualize(images[args.index], args.method, out_dir=args.out,
-                      stem=stem, pre=Preprocessor(**cfg.preprocess))
+                      stem=stem, pre=cfg.preprocessor_)
     for path in paths:
         print(path)
     return 0

@@ -21,10 +21,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .classify import KINDS, make_classifier
-from .datasets import LABEL_FIRST, SCHEMAS, SplitSpec
+from .datasets import LABEL_FIRST, SCHEMAS, SYNTHETIC_SIDE, SplitSpec
 from .errors import ParameterError, ParseError
-from .features import make_descriptor
+from .features import GABOR, RAW, make_descriptor
+from .imaging import Preprocessor
+from .validation import check_int
 
 SYNTHETIC_SETS = ("glyphs", "squares")
 
@@ -49,30 +53,43 @@ class RunConfig:
     raw_baseline: bool = False
 
     def validate(self) -> "RunConfig":
+        """Check every name and value that needs no data; returns self.
+
+        Like ``fit``, it sets what the run uses: ``preprocessor_``,
+        ``descriptors_`` (raw's too with ``raw_baseline`` or a cache
+        directory, as the stack's cache entry is keyed on raw's params),
+        their ``widths_`` on one zero image of the input side, where every
+        kernel and geometry check fires, and ``suspect_settings_``.
+        """
         if not self.features:
             raise ParameterError("config lists no feature methods")
         if not self.classifiers:
             raise ParameterError("config lists no classifiers")
+        raw = [(RAW, {})] if (self.raw_baseline or self.cache_dir) \
+            and RAW not in dict(self.features) else []
+        built = {}
         for section, make, entries in (
-                ("feature", make_descriptor, self.features),
-                ("classifier", make_classifier, self.classifiers)):
+                ("feature", make_descriptor, [*self.features, *raw]),
+                ("classifier", lambda kind, params: make_classifier(
+                    kind, **params), self.classifiers)):
             names = [name for name, _ in entries]
             for name, params in entries:
                 if names.count(name) > 1:
                     raise ParameterError(
                         f"config key '{section}s' lists {name!r} twice")
-                # the defaults; an unknown name raises here
-                accepted = make(name).get_params()
-                for param in params:
-                    if param not in accepted:
-                        raise ParameterError(
-                            f"config key '{section}.{name}.{param}': {name} "
-                            f"takes no parameter {param!r}, expected one "
-                            f"of {tuple(accepted)}")
+                try:
+                    built[name] = make(name, params)
+                except TypeError:  # a parameter its dataclass lacks
+                    accepted = make(name, {}).get_params()
+                    param = next(p for p in params if p not in accepted)
+                    raise ParameterError(
+                        f"config key '{section}.{name}.{param}': {name} "
+                        f"takes no parameter {param!r}, expected one "
+                        f"of {tuple(accepted)}") from None
         # the values too, where no data is needed to check them
-        for kind, params in self.classifiers:
+        for kind, _ in self.classifiers:
             try:
-                make_classifier(kind, **params).check_params()
+                built[kind].check_params()
             except ParameterError as exc:
                 raise ParameterError(f"classifier.{kind}: {exc}") from None
         if self.schema not in SCHEMAS:
@@ -85,6 +102,19 @@ class RunConfig:
         if self.dataset_path is None and self.synthetic is None:
             raise ParameterError(
                 "config needs either a dataset path or a synthetic set")
+        side = SYNTHETIC_SIDE if self.dataset_path is None \
+            else check_int(self.side, "side", 1)
+        # straight through the kernels: ``transform`` is the data's way in
+        self.preprocessor_ = Preprocessor(**self.preprocess)
+        blank = self.preprocessor_._transform_stack(np.zeros((1, side, side)))
+        self.descriptors_ = {m: built[m] for m, _ in [*self.features, *raw]}
+        self.widths_ = {m: desc._transform_stack(blank).shape[1]
+                        for m, desc in self.descriptors_.items()}
+        self.suspect_settings_ = [
+            f"feature.gabor.frequency = {desc.frequency:g} cycles/px is above "
+            "the Nyquist limit of 0.5: the filter aliases"
+            for m, desc in self.descriptors_.items()
+            if m == GABOR and desc.frequency > 0.5]
         return self
 
 

@@ -42,7 +42,8 @@ _DESCRIPTORS = {
 def make_descriptor(method: str, params=None):
     """Resolve (method, params) to a descriptor instance.
 
-    ``params`` may be None (defaults) or a dict of constructor arguments.
+    ``params`` may be None (defaults), a dict of constructor arguments, or
+    a descriptor of the method's class, built already and returned as is.
     """
     try:
         cls = _DESCRIPTORS[method]
@@ -53,8 +54,10 @@ def make_descriptor(method: str, params=None):
         return cls()
     if isinstance(params, dict):
         return cls(**params)
-    raise ParameterError(
-        f"params must be None or a dict, got {type(params).__name__}")
+    if type(params) is cls:
+        return params
+    raise ParameterError(f"params must be None, a dict or a {cls.__name__}, "
+                         f"got {type(params).__name__}")
 
 
 def extract_batch(images, method: str, params=None) -> np.ndarray:

@@ -16,8 +16,13 @@ from digitbench.datasets import (CACHE_VERSION, SplitSpec, file_digest,
                                  load_feature_cache, preprocess_all,
                                  save_feature_cache, split_indices,
                                  synthetic_glyphs)
-from digitbench.features import extract_batch, make_descriptor
+from digitbench.features import (GaborDescriptor, HogDescriptor,
+                                 LbpDescriptor, RawDescriptor, extract_batch,
+                                 make_descriptor)
 from digitbench.imaging import Preprocessor
+
+BUILT = (HogDescriptor, LbpDescriptor, GaborDescriptor, RawDescriptor,
+         Preprocessor)
 
 
 def write_csv(path, images, labels):
@@ -65,6 +70,18 @@ def forbid_preprocessing(monkeypatch):
         raise AssertionError("the cached stack must not be preprocessed")
 
     monkeypatch.setattr(bench, "preprocess_all", refuse)
+
+
+def count_builds(monkeypatch):
+    """{class name: instances built from here on} for each class in BUILT."""
+    built = dict.fromkeys((cls.__name__ for cls in BUILT), 0)
+    for cls in BUILT:
+        def counted(self, *args, real=cls.__init__, **kwargs):
+            built[type(self).__name__] += 1
+            real(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    return built
 
 
 def small_cfg(**overrides):
@@ -156,6 +173,41 @@ class TestConfigFormat:
                         classifiers=[("knn", {})])
         with pytest.raises(ParameterError, match="'feature.hog.cellside'"):
             run_grid(cfg)
+
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_bad_kernel_value_rejected_before_any_data(self, tmp_path,
+                                                       monkeypatch, cached):
+        # each used to load the data, then raise where the kernel first ran
+        # (with a cache directory, the two sigma cases still did)
+        def refuse(cfg):
+            raise AssertionError("read the data of an invalid config")
+
+        monkeypatch.setattr(bench, "load_run_images", refuse)
+        cache, out = tmp_path / "cache", tmp_path / "out"
+        lines = (f"dataset.synthetic = squares\nclassifiers = knn\n"
+                 f"output.dir = {out}\n"
+                 + (f"output.cache_dir = {cache}\n" if cached else ""))
+        for key, value, message in [
+                ("preprocess.gaussian_sigma", 1e-170, "sigma is too small"),
+                ("preprocess.gaussian_sigma", 1e300, r"kernel radius 3 \*"),
+                ("feature.gabor.frequency", 1e200, r"frequency=1e\+200"),
+                ("feature.hog.cell_side", 5, "cell_side 5 must divide"),
+                ("preprocess.target_side", 30, "cell_side 4 must divide "
+                                               "the image sides, got 30x30"),
+                ("feature.lbp.radius", 14, "radius must be positive and < 14"),
+                ("feature.lbp.mode", "bogus", "mode must be one of")]:
+            _, *method, param = key.split(".")  # a config built in code
+            features = [(m, {param: value} if [m] == method else {})
+                        for m in ("hog", "lbp", "gabor")]
+            cfg = small_cfg(cache_dir=str(cache) if cached else None,
+                            features=features,
+                            preprocess={} if method else {param: value})
+            with pytest.raises(ParameterError, match=message):
+                run_grid(cfg)
+            (tmp_path / "run.cfg").write_text(f"{lines}{key} = {value}\n")
+            assert cli.main(["bench", "--config",
+                             str(tmp_path / "run.cfg")]) == 2
+            assert not cache.exists() and not out.exists()
 
     def test_bad_classifier_value_rejected_before_any_data(self, monkeypatch):
         # each used to pass validate, load the data and fail its cell at fit
@@ -265,6 +317,29 @@ class TestRunGrid:
         for cell in res.cells:
             assert 0.0 <= cell.report.accuracy <= 1.0
 
+    def test_each_estimator_built_once(self, tmp_path, monkeypatch):
+        # a cached run used to build each descriptor 4 times and the
+        # Preprocessor 6 times; validate's objects now serve the whole run
+        built = count_builds(monkeypatch)
+        cfg = small_cfg(samples=40, cache_dir=str(tmp_path / "cache"),
+                        raw_baseline=True, classifiers=[("knn", {"k": 1})],
+                        features=[("hog", {}), ("lbp", {}), ("gabor", {})])
+        assert run_grid(cfg).all_ok
+        assert built == dict.fromkeys(built, 1)
+
+    def test_extract_builds_only_its_method(self, tmp_path, monkeypatch,
+                                            capsys):
+        # extract used to validate the default hog, lbp and gabor list
+        built = count_builds(monkeypatch)
+        assert cli.main(["extract", "--synthetic", "squares", "--samples",
+                         "20", "--method", "lbp",
+                         "--out", str(tmp_path / "cache")]) == 0
+        # raw's parameters key the cached stack
+        assert built == {"HogDescriptor": 0, "LbpDescriptor": 1,
+                         "GaborDescriptor": 0, "RawDescriptor": 1,
+                         "Preprocessor": 1}
+        assert "cached 20 x 784 lbp features" in capsys.readouterr().out
+
     def test_raw_baseline_adds_cells(self):
         res = run_grid(small_cfg(raw_baseline=True))
         assert len(res.cells) == 6
@@ -346,13 +421,13 @@ class TestRunGrid:
     def test_truncated_cache_file_recomputed(self, tmp_path):
         # an interrupted write must not break every later run
         cfg = small_cfg(cache_dir=str(tmp_path / "cache"), samples=40,
-                        features=[("hog", {})])
-        expect = bench.feature_matrices(cfg, cfg.features, {})[0]["hog"]
+                        features=[("hog", {})]).validate()
+        expect = bench.feature_matrices(cfg, ["hog"], {})[0]["hog"]
         (path,) = (tmp_path / "cache").glob("features-hog-*")
         (stack,) = (tmp_path / "cache").glob("features-raw-*")
         path.write_bytes(path.read_bytes()[:100])
         assert load_feature_cache(path) is None
-        again = bench.feature_matrices(cfg, cfg.features, {})[0]["hog"]
+        again = bench.feature_matrices(cfg, ["hog"], {})[0]["hog"]
         assert np.array_equal(again, expect)
         assert sorted(os.listdir(tmp_path / "cache")) == sorted(
             [path.name, stack.name])
@@ -526,8 +601,9 @@ class TestWarmCache:
         other = "lbp" if method == "hog" else "hog"
 
         def matrix(m, cache_dir, stage):
-            cfg = small_cfg(**paths, cache_dir=cache_dir, features=[(m, {})])
-            return bench.feature_matrices(cfg, cfg.features, stage)[0][m]
+            cfg = small_cfg(**paths, cache_dir=cache_dir,
+                            features=[(m, {})]).validate()
+            return bench.feature_matrices(cfg, [m], stage)[0][m]
 
         cold = matrix(method, None, {})
         cache = str(tmp_path / "cache")
@@ -644,7 +720,7 @@ class TestWarmCache:
         base = seen[0].base
         assert base is not None and all(X.base is base for X in seen)
         assert all(X.flags.c_contiguous for X in seen)
-        matrices, labels = bench.feature_matrices(cfg, cfg.features, {})[:2]
+        matrices, labels = bench.feature_matrices(cfg, ["hog"], {})[:2]
         X_all = matrices["hog"]
         train_idx, test_idx = split_indices(labels, cfg.split)
         assert np.array_equal(seen[0], X_all[train_idx])
@@ -654,22 +730,20 @@ class TestWarmCache:
 
 class TestFeatureCacheFile:
     def test_key_depends_on_inputs(self, tmp_path):
-        cfg = small_cfg()
-        base = feature_cache_file(tmp_path, cfg, "s1", None, "hog", {})
+        # the key reads the preprocessor and descriptors validate built
+        def path(source="s1", test=None, method="hog", hog=None, **kw):
+            cfg = small_cfg(features=[("hog", hog or {}), ("lbp", {})], **kw)
+            return feature_cache_file(tmp_path, cfg.validate(), source, test,
+                                      method)
+
+        base = path()
         assert os.path.basename(base).startswith("features-hog-")
-        assert feature_cache_file(tmp_path, cfg, "s2", None, "hog", {}) != base
-        assert feature_cache_file(tmp_path, cfg, "s1", "t1", "hog", {}) != base
-        assert feature_cache_file(
-            tmp_path, small_cfg(preprocess={"deskew_enabled": False}), "s1",
-            None, "hog", {}) != base
-        assert feature_cache_file(tmp_path, cfg, "s1", None, "lbp", {}) != base
-        assert feature_cache_file(tmp_path, cfg, "s1", None, "hog",
-                                  {"cell_side": 7}) != base
-        defaults = make_descriptor("hog").get_params()
-        assert feature_cache_file(tmp_path, cfg, "s1", None, "hog",
-                                  defaults) == base
-        assert feature_cache_file(tmp_path, cfg, "s1", None, "hog",
-                                  {}) == base
+        assert path("s2") != base
+        assert path(test="t1") != base
+        assert path(preprocess={"deskew_enabled": False}) != base
+        assert path(method="lbp") != base
+        assert path(hog={"cell_side": 7}) != base
+        assert path(hog=make_descriptor("hog").get_params()) == base
 
 
 class TestReports:
@@ -714,7 +788,7 @@ class TestReports:
             return CellResult(feature, "knn", report)
 
         cfg = small_cfg(features=[("hog", {})], classifiers=[("knn", {})],
-                        raw_baseline=True)
+                        raw_baseline=True).validate()
         res = GridResult([cell("hog", 0.75), cell("raw", 1.0)], cfg,
                          "synthetic", 8, 4)
         text = format_markdown(res)
@@ -730,6 +804,19 @@ class TestReports:
         assert "## Stage timings" in text
         assert "Overall best:" in text
         assert "## Warnings" not in text
+
+    def test_gabor_above_nyquist_flagged_outside_csvs(self):
+        heading = "## Suspect settings"
+        flag = ("- feature.gabor.frequency = 0.9 cycles/px is above the "
+                "Nyquist limit of 0.5: the filter aliases")
+        for frequency, flagged in ((None, True), (0.9, True), (0.4, False)):
+            params = {} if frequency is None else {"frequency": frequency}
+            res = run_grid(small_cfg(features=[("gabor", params)],
+                                     classifiers=[("knn", {"k": 1})]))
+            text = format_markdown(res)
+            assert (heading in text, flag in text) == (flagged, flagged)
+            assert "frequency" not in format_cells_csv(res) \
+                + format_plot_csv(res)
 
     def test_unconverged_svm_warned_outside_csvs(self):
         capped = small_cfg(classifiers=[("svm", {"max_iter": 5})])
@@ -786,7 +873,7 @@ class TestFitSummary:
         cfg = small_cfg(features=[("hog", {})],
                         classifiers=list(params.items()))
         res = run_grid(cfg)
-        matrices, labels = bench.feature_matrices(cfg, cfg.features, {})[:2]
+        matrices, labels = bench.feature_matrices(cfg, ["hog"], {})[:2]
         train_idx, _ = split_indices(labels, cfg.split)
         X, y = matrices["hog"][train_idx], labels[train_idx]
         direct = {kind: make_classifier(kind, **p).fit(X, y)

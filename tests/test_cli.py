@@ -211,11 +211,14 @@ class TestFlagsAreConfigKeys:
             "extract", "--synthetic", "glyphs", "--schema", "label_last",
             "--samples", "30", "--side", "16", "--method", "lbp",
             "--jobs", "1", "--out", "c"])
+        # --method is the run's feature list
         assert cfg == RunConfig(synthetic="glyphs", schema="label_last",
-                                samples=30, side=16, cache_dir="c")
-        assert (args.method, args.jobs) == ("lbp", 1)
+                                samples=30, side=16, cache_dir="c",
+                                features=[("lbp", {})])
+        assert args.jobs == 1
         cfg, _ = flags_config(["extract", "--dataset", "d.csv"])
-        assert cfg == RunConfig(dataset_path="d.csv", cache_dir="cache")
+        assert cfg == RunConfig(dataset_path="d.csv", cache_dir="cache",
+                                features=[("hog", {})])
 
     def test_visualize_flags(self):
         cfg, args = flags_config([

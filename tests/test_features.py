@@ -372,12 +372,14 @@ class TestDispatch:
             extract_batch(np.ones((1, 28, 28)), "sift")
 
     def test_mismatched_descriptor_kind(self):
-        # params are None or a dict; a descriptor instance is rejected
-        img = np.ones((1, 28, 28))
-        with pytest.raises(ParameterError):
+        # params are None, a dict or a descriptor of the method's own class
+        img = np.random.default_rng(20).random((1, 28, 28))
+        with pytest.raises(ParameterError, match="a HogDescriptor, got Lbp"):
             extract_batch(img, "hog", LbpDescriptor())
-        with pytest.raises(ParameterError):
-            extract_batch(img, "lbp", LbpDescriptor())
+        desc = LbpDescriptor(radius=2.0)
+        assert make_descriptor("lbp", desc) is desc
+        assert np.array_equal(extract_batch(img, "lbp", desc),
+                              desc.transform(img))
 
     def test_params_dict(self):
         img = np.random.default_rng(21).random((1, 28, 28))
