@@ -120,7 +120,7 @@ def feature_phases(cfg: RunConfig, methods, stage: dict):
     """The two phases of ``feature_matrices``, one per ``next``.
 
     Phase 1 yields ({method: cached matrix}, labels, source tag, dataset
-    row count) for the method names of a validated ``cfg``; the test rows
+    row count) for the method names of ``cfg``, validated first; the test rows
     follow the dataset's. An entry is kept if it agrees (``_agrees``) with
     the reference at its ``cfg.widths_``: the method entries when all
     agree, else the stack (the ``raw`` entry) when all entries read agree
@@ -129,6 +129,7 @@ def feature_phases(cfg: RunConfig, methods, stage: dict):
     preprocessed once (cached as the stack; preprocess time is 0.0 when
     nothing was). Whatever else it held is then freed.
     """
+    cfg.validate()  # builds what this run uses, from cfg as it is now
     t0 = time.perf_counter()
     key, source = run_source(cfg)
     side = int(cfg.preprocessor_.target_side)
@@ -248,7 +249,6 @@ def run_grid(cfg: RunConfig) -> GridResult:
     Each method's matrix is reordered once, train rows first, and freed
     when its cells are done; every cell gets contiguous views of it.
     """
-    cfg.validate()  # builds what this run uses, from cfg as it is now
     methods = [m for m, _ in cfg.features]
     if cfg.raw_baseline and RAW_TAG not in methods:
         methods.append(RAW_TAG)

@@ -51,13 +51,17 @@ class KnnClassifier(Estimator, ClassifierMixin):
         n, d = self._X.shape
         k = int(self.k)
         p = float(self.minkowski_p)
-        # a distance block (at least one query) holds three temporaries of
-        # up to BLOCK_ELEMENTS elements each
+        # a distance tile (at least one query and one training row) holds
+        # three temporaries of up to BLOCK_ELEMENTS elements each
         block = max(1, base.BLOCK_ELEMENTS // max(1, n * d))
+        tile = max(1, base.BLOCK_ELEMENTS // (block * d))
         out = np.empty((Q.shape[0], k), dtype=np.intp)
         for start in range(0, Q.shape[0], block):
             chunk = Q[start:start + block]
-            dist = _exact_distances(chunk[:, None, :], self._X[None, :, :], p)
+            dist = np.empty((chunk.shape[0], n))
+            for at in range(0, n, tile):
+                dist[:, at:at + tile] = _exact_distances(
+                    chunk[:, None, :], self._X[None, at:at + tile, :], p)
             # stable sort: equal distances keep lower training index first
             order = np.argsort(dist, axis=1, kind="stable")
             out[start:start + chunk.shape[0]] = order[:, :k]

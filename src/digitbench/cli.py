@@ -68,7 +68,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_dataset_flags(viz)
     viz.add_argument("--index", type=int, default=0,
                      help="which sample to render")
-    viz.add_argument("--method", choices=METHODS, default="hog")
+    viz.add_argument("--method", dest="features", choices=METHODS,
+                     default="hog")
     viz.add_argument("--out", default="viz", help="output directory")
     return parser
 
@@ -112,11 +113,12 @@ def cmd_extract(args) -> int:
 
 
 def cmd_visualize(args) -> int:
-    cfg = _config_from_args(args)
+    cfg = _config_from_args(args).validate()
     images, labels = load_run_images(cfg)
     check_int(args.index, "--index", 0, len(images) - 1)
     stem = f"sample{args.index}-label{labels[args.index]}"
-    paths = visualize(images[args.index], args.method, out_dir=args.out,
+    paths = visualize(images[args.index], args.features,
+                      cfg.descriptors_[args.features], out_dir=args.out,
                       stem=stem, pre=cfg.preprocessor_)
     for path in paths:
         print(path)

@@ -102,6 +102,7 @@ class RunConfig:
         if self.dataset_path is None and self.synthetic is None:
             raise ParameterError(
                 "config needs either a dataset path or a synthetic set")
+        self.split.__post_init__()  # a value set after construction too
         side = SYNTHETIC_SIDE if self.dataset_path is None \
             else check_int(self.side, "side", 1)
         # straight through the kernels: ``transform`` is the data's way in
@@ -221,7 +222,7 @@ KEYS = {
 
 
 def config_from_mapping(pairs: dict) -> RunConfig:
-    """Build and validate a RunConfig from parsed dotted keys."""
+    """Build a RunConfig from parsed dotted keys; the run validates it."""
     cfg = RunConfig()
     params: dict[str, dict[str, dict]] = {"feature": {}, "classifier": {}}
 
@@ -246,10 +247,8 @@ def config_from_mapping(pairs: dict) -> RunConfig:
                 raise ParseError(
                     f"{section}.{name} configured but {name!r} is not in "
                     f"the {section} list")
-    cfg.split = SplitSpec(cfg.split.train_fraction, cfg.split.seed,
-                          cfg.split.stratified)
     cfg.features = [(m, params["feature"].get(m, {}))
                     for m in order["feature"]]
     cfg.classifiers = [(k, params["classifier"].get(k, {}))
                        for k in order["classifier"]]
-    return cfg.validate()
+    return cfg

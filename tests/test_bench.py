@@ -9,7 +9,9 @@ from digitbench import ParameterError, ParseError, bench, cli
 from digitbench.bench import (CellResult, GridResult, best_cells, emit_report,
                               feature_cache_file, format_cells_csv,
                               format_markdown, format_plot_csv, run_grid)
-from digitbench.classify import make_classifier
+from digitbench.classify import (GradientBoostingClassifier, KnnClassifier,
+                                 RandomForestClassifier, SvmClassifier,
+                                 make_classifier)
 from digitbench.config import (RunConfig, coerce_scalar, config_from_mapping,
                                parse_config_text)
 from digitbench.datasets import (CACHE_VERSION, SplitSpec, file_digest,
@@ -72,10 +74,10 @@ def forbid_preprocessing(monkeypatch):
     monkeypatch.setattr(bench, "preprocess_all", refuse)
 
 
-def count_builds(monkeypatch):
-    """{class name: instances built from here on} for each class in BUILT."""
-    built = dict.fromkeys((cls.__name__ for cls in BUILT), 0)
-    for cls in BUILT:
+def count_builds(monkeypatch, classes=BUILT):
+    """{class name: instances built from here on} for each of ``classes``."""
+    built = dict.fromkeys((cls.__name__ for cls in classes), 0)
+    for cls in classes:
         def counted(self, *args, real=cls.__init__, **kwargs):
             built[type(self).__name__] += 1
             real(self, *args, **kwargs)
@@ -161,7 +163,8 @@ class TestConfigFormat:
             with pytest.raises(ParameterError, match=f"'{key}'"):
                 config_from_mapping({"dataset.synthetic": "squares",
                                      "features": ["hog"],
-                                     "classifiers": ["knn"], key: 4})
+                                     "classifiers": ["knn"],
+                                     key: 4}).validate()
 
     def test_unknown_parameter_rejected_before_any_data(self, monkeypatch):
         def refuse(cfg):
@@ -242,13 +245,28 @@ class TestConfigFormat:
                                "lists '(hog|knn)' twice"):
                 run_grid(small_cfg(**{key: entries}))
 
+    def test_split_set_in_code_rejected_before_any_data(self, monkeypatch):
+        # a split value set after construction used to skip SplitSpec's
+        # checks and reach the data
+        def refuse(cfg):
+            raise AssertionError("read the data of an invalid config")
+
+        monkeypatch.setattr(bench, "load_run_images", refuse)
+        for name, value, message in [
+                ("seed", -1, "seed must be >= 0"),
+                ("train_fraction", 1.5, "train_fraction must be positive")]:
+            cfg = small_cfg()
+            setattr(cfg.split, name, value)
+            with pytest.raises(ParameterError, match=message):
+                run_grid(cfg)
+
     def test_repeated_names_rejected(self):
         for key, names in [("features", ["hog", "lbp", "hog"]),
                            ("classifiers", ["knn", "svm", "knn"])]:
             with pytest.raises(ParameterError, match=f"config key '{key}' "
                                f"lists '{names[0]}' twice"):
                 config_from_mapping({"dataset.synthetic": "glyphs",
-                                     key: names})
+                                     key: names}).validate()
 
     def test_line_errors(self):
         with pytest.raises(ParseError, match="line 2"):
@@ -339,6 +357,33 @@ class TestRunGrid:
                          "GaborDescriptor": 0, "RawDescriptor": 1,
                          "Preprocessor": 1}
         assert "cached 20 x 784 lbp features" in capsys.readouterr().out
+
+    def test_bench_builds_each_once(self, tmp_path, monkeypatch, capsys):
+        # the CLI used to validate in config_from_mapping and again in
+        # run_grid: each descriptor and the Preprocessor 2 times, each
+        # classifier once more than its cells
+        classifiers = (KnnClassifier, SvmClassifier, RandomForestClassifier,
+                       GradientBoostingClassifier)
+        built = count_builds(monkeypatch, BUILT + classifiers)
+        assert cli.main(["bench", "--synthetic", "squares", "--samples", "20",
+                         "--out", str(tmp_path / "out")]) == 0
+        assert built.pop("RawDescriptor") == 0
+        for cls in classifiers:  # validate's, then one per feature's cell
+            assert built.pop(cls.__name__) == 4
+        assert built == dict.fromkeys(built, 1)
+
+    def test_visualize_builds_only_its_method(self, tmp_path, monkeypatch,
+                                              capsys):
+        # visualize used to validate the default hog, lbp and gabor list,
+        # then build its method's descriptor again
+        built = count_builds(monkeypatch)
+        assert cli.main(["visualize", "--synthetic", "squares", "--samples",
+                         "20", "--method", "lbp",
+                         "--out", str(tmp_path / "viz")]) == 0
+        assert built == {"HogDescriptor": 0, "LbpDescriptor": 1,
+                         "GaborDescriptor": 0, "RawDescriptor": 0,
+                         "Preprocessor": 1}
+        assert len(os.listdir(tmp_path / "viz")) == 3
 
     def test_raw_baseline_adds_cells(self):
         res = run_grid(small_cfg(raw_baseline=True))

@@ -145,14 +145,16 @@ class TestBlockBudget:
         clf = GradientBoostingClassifier(n_rounds=1, max_depth=2, max_bins=16)
         assert self.traced_peak(lambda: clf.fit(X, y)) < limit
 
-    def test_knn_predict_stays_below_its_input(self):
+    @pytest.mark.parametrize("p, queries", [(2.0, 300), (1.0, 10)])
+    def test_knn_predict_stays_below_its_input(self, p, queries):
         # a block of a million shortlist distances would be a quarter of X,
-        # and the block holds several such temporaries
+        # and the block holds several such temporaries; for p != 2, one
+        # query's differences from every row would each be as large as X
         rng = np.random.default_rng(23)
         X = rng.random((5000, 800))
         limit = 0.75 * X.nbytes
-        clf = KnnClassifier().fit(X, rng.integers(0, 3, 5000))
-        Q = rng.random((300, 800))
+        clf = KnnClassifier(minkowski_p=p).fit(X, rng.integers(0, 3, 5000))
+        Q = rng.random((queries, 800))
         assert self.traced_peak(lambda: clf.predict(Q)) < limit
 
 

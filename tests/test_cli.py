@@ -225,12 +225,14 @@ class TestFlagsAreConfigKeys:
             "visualize", "--dataset", "d.csv", "--schema", "label_last",
             "--samples", "30", "--side", "16", "--index", "3",
             "--method", "gabor", "--out", "v"])
-        # visualize's --out is its image directory, not output.dir
+        # --method is the run's feature list; visualize's --out is its
+        # image directory, not output.dir
         assert cfg == RunConfig(dataset_path="d.csv", schema="label_last",
-                                samples=30, side=16)
-        assert (args.index, args.method, args.out) == (3, "gabor", "v")
+                                samples=30, side=16,
+                                features=[("gabor", {})])
+        assert (args.index, args.features, args.out) == (3, "gabor", "v")
         cfg, _ = flags_config(["visualize", "--synthetic", "squares"])
-        assert cfg == RunConfig(synthetic="squares")
+        assert cfg == RunConfig(synthetic="squares", features=[("hog", {})])
 
 
 class TestOtherVerbs:
