@@ -383,7 +383,6 @@ class TestRunGrid:
         assert built == {"HogDescriptor": 0, "LbpDescriptor": 1,
                          "GaborDescriptor": 0, "RawDescriptor": 0,
                          "Preprocessor": 1}
-        assert len(os.listdir(tmp_path / "viz")) == 3
 
     def test_raw_baseline_adds_cells(self):
         res = run_grid(small_cfg(raw_baseline=True))
