@@ -26,7 +26,7 @@ from .datasets import (CACHE_VERSION, file_digest, load_csv,
                        load_feature_cache, preprocess_all,
                        save_feature_cache, split_indices, synthetic_glyphs,
                        synthetic_squares)
-from .errors import ParameterError
+from .errors import ParameterError, ParseError
 from .features import RAW as RAW_TAG
 from .features import extract_batch
 from .metrics import EvaluationReport, evaluate
@@ -68,7 +68,7 @@ class GridResult:
 def load_run_images(cfg: RunConfig):
     """(images, labels) of the configured dataset."""
     if cfg.dataset_path is not None:
-        return load_csv(cfg.dataset_path, cfg.schema, cfg.side)
+        return load_csv(cfg.dataset_path, cfg.schema)
     make = synthetic_squares if cfg.synthetic == "squares" \
         else synthetic_glyphs
     return make(cfg.samples, seed=cfg.split.seed)
@@ -93,13 +93,12 @@ def feature_cache_file(cache_dir, cfg: RunConfig, source: str,
 
     The name is one SHA-256 over everything that determines the matrix: the
     dataset's cache key (``run_source``), the test file's digest (None
-    without one), the CSV schema and side, the parameters of
-    ``cfg.preprocessor_``, the method and its descriptor's parameters (so
+    without one), the CSV schema (the digest fixes the side), the parameters
+    of ``cfg.preprocessor_``, the method and its descriptor's parameters (so
     ``{}`` and the explicit defaults share one file) and ``CACHE_VERSION``.
     """
     inputs = {"source": source,
-              "test": test_digest,
-              "schema": cfg.schema, "side": int(cfg.side),
+              "test": test_digest, "schema": cfg.schema,
               "preprocess": cfg.preprocessor_.get_params(),
               "method": method,
               "params": cfg.descriptors_[method].get_params(),
@@ -155,7 +154,10 @@ def feature_phases(cfg: RunConfig, methods, stage: dict):
         images, labels = load_run_images(cfg)
         rows = labels.shape[0]
         if cfg.test_path is not None:
-            test_x, test_y = load_csv(cfg.test_path, cfg.schema, cfg.side)
+            test_x, test_y = load_csv(cfg.test_path, cfg.schema)
+            if test_x.shape[1:] != images.shape[1:]:
+                raise ParseError(f"test file side {test_x.shape[1]} is not "
+                                 f"the dataset's side {images.shape[1]}")
             images = np.concatenate([images, test_x])
             labels = np.concatenate([labels, test_y])
     matrices = agreeing(labels, rows)

@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from ..base import ClassifierMixin, Estimator
-from ..validation import check_int
+from ..validation import check_bool, check_int
 from ._tree import Tree, grow_tree
 
 
@@ -107,6 +107,7 @@ class RandomForestClassifier(Estimator, ClassifierMixin):
     def check_params(self) -> tuple:
         if self.max_features not in (None, "sqrt"):
             check_int(self.max_features, "max_features", 1)
+        check_bool(self.bootstrap, "bootstrap")
         return (check_int(self.n_trees, "n_trees", 1),
                 check_int(self.max_depth, "max_depth", 1),
                 check_int(self.seed, "seed", 0))

@@ -33,8 +33,6 @@ def _add_dataset_flags(parser):
                         help="CSV label position")
     parser.add_argument("--samples", dest="dataset.samples", type=int,
                         help="synthetic dataset size")
-    parser.add_argument("--side", dest="dataset.side", type=int,
-                        help="image side length in the CSV (default 28)")
 
 
 def build_parser() -> argparse.ArgumentParser:

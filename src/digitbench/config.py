@@ -28,7 +28,7 @@ from .datasets import LABEL_FIRST, SCHEMAS, SYNTHETIC_SIDE, SplitSpec
 from .errors import ParameterError, ParseError
 from .features import GABOR, RAW, make_descriptor
 from .imaging import Preprocessor
-from .validation import check_int
+from .validation import check_bool
 
 SYNTHETIC_SETS = ("glyphs", "squares")
 
@@ -40,7 +40,6 @@ class RunConfig:
     dataset_path: str | None = None
     test_path: str | None = None
     schema: str = LABEL_FIRST
-    side: int = 28
     synthetic: str | None = None
     samples: int = 2000
     preprocess: dict = field(default_factory=dict)
@@ -58,7 +57,7 @@ class RunConfig:
         Like ``fit``, it sets what the run uses: ``preprocessor_``,
         ``descriptors_`` (raw's too with ``raw_baseline`` or a cache
         directory, as the stack's cache entry is keyed on raw's params),
-        their ``widths_`` on one zero image of the input side, where every
+        their ``widths_`` on one ``SYNTHETIC_SIDE`` zero image, where every
         kernel and geometry check fires, and ``suspect_settings_``.
         """
         if not self.features:
@@ -103,11 +102,11 @@ class RunConfig:
             raise ParameterError(
                 "config needs either a dataset path or a synthetic set")
         self.split.__post_init__()  # a value set after construction too
-        side = SYNTHETIC_SIDE if self.dataset_path is None \
-            else check_int(self.side, "side", 1)
+        check_bool(self.raw_baseline, "raw_baseline")
         # straight through the kernels: ``transform`` is the data's way in
         self.preprocessor_ = Preprocessor(**self.preprocess)
-        blank = self.preprocessor_._transform_stack(np.zeros((1, side, side)))
+        blank = self.preprocessor_._transform_stack(  # resizes any input side
+            np.zeros((1, SYNTHETIC_SIDE, SYNTHETIC_SIDE)))
         self.descriptors_ = {m: built[m] for m, _ in [*self.features, *raw]}
         self.widths_ = {m: desc._transform_stack(blank).shape[1]
                         for m, desc in self.descriptors_.items()}
@@ -207,7 +206,6 @@ KEYS = {
     "dataset.path": _attr("dataset_path", str),
     "dataset.test_path": _attr("test_path", str),
     "dataset.schema": _attr("schema", str),
-    "dataset.side": _attr("side", _integer),
     "dataset.synthetic": _attr("synthetic", str),
     "dataset.samples": _attr("samples", _integer),
     "preprocess.target_side": _preprocess("target_side", _integer),

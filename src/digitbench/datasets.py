@@ -1,16 +1,17 @@
 """Digit dataset handling: CSV loading, stratified splits, synthetic sets.
 
-CSV rows hold one image each as ``side*side + 1`` numeric fields with the
-label in the first or last position. Pixel scale is auto-detected: files in
-8-bit range are divided by 255. Splits are seeded and stratified by default,
-with round-half-up per-class train counts. Two deterministic synthetic
-generators stand in for real digit scans where none are available.
+CSV rows hold one image each as ``side*side + 1`` numeric fields, the side
+read from the row width, with the label first or last. 8-bit pixel files
+are detected and divided by 255. Splits are seeded and stratified by
+default, with round-half-up per-class train counts. Two deterministic
+synthetic generators stand in for real digit scans where none are available.
 """
 
 from __future__ import annotations
 
 import glob
 import hashlib
+import math
 import os
 import warnings
 import zipfile
@@ -21,14 +22,14 @@ import numpy as np
 from .errors import ParameterError, ParseError, SplitError
 from .base import IMAGE_BLOCK
 from .imaging import Preprocessor, _blur, _sample_bilinear
-from .validation import check_float, check_int
+from .validation import check_bool, check_float, check_int
 
 LABEL_FIRST = "label_first"
 LABEL_LAST = "label_last"
 SCHEMAS = (LABEL_FIRST, LABEL_LAST)
 
 N_CLASSES = 10
-CACHE_VERSION = 3
+CACHE_VERSION = 4
 SYNTHETIC_SIDE = 28  # the side of every synthetic image
 
 
@@ -43,6 +44,7 @@ class SplitSpec:
     def __post_init__(self):
         check_float(self.train_fraction, "train_fraction", gt=0, lt=1)
         check_int(self.seed, "seed", 0)
+        check_bool(self.stratified, "stratified")
 
 
 def file_digest(path) -> str:
@@ -93,12 +95,12 @@ def _parse(lines) -> np.ndarray:
                           delimiter=",", comments=None, ndmin=2)
 
 
-def _row_error(path, n_fields: int, bad=None) -> ParseError:
+def _row_error(path, bad=None) -> ParseError:
     """The error naming the row that made the single parse fail.
 
     With ``bad``, the (row index, reason) of ``_first_bad_row``, that row's
     line; otherwise the first line that does not parse alone or does not
-    hold ``n_fields`` fields. Reads the file again and keeps no row.
+    hold the first row's field count. Reads the file again and keeps no row.
     """
     with open(path, encoding="utf-8-sig") as fh:
         for at, (lineno, line) in enumerate(_data_lines(fh)):
@@ -110,6 +112,7 @@ def _row_error(path, n_fields: int, bad=None) -> ParseError:
                 width = _parse([line]).shape[1]
             except ValueError:
                 return ParseError(f"row {lineno}: non-numeric field")
+            n_fields = n_fields if at else width
             if width != n_fields:
                 return ParseError(
                     f"row {lineno}: expected {n_fields} fields, got {width}")
@@ -138,12 +141,13 @@ def _first_bad_row(labels, pixels):
     return None
 
 
-def load_csv(path, schema: str = LABEL_FIRST, side: int = 28):
+def load_csv(path, schema: str = LABEL_FIRST):
     """Read an image-per-row digit CSV into ((n, side, side) images, labels).
 
-    Values are scaled to [0, 1]; 8-bit files are detected by their maximum
-    exceeding 1. Labels outside [0, 9], ragged rows, and non-numeric fields
-    raise a parse error naming the offending row.
+    The row width gives the side. Values are scaled to [0, 1]; 8-bit files
+    are detected by their maximum exceeding 1. A width other than
+    ``side*side + 1`` is a parse error, and so are labels outside [0, 9],
+    ragged rows and non-numeric fields, each naming the offending row.
 
     The rows are read by one ``np.loadtxt`` pass over the data lines, so a
     field is a number as loadtxt spells it (non-ASCII digits and ``1_0`` are
@@ -153,18 +157,19 @@ def load_csv(path, schema: str = LABEL_FIRST, side: int = 28):
     """
     if schema not in SCHEMAS:
         raise ParameterError(f"schema must be one of {SCHEMAS}, got {schema!r}")
-    side = check_int(side, "side", 1)
-    n_fields = side * side + 1
     with open(path, encoding="utf-8-sig") as fh:
         try:
             data = _parse(line for _, line in _data_lines(fh))
         except ValueError:
             data = None
-    if data is None or data.shape[0] == 0 or data.shape[1] != n_fields:
-        raise _row_error(path, n_fields)
+    if data is None or data.shape[0] == 0:
+        raise _row_error(path)
+    side = math.isqrt(data.shape[1] - 1)
+    if not side or side * side + 1 != data.shape[1]:
+        raise ParseError(f"row width {data.shape[1]} is not side*side + 1")
     bad = _first_bad_row(*_columns(data, schema))
     if bad:
-        raise _row_error(path, n_fields, bad)
+        raise _row_error(path, bad)
     labels, pixels = _columns(data, schema)
     if pixels.size and pixels.max() > 1.0:
         np.divide(pixels, 255.0, out=pixels)

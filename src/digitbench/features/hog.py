@@ -12,7 +12,7 @@ import numpy as np
 
 from ..base import Estimator, TransformerMixin
 from ..errors import ParameterError
-from ..validation import check_int
+from ..validation import check_bool, check_int
 
 L2_HYS_CLIP = 0.2
 _NORM_EPS = 1e-12
@@ -59,6 +59,7 @@ class HogDescriptor(Estimator, TransformerMixin):
         cs = check_int(self.cell_side, "cell_side", 1)
         check_int(self.n_bins, "n_bins", 2)
         check_int(self.block_stride, "block_stride", 1)
+        check_bool(self.signed_gradients, "signed_gradients")
         if h % cs or w % cs:
             raise ParameterError(
                 f"cell_side {cs} must divide the image sides, got {h}x{w}")

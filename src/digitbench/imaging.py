@@ -12,7 +12,8 @@ from __future__ import annotations
 import numpy as np
 
 from .base import Estimator, TransformerMixin
-from .validation import check_float, check_int, check_radius, check_spread
+from .validation import (check_bool, check_float, check_int, check_radius,
+                         check_spread)
 
 
 def _sample_bilinear(img: np.ndarray, ys: np.ndarray, xs: np.ndarray,
@@ -155,6 +156,7 @@ class Preprocessor(Estimator, TransformerMixin):
     def _check_params(self) -> None:
         check_int(self.target_side, "target_side", 8)
         check_float(self.gaussian_sigma, "gaussian_sigma", gt=0)
+        check_bool(self.deskew_enabled, "deskew_enabled")
 
     def _transform_stack(self, stack: np.ndarray) -> np.ndarray:
         self._check_params()

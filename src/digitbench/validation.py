@@ -73,10 +73,11 @@ def check_float(value, name: str, *, gt=None, ge=None, lt=None,
     """``value`` as a finite float within every bound given.
 
     NaN and +-inf fail whatever the bounds, so a NaN cannot slip through a
-    comparison and an infinity cannot reach the arithmetic.
+    comparison and an infinity cannot reach the arithmetic. A bool fails
+    too: ``True`` is not the number 1.
     """
     try:
-        x = float(value)
+        x = math.nan if _is_bool(value) else float(value)
     except (TypeError, ValueError):
         x = math.nan
     bounds = [(op, b) for op, b in ((">", gt), (">=", ge), ("<", lt),
@@ -116,8 +117,8 @@ def check_spread(two_var: float, **given) -> float:
 def check_int(value, name: str, low: int, high: int | None = None) -> int:
     """``value`` as an int in [low, high] (no upper bound when high is None).
 
-    Integers and floats without a fractional part pass; 2.5, NaN and +-inf
-    fail.
+    Integers and floats without a fractional part pass; 2.5, NaN, +-inf
+    and bools fail.
     """
     n = _whole(value)
     if n is not None and low <= n and (high is None or n <= high):
@@ -127,7 +128,21 @@ def check_int(value, name: str, low: int, high: int | None = None) -> int:
         f"{name} must be {span} and a whole number, got {value}")
 
 
+def check_bool(value, name: str) -> bool:
+    """``value`` when it is a bool (NumPy's too); no other value is read as
+    true or false."""
+    if _is_bool(value):
+        return bool(value)
+    raise ParameterError(f"{name} must be true or false, got {value!r}")
+
+
+def _is_bool(value) -> bool:
+    return isinstance(value, (bool, np.bool_))
+
+
 def _whole(value) -> int | None:
+    if _is_bool(value):
+        return None
     if isinstance(value, (int, np.integer)):
         return int(value)
     try:

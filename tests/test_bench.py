@@ -292,8 +292,8 @@ class TestConfigFormat:
                                      key: value})
 
     def test_integer_keys_take_only_integral_numbers(self):
-        for key in ("dataset.side", "dataset.samples",
-                    "preprocess.target_side", "split.seed"):
+        for key in ("dataset.samples", "preprocess.target_side",
+                    "split.seed"):
             for value in (1.5, "3", True):
                 with pytest.raises(ParseError, match="needs an integer"):
                     config_from_mapping({"dataset.synthetic": "glyphs",
@@ -301,6 +301,35 @@ class TestConfigFormat:
         cfg = config_from_mapping({"dataset.synthetic": "glyphs",
                                    "split.seed": 4.0})
         assert cfg.split.seed == 4 and type(cfg.split.seed) is int
+
+    def test_side_is_no_config_key(self):
+        # a CSV's side comes from its rows
+        with pytest.raises(ParseError,
+                           match="unknown config key 'dataset.side'"):
+            config_from_mapping({"dataset.path": "d.csv",
+                                 "dataset.side": 28})
+
+    @pytest.mark.parametrize("key, value", [
+        ("classifier.knn.k", "yes"), ("classifier.svm.C", "on"),
+        ("feature.hog.cell_side", "yes"), ("classifier.rf.bootstrap", "2"),
+        ("feature.hog.signed_gradients", "nope")])
+    def test_bool_and_number_values_not_swapped(self, key, value):
+        # each used to run: k = yes as k = 1, cell_side = yes as 1-pixel
+        # cells, bootstrap = 2 and signed_gradients = nope as true
+        section, name, param = key.split(".")
+        cfg = config_from_mapping(parse_config_text(
+            f"dataset.synthetic = squares\n{section}s = {name}\n"
+            f"{key} = {value}\n"))
+        with pytest.raises(ParameterError, match=f"{param} must be"):
+            cfg.validate()
+
+    def test_raw_baseline_set_in_code_takes_only_a_bool(self):
+        # "false" used to build the raw descriptor, as for True
+        with pytest.raises(ParameterError,
+                           match="raw_baseline must be true or false"):
+            RunConfig(synthetic="squares", raw_baseline="false").validate()
+        cfg = RunConfig(synthetic="squares", raw_baseline=np.False_)
+        assert "raw" not in cfg.validate().descriptors_
 
     def test_boolean_keys_take_only_boolean_tokens(self):
         for key in ("raw_baseline", "split.stratified", "preprocess.deskew"):

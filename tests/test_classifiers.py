@@ -170,6 +170,34 @@ def test_integer_hyperparameter_must_be_whole(kind, name, value):
         make_classifier(kind, **{name: value}).fit(X, y)
 
 
+@pytest.mark.parametrize("value", [True, np.True_])
+@pytest.mark.parametrize("kind, name", [
+    (KNN, "k"), (KNN, "minkowski_p"), (SVM, "C"), (RF, "n_trees"),
+    (GBDT, "learning_rate")])
+def test_number_hyperparameter_rejects_a_bool(kind, name, value):
+    # True used to pass as 1: k = True ran as k = 1
+    with pytest.raises(ParameterError, match=f"{name} must be"):
+        make_classifier(kind, **{name: value}).check_params()
+
+
+@pytest.mark.parametrize("cls, name", [
+    (Preprocessor, "deskew_enabled"), (HogDescriptor, "signed_gradients"),
+    (RandomForestClassifier, "bootstrap")])
+def test_flag_hyperparameter_takes_only_a_bool(cls, name):
+    # "no" and 2 used to be read as true, 0 as false
+    def run(est):
+        if isinstance(est, RandomForestClassifier):
+            return est.fit(*three_clusters(n_per=4))
+        return est.transform(np.zeros((1, 28, 28)))
+
+    extra = {"n_trees": 3} if cls is RandomForestClassifier else {}
+    for value in ("no", 2, 0):
+        with pytest.raises(ParameterError,
+                           match=f"{name} must be true or false"):
+            run(cls(**{name: value}, **extra))
+    run(cls(**{name: np.False_}, **extra))  # NumPy's bool is a bool
+
+
 @pytest.mark.parametrize("kind", [RF, GBDT])
 def test_negative_seed_rejected(kind):
     # numpy's generator takes no negative seed; this used to surface as its

@@ -1,5 +1,6 @@
 import os
 
+import numpy as np
 import pytest
 
 from digitbench import bench
@@ -17,6 +18,13 @@ def write_cfg(path, extra=""):
         "classifiers = knn, svm\n"
         "classifier.knn.k = 3\n"
         "split.seed = 0\n" + extra)
+
+
+def write_side_csv(path, side, n=20):
+    """A label-first 8-bit CSV of ``n`` seeded random side x side images."""
+    rng = np.random.default_rng(side)
+    rows = [[i % 2, *rng.integers(0, 256, side * side)] for i in range(n)]
+    path.write_text("".join(",".join(map(str, r)) + "\n" for r in rows))
 
 
 class TestBenchVerb:
@@ -135,6 +143,16 @@ class TestBenchVerb:
         assert "k must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_bool_token_for_a_number_exit_two(self, tmp_path, capsys):
+        # k = yes used to run as k = 1
+        cfg = tmp_path / "run.cfg"
+        write_cfg(cfg)
+        cfg.write_text(cfg.read_text().replace("k = 3", "k = yes"))
+        assert main(["bench", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "error: classifier.knn: k must be" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_parameter_exit_two(self, tmp_path, capsys):
         # used to end in a bare TypeError traceback from extract_batch
         cfg = tmp_path / "run.cfg"
@@ -177,6 +195,45 @@ class TestBenchVerb:
         assert not (tmp_path / "cache").exists()
 
 
+class TestCsvSide:
+    """A CSV's image side comes from its rows; no flag or key names it."""
+
+    @pytest.mark.parametrize("side", [16, 32])
+    def test_bench_reads_the_side_from_the_rows(self, tmp_path, side):
+        data, cfg = tmp_path / "d.csv", tmp_path / "run.cfg"
+        write_side_csv(data, side)
+        cfg.write_text("features = hog\nclassifiers = knn\n")
+        assert main(["bench", "--config", str(cfg), "--dataset", str(data),
+                     "--out", str(tmp_path / "out")]) == 0
+        cells = (tmp_path / "out" / "cells.csv").read_text().splitlines()
+        assert cells[1].startswith("hog,knn,ok,")
+
+    def test_no_side_flag(self, capsys):
+        for verb in ("bench", "extract", "visualize"):
+            with pytest.raises(SystemExit):
+                main([verb, "--help"])
+            assert "--side" not in capsys.readouterr().out
+        with pytest.raises(SystemExit) as info:
+            main(["extract", "--synthetic", "squares", "--side", "28"])
+        assert info.value.code == 2
+
+    def test_test_file_of_another_side_exit_two(self, tmp_path, capsys):
+        # its images could not join the dataset's: no cache file, no report
+        write_side_csv(tmp_path / "train.csv", 28)
+        write_side_csv(tmp_path / "test.csv", 16)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"dataset.path = {tmp_path / 'train.csv'}\n"
+                       f"dataset.test_path = {tmp_path / 'test.csv'}\n"
+                       "features = hog\nclassifiers = knn\n"
+                       f"output.cache_dir = {tmp_path / 'cache'}\n")
+        assert main(["bench", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert ("error: test file side 16 is not the dataset's side 28"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "cache").exists()
+        assert not (tmp_path / "out").exists()
+
+
 def flags_config(argv):
     """(RunConfig, parsed arguments) of a command line."""
     args = build_parser().parse_args(argv)
@@ -192,11 +249,11 @@ class TestFlagsAreConfigKeys:
                             "split.seed = 1\noutput.dir = o\n")
         cfg, _ = flags_config([
             "bench", "--config", str(cfg_file), "--dataset", "d.csv",
-            "--schema", "label_last", "--samples", "30", "--side", "16",
+            "--schema", "label_last", "--samples", "30",
             "--seed", "7", "--out", "r", "--raw-baseline"])
         # the file's features stay; its synthetic set gives way to --dataset
         assert cfg == RunConfig(dataset_path="d.csv", schema="label_last",
-                                samples=30, side=16, features=[("lbp", {})],
+                                samples=30, features=[("lbp", {})],
                                 split=SplitSpec(seed=7), out_dir="r",
                                 raw_baseline=True)
         cfg, _ = flags_config(["bench", "--synthetic", "squares"])
@@ -209,11 +266,11 @@ class TestFlagsAreConfigKeys:
     def test_extract_flags(self):
         cfg, args = flags_config([
             "extract", "--synthetic", "glyphs", "--schema", "label_last",
-            "--samples", "30", "--side", "16", "--method", "lbp",
+            "--samples", "30", "--method", "lbp",
             "--jobs", "1", "--out", "c"])
         # --method is the run's feature list
         assert cfg == RunConfig(synthetic="glyphs", schema="label_last",
-                                samples=30, side=16, cache_dir="c",
+                                samples=30, cache_dir="c",
                                 features=[("lbp", {})])
         assert args.jobs == 1
         cfg, _ = flags_config(["extract", "--dataset", "d.csv"])
@@ -223,13 +280,12 @@ class TestFlagsAreConfigKeys:
     def test_visualize_flags(self):
         cfg, args = flags_config([
             "visualize", "--dataset", "d.csv", "--schema", "label_last",
-            "--samples", "30", "--side", "16", "--index", "3",
+            "--samples", "30", "--index", "3",
             "--method", "gabor", "--out", "v"])
         # --method is the run's feature list; visualize's --out is its
         # image directory, not output.dir
         assert cfg == RunConfig(dataset_path="d.csv", schema="label_last",
-                                samples=30, side=16,
-                                features=[("gabor", {})])
+                                samples=30, features=[("gabor", {})])
         assert (args.index, args.features, args.out) == (3, "gabor", "v")
         cfg, _ = flags_config(["visualize", "--synthetic", "squares"])
         assert cfg == RunConfig(synthetic="squares", features=[("hog", {})])

@@ -24,7 +24,7 @@ class TestLoadCsv:
     def test_zero_row_label_first(self, tmp_path):
         p = tmp_path / "d.csv"
         write_csv(p, [[7] + [0] * 784])
-        images, labels = load_csv(p, LABEL_FIRST, side=28)
+        images, labels = load_csv(p, LABEL_FIRST)
         assert images.shape == (1, 28, 28)
         assert labels[0] == 7
         assert np.all(images == 0.0)
@@ -32,21 +32,21 @@ class TestLoadCsv:
     def test_eight_bit_range_divided(self, tmp_path):
         p = tmp_path / "d.csv"
         write_csv(p, [[3] + [255] * 9, [1] + [0] * 9])
-        images, _ = load_csv(p, LABEL_FIRST, side=3)
+        images, _ = load_csv(p, LABEL_FIRST)
         assert images.max() == 1.0
         assert images[0, 0, 0] == 1.0
 
     def test_unit_range_kept(self, tmp_path):
         p = tmp_path / "d.csv"
         write_csv(p, [[0.5] * 9 + [4]])
-        images, labels = load_csv(p, LABEL_LAST, side=3)
+        images, labels = load_csv(p, LABEL_LAST)
         assert labels[0] == 4
         assert images.max() == 0.5
 
     def test_order_preserved(self, tmp_path):
         p = tmp_path / "d.csv"
         write_csv(p, [[d] + [d * 10] * 9 for d in range(10)])
-        images, labels = load_csv(p, LABEL_FIRST, side=3)
+        images, labels = load_csv(p, LABEL_FIRST)
         assert np.array_equal(labels, np.arange(10))
         assert np.array_equal(images[:, 0, 0] * 255,
                               np.arange(10) * 10.0)
@@ -55,7 +55,7 @@ class TestLoadCsv:
         p = tmp_path / "d.csv"
         p.write_text("label," + ",".join(f"p{i}" for i in range(9))
                      + "\n2," + ",".join(["7"] * 9) + "\n")
-        _, labels = load_csv(p, LABEL_FIRST, side=3)
+        _, labels = load_csv(p, LABEL_FIRST)
         assert np.array_equal(labels, [2])
 
     def test_byte_order_mark_ignored(self, tmp_path):
@@ -64,62 +64,71 @@ class TestLoadCsv:
         plain, marked = tmp_path / "plain.csv", tmp_path / "bom.csv"
         write_csv(plain, rows)
         marked.write_text(plain.read_text(), encoding="utf-8-sig")
-        want = load_csv(plain, LABEL_FIRST, side=3)
-        got = load_csv(marked, LABEL_FIRST, side=3)
+        want = load_csv(plain, LABEL_FIRST)
+        got = load_csv(marked, LABEL_FIRST)
         assert np.array_equal(got[0], want[0])
         assert np.array_equal(got[1], want[1]) and len(got[1]) == 20
         marked.write_text("label," + ",".join(f"p{i}" for i in range(9))
                           + "\n" + plain.read_text(), encoding="utf-8-sig")
-        _, labels = load_csv(marked, LABEL_FIRST, side=3)
+        _, labels = load_csv(marked, LABEL_FIRST)
         assert np.array_equal(labels, want[1])
 
     def test_ragged_row_names_row(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("1," + ",".join(["0"] * 9) + "\n1,2,3\n")
         with pytest.raises(ParseError, match="row 2"):
-            load_csv(p, LABEL_FIRST, side=3)
+            load_csv(p, LABEL_FIRST)
 
     def test_non_numeric_names_row(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("1," + ",".join(["0"] * 9) + "\n"
                      "2," + ",".join(["x"] + ["0"] * 8) + "\n")
         with pytest.raises(ParseError, match="row 2"):
-            load_csv(p, LABEL_FIRST, side=3)
+            load_csv(p, LABEL_FIRST)
 
     def test_label_out_of_range_names_row(self, tmp_path):
         p = tmp_path / "d.csv"
         write_csv(p, [[1] + [0] * 9, [12] + [0] * 9])
         with pytest.raises(ParseError, match="row 2"):
-            load_csv(p, LABEL_FIRST, side=3)
+            load_csv(p, LABEL_FIRST)
 
     def test_fractional_label_rejected(self, tmp_path):
         p = tmp_path / "d.csv"
         write_csv(p, [[1.5] + [0] * 9])
         with pytest.raises(ParseError, match="row 1"):
-            load_csv(p, LABEL_FIRST, side=3)
+            load_csv(p, LABEL_FIRST)
 
     def test_pixel_out_of_range_rejected(self, tmp_path):
         p = tmp_path / "d.csv"
         write_csv(p, [[1] + [300] + [0] * 8])
         with pytest.raises(ParseError, match="row 1"):
-            load_csv(p, LABEL_FIRST, side=3)
+            load_csv(p, LABEL_FIRST)
 
     def test_nan_pixel_names_row(self, tmp_path):
         # NaN passes "< 0" and "> 255" alike; it must not reach preprocessing
         p = tmp_path / "d.csv"
         write_csv(p, [[1] + [0] * 9, [2] + [7] * 4 + ["nan"] + [7] * 4])
         with pytest.raises(ParseError, match="row 2: pixel value nan"):
-            load_csv(p, LABEL_FIRST, side=3)
+            load_csv(p, LABEL_FIRST)
+
+    @pytest.mark.parametrize("side", [16, 32])
+    def test_side_read_from_row_width(self, tmp_path, side):
+        p = tmp_path / "d.csv"
+        write_csv(p, [[d] + [d * 20] * (side * side) for d in range(3)])
+        images, labels = load_csv(p, LABEL_FIRST)
+        assert images.shape == (3, side, side)
+        assert np.array_equal(labels, [0, 1, 2])
+        assert np.array_equal(images[:, -1, -1] * 255, [0.0, 20.0, 40.0])
 
     def test_empty_file_rejected(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("\n")
         with pytest.raises(ParseError, match="no data"):
-            load_csv(p, LABEL_FIRST, side=3)
+            load_csv(p, LABEL_FIRST)
 
     def test_bad_schema_rejected(self, tmp_path):
         with pytest.raises(ParameterError):
-            load_csv(tmp_path / "d.csv", "label_middle", side=3)
+            load_csv(tmp_path / "d.csv", "label_middle")
 
     def test_eight_bit_load_holds_one_matrix(self, tmp_path):
         # the 8-bit pixels are scaled in place, not into a second matrix
@@ -129,7 +138,7 @@ class TestLoadCsv:
             [labels, np.rint(images.reshape(2000, -1) * 255)]).astype(int))
         tracemalloc.start()
         try:
-            loaded, _ = load_csv(p, LABEL_FIRST, side=28)
+            loaded, _ = load_csv(p, LABEL_FIRST)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -213,8 +222,10 @@ DIFFERENTIAL = [
     ("ragged_last_row", _text(_rows(19) + ["1,2,3,4"]),
      "row 7: expected 5 fields, got 4"),
     ("no_final_newline", _text(_rows(20))[:-1], None),
+    # a label and 3 pixels, or a label alone (isqrt(0) = 0): no side fits
     ("every_row_short", _text(["1,2,3,4"] * 3),
-     "row 1: expected 5 fields, got 4"),
+     "row width 4 is not side*side + 1"),
+    ("label_only", _text(["7"] * 3), "row width 1 is not side*side + 1"),
     # np.loadtxt strips these around a field, float() does not
     ("separator_padded", _text(_with(_rows(21), 2, 3, "\x1c7")),
      "row 3: non-numeric field"),
@@ -225,7 +236,7 @@ DIFFERENTIAL = [
 
 
 def oracle_arrays(path):
-    """What ``load_csv(path, LABEL_FIRST, side=2)`` returns, built from the
+    """What ``load_csv(path, LABEL_FIRST)`` returns, built from the
     rows of the line-by-line reference parser."""
     data = np.array([values for _, values in csv_oracle(path, 5)])
     pixels = data[:, 1:]
@@ -245,10 +256,10 @@ class TestLoadCsvDifferential:
         p.write_bytes(text.encode("utf-8"))
         if error is not None:
             with pytest.raises(ParseError) as exc:
-                load_csv(p, LABEL_FIRST, side=2)
+                load_csv(p, LABEL_FIRST)
             assert str(exc.value) == error
             return
-        images, labels = load_csv(p, LABEL_FIRST, side=2)
+        images, labels = load_csv(p, LABEL_FIRST)
         want_images, want_labels = oracle_arrays(p)
         assert images.shape == want_images.shape == (6, 2, 2)
         assert images.tobytes() == want_images.tobytes()
@@ -258,8 +269,8 @@ class TestLoadCsvDifferential:
         clean, padded = tmp_path / "clean.csv", tmp_path / "padded.csv"
         clean.write_text(_text(_rows(23)))
         padded.write_text(_text(_rows(23) + [" \t"]))
-        for got, want in zip(load_csv(padded, LABEL_FIRST, side=2),
-                             load_csv(clean, LABEL_FIRST, side=2)):
+        for got, want in zip(load_csv(padded, LABEL_FIRST),
+                             load_csv(clean, LABEL_FIRST)):
             assert got.tobytes() == want.tobytes()
 
 
@@ -337,6 +348,16 @@ class TestSplit:
     def test_negative_seed_rejected(self):
         with pytest.raises(ParameterError, match="seed must be >= 0"):
             SplitSpec(seed=-1)
+
+    def test_stratified_takes_only_a_bool(self):
+        # the string "false" used to be read as true: this split came out
+        # stratified, [2 3 4 6 7 10]
+        with pytest.raises(ParameterError,
+                           match="stratified must be true or false"):
+            SplitSpec(0.5, 0, "false")
+        y = np.array([0] * 10 + [1] * 2)
+        train, _ = split_indices(y, SplitSpec(0.5, 0, np.False_))
+        assert train.tolist() == [2, 4, 5, 7, 9, 11]
 
 
 class TestPreprocessAll:
