@@ -9,6 +9,7 @@ synthetic generators stand in for real digit scans where none are available.
 
 from __future__ import annotations
 
+import contextlib
 import glob
 import hashlib
 import math
@@ -334,20 +335,48 @@ def synthetic_squares(n_samples: int = 200, seed: int = 0):
     return images, labels.astype(np.int64)
 
 
+# what reading a cache file raises when it is truncated, not an archive,
+# lacks a member, or holds a non-scalar version or row count
+_UNREADABLE = (OSError, ValueError, EOFError, KeyError, TypeError,
+               zipfile.BadZipFile)
+
+
 def save_feature_cache(path, features: np.ndarray, labels: np.ndarray,
                        rows: int):
     """Store a matrix with its labels and the dataset's row count ``rows``
     (with a test file, the test rows follow the dataset's).
 
-    Written beside ``path``, then renamed into place: an interrupted write
-    leaves no truncated archive under the cache name. Then every
-    ``features-*.npz`` beside it of another version or without a row count
-    is deleted, so no older version's files pile up."""
+    The archive is the one ``np.savez`` writes (stored ``.npy`` members
+    ``version``, ``features``, ``labels`` and ``rows``), but each member is
+    written from its array's own buffer, so the write holds no serialized
+    copy; only an array that is not C-contiguous is copied first. Written
+    beside ``path``, then renamed into place: an interrupted write leaves
+    no truncated archive under the cache name, and a write that raises
+    deletes its temporary file. Then every ``features-*.npz`` beside it of
+    another version or without a row count is deleted, so no older
+    version's files pile up."""
     tmp = f"{path}.{os.getpid()}.tmp"
-    with open(tmp, "wb") as fh:
-        np.savez(fh, version=np.array(CACHE_VERSION), features=features,
-                 labels=labels, rows=np.array(rows))
-    os.replace(tmp, path)
+    members = {"version": np.array(CACHE_VERSION), "features": features,
+               "labels": labels, "rows": np.array(rows)}
+    try:
+        with zipfile.ZipFile(tmp, "w", zipfile.ZIP_STORED,
+                             allowZip64=True) as archive:
+            for name, arr in members.items():
+                # 0-d arrays are C-contiguous, so they stay 0-d
+                if not arr.flags.c_contiguous:
+                    arr = np.ascontiguousarray(arr)
+                with archive.open(f"{name}.npy", "w",
+                                  force_zip64=True) as fh:
+                    np.lib.format.write_array_header_1_0(
+                        fh, np.lib.format.header_data_from_array_1_0(arr))
+                    # a flat byte view: memoryview.cast refuses an array
+                    # with a zero-length axis
+                    fh.write(arr.reshape(-1).view(np.uint8))
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
     cache_dir = glob.escape(os.path.dirname(path))
     for other in glob.glob(os.path.join(cache_dir, "features-*.npz")):
         try:  # reads neither matrix
@@ -356,13 +385,14 @@ def save_feature_cache(path, features: np.ndarray, labels: np.ndarray,
                             or "rows" not in data.files)
             if outdated:
                 os.remove(other)
-        except (OSError, ValueError, EOFError, KeyError, zipfile.BadZipFile):
+        except _UNREADABLE:
             pass  # unreadable, or already removed by another writer
 
 
 def load_feature_cache(path):
     """(features, labels, dataset row count), or None when absent,
-    unreadable, from another version or without a row count."""
+    unreadable (truncated, or with a version or row count that is not a
+    scalar), from another version or without a row count."""
     if not os.path.exists(path):
         return None
     try:
@@ -370,5 +400,5 @@ def load_feature_cache(path):
             if int(data["version"]) != CACHE_VERSION:
                 return None
             return data["features"], data["labels"], int(data["rows"])
-    except (OSError, ValueError, EOFError, KeyError, zipfile.BadZipFile):
+    except _UNREADABLE:
         return None

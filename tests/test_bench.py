@@ -1,5 +1,6 @@
 import os
 import weakref
+import zipfile
 from types import SimpleNamespace
 
 import numpy as np
@@ -547,9 +548,12 @@ class TestWarmCache:
         assert (warm.n_train, warm.n_test) == (30, 10)
         assert format_cells_csv(warm) == format_cells_csv(cold)
 
-    @pytest.mark.parametrize("stale", ["version 2", "no row count"])
+    @pytest.mark.parametrize("stale", ["version 2", "no row count",
+                                       "version not a scalar",
+                                       "row count not a scalar"])
     def test_stale_cache_file_is_a_miss_and_rewritten(self, tmp_path,
                                                       monkeypatch, stale):
+        # a 1-d version or row count used to end in a TypeError from int()
         cfg = small_cfg(samples=40, cache_dir=str(tmp_path / "cache"),
                         features=[("hog", {})],
                         classifiers=[("knn", {"k": 1})])
@@ -559,9 +563,14 @@ class TestWarmCache:
         X, y, rows = load_feature_cache(path)
         fields = {"version": np.array(2), "features": X, "labels": y,
                   "rows": np.array(rows)}
-        if stale == "no row count":
+        if stale != "version 2":
             fields["version"] = np.array(CACHE_VERSION)
+        if stale == "no row count":
             del fields["rows"]
+        elif stale == "version not a scalar":
+            fields["version"] = np.array([CACHE_VERSION])
+        elif stale == "row count not a scalar":
+            fields["rows"] = np.array([rows])
         np.savez(path, **fields)
         assert load_feature_cache(path) is None
         loads = count_calls(monkeypatch, "synthetic_squares")
@@ -593,6 +602,41 @@ class TestWarmCache:
         # plus the features-raw-* stack entry
         assert len(os.listdir(cache)) == 4
         assert load_feature_cache(cache / written)[0].shape == (40, 1296)
+
+    @pytest.mark.parametrize("member", ["version", "rows"])
+    def test_sweep_leaves_a_non_scalar_entry_alone(self, tmp_path, member):
+        # the sweep's int() used to raise a TypeError through extract
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        fields = {"version": np.array(CACHE_VERSION),
+                  "features": np.zeros((3, 2)), "labels": np.arange(3),
+                  "rows": np.array(3)}
+        fields[member] = fields[member].reshape(1)
+        odd = cache / "features-lbp-1111111111111111.npz"
+        np.savez(odd, **fields)
+        assert cli.main(["extract", "--synthetic", "squares", "--samples",
+                         "40", "--method", "hog", "--out", str(cache)]) == 0
+        assert odd.exists()
+        # plus the new hog file and the features-raw-* stack entry
+        assert len(os.listdir(cache)) == 3
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path, monkeypatch,
+                                              capsys):
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        foreign = cache / "features-hog-2222222222222222.npz.7.tmp"
+        foreign.write_text("")
+
+        # the first member write fails, as on a full disk; the foreign
+        # .tmp is another writer's and stays
+        def full_disk(self, data):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(zipfile._ZipWriteFile, "write", full_disk)
+        assert cli.main(["extract", "--synthetic", "squares", "--samples",
+                         "40", "--method", "hog", "--out", str(cache)]) == 2
+        assert "No space left on device" in capsys.readouterr().err
+        assert os.listdir(cache) == [foreign.name]
 
     def test_cache_key_holds_the_full_digest(self, tmp_path, monkeypatch):
         # two files whose digests share the 12 characters a report shows

@@ -7,8 +7,9 @@ from oracles import csv_oracle
 
 from digitbench import ParameterError, ParseError, ShapeError, SplitError
 from digitbench.base import IMAGE_BLOCK
-from digitbench.datasets import (LABEL_FIRST, LABEL_LAST, N_CLASSES, SplitSpec,
-                                 file_digest, glyph_template, load_csv,
+from digitbench.datasets import (CACHE_VERSION, LABEL_FIRST, LABEL_LAST,
+                                 N_CLASSES, SplitSpec, file_digest,
+                                 glyph_template, load_csv,
                                  load_feature_cache, preprocess_all,
                                  save_feature_cache, split_indices,
                                  synthetic_glyphs, synthetic_squares)
@@ -436,16 +437,44 @@ class TestSynthetic:
 
 
 class TestFeatureCache:
-    def test_round_trip(self, tmp_path):
-        X = np.random.default_rng(0).random((6, 9))
+    @pytest.mark.parametrize("layout", ["C", "Fortran", "strided"])
+    def test_round_trip(self, tmp_path, layout):
+        X = np.random.default_rng(0).random((6, 18))
+        X = {"C": X, "Fortran": np.asfortranarray(X),
+             "strided": X[:, ::2]}[layout]
         y = np.arange(6) % 3
         path = tmp_path / "c.npz"
         save_feature_cache(path, X, y, 4)
-        loaded = load_feature_cache(path)
-        assert loaded is not None
-        assert np.array_equal(loaded[0], X)
-        assert np.array_equal(loaded[1], y)
-        assert loaded[2] == 4
+        features, labels, rows = load_feature_cache(path)
+        assert features.shape == X.shape
+        assert features.tobytes() == X.tobytes()
+        assert labels.dtype == np.int64 and labels.tobytes() == y.tobytes()
+        assert type(rows) is int and rows == 4
+        with np.load(path) as data:
+            version = data["version"]
+        assert version.shape == () and int(version) == CACHE_VERSION
+
+    def test_plain_np_load_sees_the_four_members(self, tmp_path):
+        path = tmp_path / "c.npz"
+        save_feature_cache(path, np.zeros((3, 2)), np.arange(3), 3)
+        with np.load(path, allow_pickle=False) as data:
+            assert data.files == ["version", "features", "labels", "rows"]
+            assert data["rows"].shape == () and int(data["rows"]) == 3
+
+    def test_write_holds_no_second_copy(self, tmp_path):
+        # np.savez serialized each array through tobytes, up to 16 MiB at
+        # a time
+        X = np.random.default_rng(0).random((2000, 1296))
+        y = np.arange(2000) % N_CLASSES
+        tracemalloc.start()
+        try:
+            save_feature_cache(tmp_path / "c.npz", X, y, 2000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+        assert load_feature_cache(tmp_path / "c.npz")[0].tobytes() == \
+            X.tobytes()
 
     def test_missing_or_foreign_version(self, tmp_path):
         assert load_feature_cache(tmp_path / "absent.npz") is None
