@@ -204,7 +204,7 @@ def fit_summary(kind: str, clf) -> dict:
         return {}
     trees = clf.trees_
     out = {"trees": len(trees), "nodes": sum(t.n_nodes for t in trees),
-           "deepest": max((t.max_depth() for t in trees), default=0)}
+           "deepest": max((t.depth for t in trees), default=0)}
     if kind == GBDT:
         out["final_loss"] = float(clf.loss_trace_[-1])
     return out

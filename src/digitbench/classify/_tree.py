@@ -3,7 +3,8 @@
 A tree is stored as parallel node arrays. Internal nodes route a sample left
 when ``x[feature] < threshold`` and right otherwise; every node carries a
 payload row (class counts for the forest's classification trees, a single
-leaf value for the boosting ensemble's regression trees).
+leaf value for the boosting ensemble's regression trees). A tree's
+``depth``, its deepest node's, is recorded by ``grow_tree`` as it grows.
 
 Both learners grow their trees with ``grow_tree``, which owns the node
 stack, the depth and two-row stops and the preorder node numbering. A learner
@@ -30,6 +31,7 @@ class Tree:
     left: np.ndarray       # (n_nodes,) int32
     right: np.ndarray      # (n_nodes,) int32
     value: np.ndarray      # (n_nodes, value_dim) float64
+    depth: int             # deepest node's depth, recorded by grow_tree
 
     @property
     def n_nodes(self) -> int:
@@ -50,17 +52,6 @@ class Tree:
     def leaf_values(self, X: np.ndarray) -> np.ndarray:
         return self.value[self.apply(X)]
 
-    def max_depth(self) -> int:
-        depths = np.zeros(self.n_nodes, dtype=np.int64)
-        deepest = 0
-        for node in range(self.n_nodes):  # children follow parents
-            if self.feature[node] != LEAF:
-                depths[self.left[node]] = depths[node] + 1
-                depths[self.right[node]] = depths[node] + 1
-            else:
-                deepest = max(deepest, int(depths[node]))
-        return deepest
-
 
 def grow_tree(rows: np.ndarray, max_depth: int,
               node_value: Callable[[np.ndarray], object],
@@ -79,8 +70,10 @@ def grow_tree(rows: np.ndarray, max_depth: int,
     values: list[np.ndarray] = []
     # (rows, depth, parent, slot of the child's id in the parent's node)
     stack = [(rows, 0, None, 0)]
+    deepest = 0
     while stack:
         rows, depth, parent, slot = stack.pop()
+        deepest = max(deepest, depth)
         node = len(nodes)
         if parent is not None:
             nodes[parent][slot] = node
@@ -99,4 +92,4 @@ def grow_tree(rows: np.ndarray, max_depth: int,
                 threshold=np.asarray(threshold, dtype=np.float64),
                 left=np.asarray(left, dtype=np.int32),
                 right=np.asarray(right, dtype=np.int32),
-                value=np.stack(values))
+                value=np.stack(values), depth=deepest)

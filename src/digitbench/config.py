@@ -98,9 +98,10 @@ class RunConfig:
             raise ParameterError(
                 f"synthetic set must be one of {SYNTHETIC_SETS}, "
                 f"got {self.synthetic!r}")
-        if self.dataset_path is None and self.synthetic is None:
-            raise ParameterError(
-                "config needs either a dataset path or a synthetic set")
+        if (self.dataset_path is None) == (self.synthetic is None):
+            given = "neither" if self.synthetic is None else "both"
+            raise ParameterError("config needs exactly one of 'dataset.path' "
+                                 f"and 'dataset.synthetic', got {given}")
         self.split.__post_init__()  # a value set after construction too
         check_bool(self.raw_baseline, "raw_baseline")
         # straight through the kernels: ``transform`` is the data's way in

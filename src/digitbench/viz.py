@@ -30,21 +30,12 @@ def write_pgm(path, img: np.ndarray) -> None:
         fh.write(f"P2\n{w} {h}\n255\n" + "\n".join(lines) + "\n")
 
 
-def _draw_line(canvas: np.ndarray, cy: float, cx: float, angle: float,
-               half_len: float, strength: float) -> None:
-    # sample the segment densely; additive so crossing lines brighten
-    steps = max(int(half_len * 4), 2)
-    ts = np.linspace(-half_len, half_len, steps)
-    ys = np.clip(np.rint(cy + ts * np.sin(angle)), 0,
-                 canvas.shape[0] - 1).astype(int)
-    xs = np.clip(np.rint(cx + ts * np.cos(angle)), 0,
-                 canvas.shape[1] - 1).astype(int)
-    canvas[ys, xs] = np.maximum(canvas[ys, xs], strength)
-
-
 def render_hog(img: np.ndarray, descriptor) -> np.ndarray:
     """Oriented-line glyph per cell; line direction shows the edge, not the
-    gradient, so strokes align with the strokes of the glyph itself."""
+    gradient, so strokes align with the strokes of the glyph itself. Each
+    weighted (cell, bin) is a line through the cell's centre, all sampled as
+    one (lines, samples) array; a pixel keeps the strongest line through it.
+    """
     hists = descriptor._cell_histograms(
         check_image_batch(np.asarray(img)[None]))[0]
     cells_y, cells_x, n_bins = hists.shape
@@ -54,16 +45,15 @@ def render_hog(img: np.ndarray, descriptor) -> np.ndarray:
     side = _HOG_CELL_PIXELS
     canvas = np.zeros((cells_y * side, cells_x * side))
     period = np.pi if not descriptor.signed_gradients else 2 * np.pi
-    for cy in range(cells_y):
-        for cx in range(cells_x):
-            for b in range(n_bins):
-                w = hists[cy, cx, b]
-                if w <= 0:
-                    continue
-                ang = (b + 0.5) * period / n_bins + np.pi / 2.0
-                _draw_line(canvas, cy * side + side / 2 - 0.5,
-                           cx * side + side / 2 - 0.5, ang,
-                           side / 2 - 1.0, w)
+    cy, cx, b = np.nonzero(hists > 0)
+    angle = ((b + 0.5) * period / n_bins + np.pi / 2.0)[:, None]
+    half_len = side / 2 - 1.0
+    ts = np.linspace(-half_len, half_len, max(int(half_len * 4), 2))
+    ys = np.rint((cy * side + side / 2 - 0.5)[:, None] + ts * np.sin(angle))
+    xs = np.rint((cx * side + side / 2 - 0.5)[:, None] + ts * np.cos(angle))
+    np.maximum.at(canvas, (np.clip(ys, 0, canvas.shape[0] - 1).astype(int),
+                           np.clip(xs, 0, canvas.shape[1] - 1).astype(int)),
+                  hists[cy, cx, b][:, None])
     return canvas
 
 

@@ -345,8 +345,11 @@ class TestConfigFormat:
         assert cfg.preprocess == {"deskew_enabled": True}
 
     def test_validation_errors(self):
-        with pytest.raises(ParameterError, match="dataset"):
+        with pytest.raises(ParameterError, match="dataset.*got neither"):
             RunConfig().validate()
+        # the file used to run and the synthetic set was ignored
+        with pytest.raises(ParameterError, match="dataset.*got both"):
+            RunConfig(dataset_path="d.csv", synthetic="glyphs").validate()
         with pytest.raises(ParameterError, match="feature"):
             RunConfig(synthetic="glyphs", features=[]).validate()
         with pytest.raises(ParameterError, match="classifier"):

@@ -375,7 +375,7 @@ class TestBoostingBehavior:
         X = rng.random((120, 4))
         y = rng.integers(0, 3, 120)
         clf = GradientBoostingClassifier(n_rounds=4, max_depth=2).fit(X, y)
-        assert max(t.max_depth() for t in clf.trees_) <= 2
+        assert max(t.depth for t in clf.trees_) <= 2
 
     def test_memorizes_distinct_points(self):
         rng = np.random.default_rng(6)

@@ -153,6 +153,18 @@ class TestBenchVerb:
         assert "error: classifier.knn: k must be" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_dataset_file_and_synthetic_set_exit_two(self, tmp_path, capsys):
+        # used to run the CSV, report "source: d.csv:..." and exit 0
+        data, cfg = tmp_path / "d.csv", tmp_path / "run.cfg"
+        write_side_csv(data, 28)
+        cfg.write_text(f"dataset.path = {data}\ndataset.synthetic = glyphs\n"
+                       "features = hog\nclassifiers = knn\n")
+        assert main(["bench", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "'dataset.path' and 'dataset.synthetic'" in err
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_parameter_exit_two(self, tmp_path, capsys):
         # used to end in a bare TypeError traceback from extract_batch
         cfg = tmp_path / "run.cfg"

@@ -3,7 +3,8 @@ import pytest
 from oracles import cart_oracle
 
 from digitbench import ParameterError, StateError
-from digitbench.classify import RandomForestClassifier
+from digitbench.classify import (GradientBoostingClassifier,
+                                 RandomForestClassifier)
 from digitbench.classify._tree import LEAF, Tree
 
 
@@ -11,6 +12,19 @@ def single_cart_tree(X, y, max_depth):
     clf = RandomForestClassifier(n_trees=1, max_depth=max_depth,
                                  max_features=None, bootstrap=False, seed=0)
     return clf.fit(X, y), clf.trees_[0]
+
+
+def walk_depth(tree):
+    """Deepest leaf's depth, found by following child links from the root."""
+    deepest, stack = 0, [(0, 0)]
+    while stack:
+        node, depth = stack.pop()
+        if tree.feature[node] == LEAF:
+            deepest = max(deepest, depth)
+        else:
+            stack += [(tree.left[node], depth + 1),
+                      (tree.right[node], depth + 1)]
+    return deepest
 
 
 class TestCartOracle:
@@ -113,7 +127,7 @@ class TestForestBehavior:
         X = rng.random((200, 5))
         y = rng.integers(0, 4, 200)
         clf = RandomForestClassifier(n_trees=12, max_depth=4).fit(X, y)
-        assert max(t.max_depth() for t in clf.trees_) <= 4
+        assert max(t.depth for t in clf.trees_) <= 4
 
     def test_seeded_determinism(self):
         rng = np.random.default_rng(7)
@@ -177,19 +191,23 @@ class TestTreePlumbing:
                     threshold=np.array([0.5, 0.0, 0.0]),
                     left=np.array([1, LEAF, LEAF], dtype=np.int32),
                     right=np.array([2, LEAF, LEAF], dtype=np.int32),
-                    value=np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 2.0]]))
+                    value=np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 2.0]]),
+                    depth=1)
         X = np.array([[0.2], [0.5], [0.9]])
         assert np.array_equal(tree.apply(X), [1, 2, 2])  # x < thr goes left
         assert np.array_equal(tree.leaf_values(X)[0], [3, 0])
 
-    def test_max_depth_computation(self):
-        # root 0 -> (1, 2); node 1 -> (3, 4); 2, 3 and 4 are leaves
-        tree = Tree(feature=np.array([0, 0, LEAF, LEAF, LEAF], dtype=np.int32),
-                    threshold=np.array([0.5, 0.25, 0.0, 0.0, 0.0]),
-                    left=np.array([1, 3, LEAF, LEAF, LEAF], dtype=np.int32),
-                    right=np.array([2, 4, LEAF, LEAF, LEAF], dtype=np.int32),
-                    value=np.array([[0.0], [0.0], [1.0], [2.0], [3.0]]))
-        assert tree.max_depth() == 2
+    def test_recorded_depth_matches_a_walk(self):
+        # random labels grow bushy trees, most stopping short of max_depth
+        rng = np.random.default_rng(8)
+        X = rng.random((300, 6))
+        y = rng.integers(0, 5, 300)
+        forest = RandomForestClassifier(n_trees=8, max_depth=40, seed=0)
+        gbdt = GradientBoostingClassifier(n_rounds=3, max_depth=10, seed=0)
+        trees = [*forest.fit(X, y).trees_, *gbdt.fit(X, y).trees_]
+        assert [t.depth for t in trees] == [walk_depth(t) for t in trees]
+        assert len({t.depth for t in trees}) > 3
+        assert min(t.n_nodes for t in trees) > 60
 
     def test_deep_tree_grows_without_recursion(self):
         # alternating labels on one column: every split peels off one row,
@@ -197,5 +215,5 @@ class TestTreePlumbing:
         X = np.arange(3000.0)[:, None]
         y = np.arange(3000) % 2
         clf, tree = single_cart_tree(X, y, max_depth=100_000)
-        assert tree.max_depth() == 2999
+        assert tree.depth == 2999
         assert np.array_equal(clf.predict(X), y)

@@ -93,7 +93,8 @@ class TestVisualize:
 # SHA-256 of every file ``visualize`` writes for the glyphs of
 # synthetic_glyphs(3, seed=0, noise=0.35), named by stem "g<i>"; recorded
 # on x86-64 with NumPy 2.4. The raw view repeats the preprocessed image and
-# LBP renders the code image in either mode.
+# LBP renders the code image in either mode. A HOG view under other
+# parameters is keyed by the file name and those parameters.
 _VIEW_DIGESTS = {
     "g0-original.pgm": ("f0bdba3deb2eb9eedcb4c880c7a7d8f4"
                         "a363654b8dbf84e0d080ce6ca8c19938"),
@@ -131,12 +132,27 @@ _VIEW_DIGESTS = {
                    "b96644d11d38d5481ff021fab30eac02"),
     "g2-raw.pgm": ("142b3aafd6f8b4bc5fcf3f341144c104"
                    "8443af73eea630c18a7e86085f546a85"),
+    "g0-hog.pgm signed_gradients=True": (
+        "ac81a4824429684912e82fdd1bc8e8cda2171c9e15963c1ce5c95757cef756f8"),
+    "g1-hog.pgm signed_gradients=True": (
+        "8360df0756e76960d6244002849284ec6fef2cbe0dd596a5c3e9a43b1876eef5"),
+    "g2-hog.pgm signed_gradients=True": (
+        "0ec0b28e13ebb5566aedc67bb8a6e284827273879a097b7ff6b3e7557c828e41"),
+    "g0-hog.pgm cell_side=7 n_bins=6": (
+        "34800532bac655d012a1feb70500130b0ba78b03fd06fc19d60f9af490e0273b"),
+    "g1-hog.pgm cell_side=7 n_bins=6": (
+        "cd96e444c509c8fdac1f71dba5af5edd1fc548ad76dec8e987056b850b16a403"),
+    "g2-hog.pgm cell_side=7 n_bins=6": (
+        "a81ea1786a2bb4f848607b0fd9e89bda53647d0877e6f952aa7c9fb0aaf5760b"),
 }
 
 
 @pytest.mark.parametrize("method, params", [
     ("hog", None), ("lbp", None), ("lbp", {"mode": "histogram"}),
-    ("gabor", None), ("raw", None)])
+    ("gabor", None), ("raw", None),
+    # 2 pi-period bins; 4 x 4 cells of 7 pixels with 6 bins
+    ("hog", {"signed_gradients": True}),
+    ("hog", {"cell_side": 7, "n_bins": 6})])
 def test_visualize_files_unchanged(tmp_path, method, params):
     images, _ = synthetic_glyphs(3, seed=0, noise=0.35)
     for i, img in enumerate(images):
@@ -144,4 +160,7 @@ def test_visualize_files_unchanged(tmp_path, method, params):
                               stem=f"g{i}"):
             with open(path, "rb") as fh:
                 digest = hashlib.sha256(fh.read()).hexdigest()
-            assert digest == _VIEW_DIGESTS[path.split("/")[-1]], path
+            name = path.split("/")[-1]
+            if method == "hog" and params and name.endswith("-hog.pgm"):
+                name += "".join(f" {k}={v}" for k, v in params.items())
+            assert digest == _VIEW_DIGESTS[name], path
